@@ -16,6 +16,7 @@ n <= 2, where reciprocal matrices are always consistent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -99,20 +100,22 @@ def validate(matrix: np.ndarray) -> list[str]:
     n = mat.shape[0]
     if not (2 <= n <= 9):
         violations.append(f"order must be between 2 and 9, got {n}")
+    rows = mat.tolist()
     for i in range(n):
-        if mat[i, i] != 1.0:
-            violations.append(f"diagonal entry ({i},{i}) must be 1, got {mat[i, i]:g}")
-    for i in range(n):
-        for j in range(n):
-            if mat[i, j] <= 0.0:
-                violations.append(f"entry ({i},{j}) must be positive, got {mat[i, j]:g}")
+        if rows[i][i] != 1.0:
+            violations.append(f"diagonal entry ({i},{i}) must be 1, got {rows[i][i]:g}")
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not math.isfinite(v):
+                violations.append(f"entry ({i},{j}) must be finite, got {v:g}")
+            elif v <= 0.0:
+                violations.append(f"entry ({i},{j}) must be positive, got {v:g}")
     for i in range(n):
         for j in range(i + 1, n):
-            if mat[i, j] > 0 and mat[j, i] > 0:
-                if abs(mat[i, j] * mat[j, i] - 1.0) > RECIPROCITY_TOL:
-                    violations.append(
-                        f"reciprocity violated at ({i},{j}): "
-                        f"{mat[i, j]:g} * {mat[j, i]:g} != 1")
+            a, b = rows[i][j], rows[j][i]
+            if a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b):
+                if abs(a * b - 1.0) > RECIPROCITY_TOL:
+                    violations.append(f"reciprocity violated at ({i},{j}): {a:g} * {b:g} != 1")
     return violations
 
 

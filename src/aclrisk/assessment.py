@@ -55,16 +55,16 @@ def _stage(name: str):
 
 @dataclass
 class TraceBundle:
-    sagittal_frames: list[int]
+    sagittal_frames: np.ndarray
     p1: np.ndarray
     p2: np.ndarray
-    frontal_frames: list[int]
+    frontal_frames: np.ndarray
     s1: np.ndarray
     s2: np.ndarray
     s3: np.ndarray
     s4: np.ndarray
 
-    def named(self) -> dict[str, tuple[list[int], np.ndarray]]:
+    def named(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         return {
             "p1": (self.sagittal_frames, self.p1),
             "p2": (self.sagittal_frames, self.p2),
@@ -268,8 +268,15 @@ def assess_single_view(
 
 
 def report_to_json(report: AssessmentReport) -> bytes:
-    """Canonical JSON bytes (sorted keys, two-space indent, trailing newline)."""
-    return (json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n").encode()
+    """Canonical JSON bytes (sorted keys, two-space indent, trailing newline).
+
+    A report holding NaN or infinity is refused: JSON has no such numbers.
+    """
+    try:
+        text = json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise IoFailure(f"report is not valid JSON: {exc}", stage="emit") from exc
+    return (text + "\n").encode()
 
 
 def summary_csv_row(number: int, grades: GradeVector, total: float) -> str:
@@ -289,7 +296,7 @@ def emit_report(report: AssessmentReport, fmt: str = "json") -> bytes:
     """Serialize a report: full JSON, or a one-row CSV summary."""
     if fmt == "json":
         return report_to_json(report)
-    if fmt in ("csv", "csv-summary"):
+    if fmt == "csv":
         row = summary_csv_row(report.number, report.grade_vector(), report.total)
         return (SUMMARY_HEADER + "\n" + row + "\n").encode()
     raise ValueError(f"unknown report format: {fmt!r}")
@@ -310,7 +317,7 @@ def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, st
         for name, (frames, values) in report.trace_data.named().items():
             path = directory / f"{name}.csv"
             lines = ["frame,value"]
-            lines += [f"{f},{repr(float(v))}" for f, v in zip(frames, values)]
+            lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
             path.write_text("\n".join(lines) + "\n")
             refs[name] = str(path)
     report.traces = refs

@@ -9,6 +9,7 @@ given as row lists; fraction literals like "1/3" are accepted.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -64,6 +65,8 @@ class RunConfig:
         if self.weight_source == "explicit":
             if self.weights is None or len(self.weights) != N_INDICES:
                 raise ConfigError(f"explicit weights must have length {N_INDICES}")
+            if not all(math.isfinite(w) for w in self.weights):
+                raise ConfigError("explicit weights must be finite")
             if any(w < 0 for w in self.weights):
                 raise ConfigError("explicit weights must be nonnegative")
         violations = ahp.validate(self.judgment_matrix)

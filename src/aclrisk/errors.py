@@ -102,7 +102,7 @@ class ConsistencyFailure(AclRiskError):
 # -- assessment / synthesis / io ----------------------------------------
 
 class IoFailure(AclRiskError):
-    """Filesystem operation failed while emitting outputs."""
+    """Emitting outputs failed: a filesystem error, or a report that JSON cannot hold."""
 
 
 class InvalidScript(AclRiskError):

@@ -23,7 +23,6 @@ default, or a landing window anchored at the detected touchdown frame.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,25 +38,13 @@ DEFAULT_LANDING_DURATION_S = 1.0
 DEFAULT_FPS = 30.0
 
 
-def cosine_between(u, v, epsilon: float = DEGENERACY_EPSILON) -> float:
-    """Cosine of the angle between two 2D vectors, clamped to [-1, 1]."""
-    ux, uy = float(u[0]), float(u[1])
-    vx, vy = float(v[0]), float(v[1])
-    nu = math.hypot(ux, uy)
-    nv = math.hypot(vx, vy)
-    if nu < epsilon or nv < epsilon:
-        raise DegenerateVector(f"vector norm below {epsilon} (|u|={nu:g}, |v|={nv:g})")
-    c = (ux * vx + uy * vy) / (nu * nv)
-    return min(1.0, max(-1.0, c))
-
-
 @dataclass
 class SagittalFeatures:
     p1: float
     p2: float
     p1_trace: np.ndarray
     p2_trace: np.ndarray
-    frame_indices: list[int]
+    frame_indices: np.ndarray
 
 
 @dataclass
@@ -69,21 +56,20 @@ class FrontalFeatures:
     s2_trace: np.ndarray
     s3_trace: np.ndarray
     s4_trace: np.ndarray
-    frame_indices: list[int]
+    frame_indices: np.ndarray
 
 
-def _window_slice(series: pi.KeypointSeries, window: tuple[int, int] | None) -> list[pi.SkeletonFrame]:
-    if window is None:
-        frames = series.frames
-    else:
-        start, end = window
-        frames = series.frames[start:end + 1]
-    if not frames:
+def _window_slice(series: pi.KeypointSeries,
+                  window: tuple[int, int] | None) -> tuple[np.ndarray, np.ndarray]:
+    """(n, 25, 2) keypoint coordinates and (n,) frame indices in the window."""
+    start, end = (0, len(series) - 1) if window is None else window
+    xy = series.keypoints[start:end + 1, :, :2]
+    if not len(xy):
         raise WindowEmpty("analysis window contains no frames")
-    return frames
+    return xy, series.frame_index[start:end + 1]
 
 
-def _cos_series(a: np.ndarray, b: np.ndarray, frames: list[pi.SkeletonFrame],
+def _cos_series(a: np.ndarray, b: np.ndarray, frame_index: np.ndarray,
                 epsilon: float, what: str) -> np.ndarray:
     """Rowwise clamped cosine between (n,2) vector stacks a and b."""
     na = np.linalg.norm(a, axis=1)
@@ -92,7 +78,7 @@ def _cos_series(a: np.ndarray, b: np.ndarray, frames: list[pi.SkeletonFrame],
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateVector(
-            f"{what}: zero-length vector at frame {frames[i].frame_index}")
+            f"{what}: zero-length vector at frame {frame_index[i]}")
     return np.clip((a * b).sum(axis=1) / (na * nb), -1.0, 1.0)
 
 
@@ -103,23 +89,22 @@ def extract_sagittal(
     epsilon: float = DEGENERACY_EPSILON,
 ) -> SagittalFeatures:
     """Per-frame knee/hip flexion cosines and their window maxima."""
-    frames = _window_slice(series, window)
+    kp, frame_index = _window_slice(series, window)
     if side == "left":
         hip, knee, ankle = pi.L_HIP, pi.L_KNEE, pi.L_ANKLE
     else:
         hip, knee, ankle = pi.R_HIP, pi.R_KNEE, pi.R_ANKLE
-    kp = np.stack([f.keypoints[:, :2] for f in frames])
     thigh = kp[:, hip] - kp[:, knee]
     shank = kp[:, ankle] - kp[:, knee]
     trunk = kp[:, pi.MID_HIP] - kp[:, pi.NECK]
-    p1_trace = _cos_series(thigh, shank, frames, epsilon, "thigh/shank")
-    p2_trace = _cos_series(thigh, trunk, frames, epsilon, "thigh/trunk")
+    p1_trace = _cos_series(thigh, shank, frame_index, epsilon, "thigh/shank")
+    p2_trace = _cos_series(thigh, trunk, frame_index, epsilon, "thigh/trunk")
     return SagittalFeatures(
         p1=float(p1_trace.max()),
         p2=float(p2_trace.max()),
         p1_trace=p1_trace,
         p2_trace=p2_trace,
-        frame_indices=[f.frame_index for f in frames],
+        frame_indices=frame_index,
     )
 
 
@@ -129,16 +114,15 @@ def extract_frontal(
     epsilon: float = DEGENERACY_EPSILON,
 ) -> FrontalFeatures:
     """Stance-width distances and trunk/thigh alignment cosine per frame."""
-    frames = _window_slice(series, window)
-    kp = np.stack([f.keypoints[:, :2] for f in frames])
+    kp, frame_index = _window_slice(series, window)
     s1 = np.linalg.norm(kp[:, pi.L_ANKLE] - kp[:, pi.R_ANKLE], axis=1)
     s2 = np.linalg.norm(kp[:, pi.L_KNEE] - kp[:, pi.R_KNEE], axis=1)
     s3 = np.linalg.norm(kp[:, pi.L_SHOULDER] - kp[:, pi.R_SHOULDER], axis=1)
     trunk = kp[:, pi.MID_HIP] - kp[:, pi.NECK]
     thigh_r = kp[:, pi.R_HIP] - kp[:, pi.R_KNEE]
     thigh_l = kp[:, pi.L_HIP] - kp[:, pi.L_KNEE]
-    s4 = 0.5 * (_cos_series(trunk, thigh_r, frames, epsilon, "trunk/right thigh")
-                + _cos_series(trunk, thigh_l, frames, epsilon, "trunk/left thigh"))
+    s4 = 0.5 * (_cos_series(trunk, thigh_r, frame_index, epsilon, "trunk/right thigh")
+                + _cos_series(trunk, thigh_l, frame_index, epsilon, "trunk/left thigh"))
     return FrontalFeatures(
         d1=float(np.abs(s1 - s2).max()),
         d2=float(np.abs(s1 - s3).max()),
@@ -147,17 +131,17 @@ def extract_frontal(
         s2_trace=s2,
         s3_trace=s3,
         s4_trace=s4,
-        frame_indices=[f.frame_index for f in frames],
+        frame_indices=frame_index,
     )
 
 
 def _ankle_height(series: pi.KeypointSeries) -> np.ndarray:
     """Mean y of whichever ankle keypoints are present, per frame (NaN if none)."""
-    ys = []
-    for frame in series.frames:
-        vals = [frame.keypoints[k, 1] for k in (pi.R_ANKLE, pi.L_ANKLE) if not frame.missing[k]]
-        ys.append(float(np.mean(vals)) if vals else np.nan)
-    return np.array(ys)
+    ankles = [pi.R_ANKLE, pi.L_ANKLE]
+    present = ~series.missing[:, ankles]
+    total = np.where(present, series.keypoints[:, ankles, 1], 0.0).sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        return total / present.sum(axis=1)
 
 
 def analysis_window(
@@ -172,7 +156,7 @@ def analysis_window(
     velocity with the largest preceding downward speed (image y grows
     downward), and extends ``duration_s`` seconds or to the series end.
     """
-    n = len(series.frames)
+    n = len(series)
     if n == 0:
         raise WindowEmpty("series is empty")
     if mode == WINDOW_FULL:
@@ -182,13 +166,13 @@ def analysis_window(
 
     y = _ankle_height(series)
     v = np.diff(y)  # positive = moving down
-    best_t, best_speed = None, 0.0
-    for t in range(1, len(v)):
-        if v[t - 1] > 0.0 and v[t] <= 0.0 and v[t - 1] > best_speed:
-            best_t, best_speed = t, float(v[t - 1])
-    if best_t is None:
+    # candidate t: velocity v[t-1] into frame t is downward, v[t] is not;
+    # the fastest candidate wins, the first one on ties (NaN never qualifies)
+    touchdown = (v[:-1] > 0.0) & (v[1:] <= 0.0)
+    if not touchdown.any():
         raise WindowEmpty("no touchdown found in ankle trajectory")
-    start = best_t  # diff index t is the velocity into frame t+1; frame t is impact
+    # diff index t is the velocity into frame t+1; frame t is impact
+    start = int(np.argmax(np.where(touchdown, v[:-1], -np.inf))) + 1
     fps = series.fps if series.fps else DEFAULT_FPS
     end = min(n - 1, start + int(round(duration_s * fps)))
     return (start, end)

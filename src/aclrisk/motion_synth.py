@@ -161,17 +161,9 @@ def _drop_offsets(script: MotionScript) -> np.ndarray:
     return h
 
 
-def _empty_frame(frame_index: int) -> pi.SkeletonFrame:
-    kp = np.zeros((pi.N_KEYPOINTS, 3))
-    return pi.SkeletonFrame(frame_index=frame_index, keypoints=kp,
-                            missing=np.ones(pi.N_KEYPOINTS, dtype=bool))
-
-
-def _put(frame: pi.SkeletonFrame, index: int, point: np.ndarray) -> None:
-    frame.keypoints[index, 0] = point[0]
-    frame.keypoints[index, 1] = point[1]
-    frame.keypoints[index, 2] = 1.0
-    frame.missing[index] = False
+def _put(frame: np.ndarray, index: int, point: np.ndarray) -> None:
+    """Place one detected keypoint (confidence 1) into a (25, 3) frame."""
+    frame[index] = (point[0], point[1], 1.0)
 
 
 def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries, GroundTruth]:
@@ -183,15 +175,16 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
     drop = _drop_offsets(script)
     up = np.array([0.0, -1.0])
 
-    sagittal_frames = []
-    frontal_frames = []
-    for t in range(script.n_frames):
+    n = script.n_frames
+    sag_kp = np.zeros((n, pi.N_KEYPOINTS, 3))
+    fro_kp = np.zeros((n, pi.N_KEYPOINTS, 3))
+    for t in range(n):
         knee_rad = math.radians(knee[t])
         hip_rad = math.radians(hip[t])
         lean_rad = math.radians(lean[t])
 
         # sagittal chain: ankle fixed, shank splits the knee angle
-        frame = _empty_frame(t)
+        frame = sag_kp[t]
         ankle = np.array([BASE_X, GROUND_Y - drop[t]])
         shank_dir = _rot(knee_rad / 2.0) @ up
         knee_pt = ankle + script.shank_length_px * shank_dir
@@ -208,10 +201,9 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
             _put(frame, h_i, hip_pt)
             _put(frame, k_i, knee_pt)
             _put(frame, a_i, ankle)
-        sagittal_frames.append(frame)
 
         # frontal chain: vertical legs, trunk tilted by the lean angle
-        frame = _empty_frame(t)
+        frame = fro_kp[t]
         gy = GROUND_Y - drop[t]
         half_ankle = script.stance_ankle_width_px / 2.0
         half_knee = (script.stance_ankle_width_px - script.knee_offset_px) / 2.0
@@ -239,10 +231,14 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
         _put(frame, pi.L_HIP, hip_l)
         _put(frame, pi.L_KNEE, knee_l)
         _put(frame, pi.L_ANKLE, ankle_l)
-        frontal_frames.append(frame)
 
-    sagittal = pi.KeypointSeries(view=pi.SAGITTAL, frames=sagittal_frames, fps=script.fps)
-    frontal = pi.KeypointSeries(view=pi.FRONTAL, frames=frontal_frames, fps=script.fps)
+    # every keypoint not placed above keeps confidence 0 and is missing
+    sagittal = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=sag_kp,
+                                 missing=sag_kp[:, :, 2] == 0.0,
+                                 frame_index=np.arange(n), fps=script.fps)
+    frontal = pi.KeypointSeries(view=pi.FRONTAL, keypoints=fro_kp,
+                                missing=fro_kp[:, :, 2] == 0.0,
+                                frame_index=np.arange(n), fps=script.fps)
 
     knee_rad = np.radians(knee)
     hip_rad = np.radians(hip)
@@ -264,19 +260,20 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
 
 
 def perturb(series: pi.KeypointSeries, sigma_px: float, seed: int) -> pi.KeypointSeries:
-    """Seeded Gaussian jitter on the coordinates of detected keypoints."""
+    """Seeded Gaussian jitter on the coordinates of detected keypoints.
+
+    Draws run frame by frame, keypoint by keypoint, x before y.
+    """
     if sigma_px < 0.0:
         raise InvalidScript("noise sigma must be nonnegative")
-    rng = np.random.default_rng(seed)
-    frames = []
-    for frame in series.frames:
-        out = frame.copy()
-        if sigma_px > 0.0:
-            present = ~out.missing
-            jitter = rng.normal(0.0, sigma_px, size=(int(present.sum()), 2))
-            out.keypoints[present, :2] += jitter
-        frames.append(out)
-    return pi.KeypointSeries(view=series.view, frames=frames, fps=series.fps)
+    keypoints = series.keypoints.copy()
+    if sigma_px > 0.0:
+        present = ~series.missing
+        rng = np.random.default_rng(seed)
+        keypoints[present, :2] += rng.normal(0.0, sigma_px, size=(int(present.sum()), 2))
+    return pi.KeypointSeries(view=series.view, keypoints=keypoints,
+                             missing=series.missing.copy(),
+                             frame_index=series.frame_index.copy(), fps=series.fps)
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:

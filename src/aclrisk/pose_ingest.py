@@ -9,10 +9,12 @@ Two on-disk formats are supported:
 * a single CSV file with header
   ``frame,kp0_x,kp0_y,kp0_c,...,kp24_x,kp24_y,kp24_c`` (76 columns).
 
-A keypoint stored as the triple (0, 0, 0) means "not detected".
-Preprocessing applies a confidence gate (default 0.4), repairs short
-interior gaps on the required keypoints by linear interpolation, and
-drops leading/trailing frames where a required keypoint is missing.
+A keypoint stored as the triple (0, 0, 0) means "not detected". Both
+loaders return the frames in frame order and reject a frame index that
+appears twice. Preprocessing applies a confidence gate (default 0.4),
+repairs short interior gaps on the required keypoints by linear
+interpolation, and drops leading/trailing frames where a required
+keypoint is missing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -76,48 +78,27 @@ def required_keypoints(view: str, side: str = "right") -> frozenset[int]:
     raise ValueError(f"unknown view: {view!r}")
 
 
-class Keypoint2D(NamedTuple):
-    x: float
-    y: float
-    confidence: float
-
-
-@dataclass
-class SkeletonFrame:
-    """One frame of 25 keypoints; ``keypoints`` has shape (25, 3) = x, y, confidence."""
-
-    frame_index: int
-    keypoints: np.ndarray
-    missing: np.ndarray  # bool, shape (25,)
-
-    def keypoint(self, i: int) -> Keypoint2D:
-        x, y, c = self.keypoints[i]
-        return Keypoint2D(float(x), float(y), float(c))
-
-    def copy(self) -> "SkeletonFrame":
-        return SkeletonFrame(self.frame_index, self.keypoints.copy(), self.missing.copy())
-
-
 @dataclass
 class KeypointSeries:
+    """One view's keypoints as three parallel arrays.
+
+    ``keypoints`` has shape (n, 25, 3) = x, y, confidence per frame;
+    ``missing`` (n, 25) marks undetected keypoints; ``frame_index`` (n,)
+    holds the source frame numbers, strictly increasing.
+    """
+
     view: str
-    frames: list[SkeletonFrame]
+    keypoints: np.ndarray
+    missing: np.ndarray
+    frame_index: np.ndarray
     fps: float | None = None
 
     def __post_init__(self):
-        idx = [f.frame_index for f in self.frames]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if np.any(np.diff(self.frame_index) <= 0):
             raise ValueError("frame_index must be strictly increasing")
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    def coords(self, kp_index: int) -> np.ndarray:
-        """(n, 2) array of x, y for one keypoint across all frames."""
-        return np.array([f.keypoints[kp_index, :2] for f in self.frames], dtype=float)
-
-    def frame_indices(self) -> list[int]:
-        return [f.frame_index for f in self.frames]
+        return len(self.frame_index)
 
 
 @dataclass
@@ -160,11 +141,6 @@ def _as_keypoint_array(flat: list, where: str) -> np.ndarray:
     return arr
 
 
-def _frame_from_array(arr: np.ndarray, frame_index: int) -> SkeletonFrame:
-    missing = np.all(arr == 0.0, axis=1)
-    return SkeletonFrame(frame_index=frame_index, keypoints=arr, missing=missing)
-
-
 def _person_array(person, where: str) -> np.ndarray:
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
         raise MalformedDocument(f"{where}: person object missing 'pose_keypoints_2d'")
@@ -192,10 +168,9 @@ def _select_person(people: list, policy: str, where: str) -> np.ndarray:
 def parse_openpose_frame(
     raw: bytes | str,
     policy: str = POLICY_BEST,
-    frame_index: int = 0,
     where: str = "frame",
-) -> SkeletonFrame:
-    """Parse one OpenPose frame document into a SkeletonFrame.
+) -> np.ndarray:
+    """Parse one OpenPose frame document into its (25, 3) keypoint array.
 
     ``policy`` controls multi-person frames: "best" keeps the person with
     the highest mean confidence, "strict" raises AmbiguousPerson.
@@ -209,8 +184,7 @@ def parse_openpose_frame(
     people = doc["people"]
     if not isinstance(people, list):
         raise MalformedDocument(f"{where}: 'people' must be a list")
-    arr = _select_person(people, policy, where)
-    return _frame_from_array(arr, frame_index)
+    return _select_person(people, policy, where)
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -220,6 +194,15 @@ def frame_index_from_name(name: str, fallback: int) -> int:
     """Frame index from the last digit group in a filename stem."""
     groups = _DIGITS.findall(Path(name).stem)
     return int(groups[-1]) if groups else fallback
+
+
+_INT64 = np.iinfo(np.int64)
+
+
+def _checked_frame_index(index: int, where: str) -> int:
+    if not _INT64.min <= index <= _INT64.max:
+        raise MalformedDocument(f"{where}: frame index {index} out of range")
+    return index
 
 
 # -- series loading -------------------------------------------------------
@@ -240,56 +223,144 @@ def load_series(
     if path.is_file():
         if path.suffix.lower() == ".csv":
             return read_series_csv(path, view, fps)
-        frame = parse_openpose_frame(path.read_bytes(), policy,
-                                     frame_index_from_name(path.name, 0), where=path.name)
-        return KeypointSeries(view=view, frames=[frame], fps=fps)
+        index = _checked_frame_index(frame_index_from_name(path.name, 0), path.name)
+        keypoints = parse_openpose_frame(path.read_bytes(), policy, where=path.name)
+        return _series(view, keypoints[np.newaxis], [index], fps, path.name,
+                       lambda i: path.name)
     raise EmptySource(f"source not found: {path}")
+
+
+def _series(view: str, keypoints: np.ndarray, frame_index, fps: float | None,
+            where: str, row_name: Callable[[int], str]) -> KeypointSeries:
+    """Series of the parsed rows in frame order.
+
+    A frame index given twice is a MalformedDocument; ``row_name(i)``
+    names input row i in its message.
+    """
+    frame_index = np.asarray(frame_index, dtype=np.int64)
+    if np.any(np.diff(frame_index) <= 0):
+        order = np.argsort(frame_index, kind="stable")
+        frame_index, keypoints = frame_index[order], keypoints[order]
+        dup = np.flatnonzero(np.diff(frame_index) == 0)
+        if dup.size:
+            first, second = order[dup[0]], order[dup[0] + 1]
+            raise MalformedDocument(
+                f"{where}: frame {frame_index[dup[0]]} appears twice "
+                f"({row_name(first)} and {row_name(second)})")
+    return KeypointSeries(view=view, keypoints=keypoints,
+                          missing=np.all(keypoints == 0.0, axis=2),
+                          frame_index=frame_index, fps=fps)
 
 
 def _load_series_dir(path: Path, view: str, policy: str, fps: float | None) -> KeypointSeries:
     files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".json")
     if not files:
         raise EmptySource(f"no frame documents in {path}")
-    frames: list[SkeletonFrame] = []
+    arrays: list[np.ndarray] = []
+    indices: list[int] = []
     failures: list[tuple[str, Exception]] = []
     for pos, p in enumerate(files):
         try:
-            frames.append(parse_openpose_frame(
-                p.read_bytes(), policy, frame_index_from_name(p.name, pos), where=p.name))
+            index = _checked_frame_index(frame_index_from_name(p.name, pos), p.name)
+            arrays.append(parse_openpose_frame(p.read_bytes(), policy, where=p.name))
+            indices.append(index)
         except Exception as exc:  # aggregated below with the frame identifier
             failures.append((p.name, exc))
     if failures:
         raise SeriesParseError(failures)
-    frames.sort(key=lambda f: f.frame_index)
-    return KeypointSeries(view=view, frames=frames, fps=fps)
+    return _series(view, np.stack(arrays), indices, fps, path.name, lambda i: files[i].name)
 
 
 def read_series_csv(path: str | Path, view: str, fps: float | None = None) -> KeypointSeries:
+    """Read the 76-column CSV format; rows may come in any frame order."""
     path = Path(path)
+    try:
+        with path.open(newline="") as fh:
+            parsed = _parse_csv_plain(fh.read())
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path.name}: not a text file ({exc})") from exc
+    if parsed is None:
+        parsed = _parse_csv_rows(path)
+    frame_index, values = parsed
+    return _series(view, values.reshape(-1, N_KEYPOINTS, 3), frame_index, fps,
+                   path.name, lambda i: f"line {i + 2}")
+
+
+# Data lines of plain decimal numbers: an integer frame cell short enough to
+# be exact as a float64, then digits, signs, points, exponents and commas,
+# ending in LF or CRLF. On such cells numpy's float parser and float()
+# agree bit for bit.
+_PLAIN_ROWS = re.compile(
+    r"(?:[+-]?[0-9]{1,15},[0-9+\-.eE,]*\r?\n)*(?:[+-]?[0-9]{1,15},[0-9+\-.eE,]*)?")
+
+
+def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """Frame indices and (n, 75) values of a plainly written CSV, in one parse.
+
+    Returns None for anything the bulk parse cannot vouch for: a bad
+    header, quotes, other characters or line endings, blank lines, a frame
+    cell that is not a short integer, a wrong column count, non-finite
+    values or confidence outside [0, 1]. The row-by-row reader then
+    decides, and names every bad line.
+    """
+    end = text.find("\n")
+    if (end < 0 or text[:end].removesuffix("\r").split(",") != _CSV_HEADER
+            or not _PLAIN_ROWS.fullmatch(text, end + 1)):
+        return None
+    lines = text.split("\n")
+    del text  # only the lines and the parsed table coexist: a lower memory peak
+    if lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        return None
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
+    except ValueError:
+        return None
+    if table.shape != (len(lines) - 1, len(_CSV_HEADER)):
+        return None
+    values = table[:, 1:]
+    conf = values[:, 2::3]
+    if not np.isfinite(values).all() or np.any(conf < 0.0) or np.any(conf > 1.0):
+        return None
+    return table[:, 0].astype(np.int64), values
+
+
+def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Row-by-row reader: the reference for every file the bulk parse declines."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptySource(f"{path.name}: empty CSV") from None
+        except csv.Error as exc:
+            raise MalformedDocument(f"{path.name}: {exc}") from exc
         if header != _CSV_HEADER:
             raise MalformedDocument(f"{path.name}: unexpected CSV header")
-        frames: list[SkeletonFrame] = []
+        indices: list[int] = []
+        rows: list[np.ndarray] = []
         failures: list[tuple[str, Exception]] = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                frames.append(_frame_from_csv_row(row, f"{path.name}:{lineno}"))
-            except Exception as exc:
-                failures.append((f"{path.name}:{lineno}", exc))
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                where = f"{path.name}:{lineno}"
+                try:
+                    index, values = _csv_row(row, where)
+                except MalformedDocument as exc:
+                    failures.append((where, exc))
+                    continue
+                indices.append(index)
+                rows.append(values)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
     if failures:
         raise SeriesParseError(failures)
-    if not frames:
+    if not rows:
         raise EmptySource(f"{path.name}: no data rows")
-    frames.sort(key=lambda f: f.frame_index)
-    return KeypointSeries(view=view, frames=frames, fps=fps)
+    return np.array(indices, dtype=np.int64), np.stack(rows)
 
 
-def _frame_from_csv_row(row: list[str], where: str) -> SkeletonFrame:
+def _csv_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
     if len(row) != len(_CSV_HEADER):
         raise MalformedDocument(f"{where}: expected {len(_CSV_HEADER)} columns, got {len(row)}")
     try:
@@ -297,18 +368,19 @@ def _frame_from_csv_row(row: list[str], where: str) -> SkeletonFrame:
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
         raise MalformedDocument(f"{where}: non-numeric cell ({exc})") from exc
-    arr = _as_keypoint_array(values, where)
-    return _frame_from_array(arr, frame_index)
+    keypoints = _as_keypoint_array(values, where)
+    return _checked_frame_index(frame_index, where), keypoints
 
 
 def write_series_csv(series: KeypointSeries, path: str | Path) -> None:
     """Serialize a series to the 76-column CSV format (exact float round trip)."""
     path = Path(path)
+    rows = series.keypoints.reshape(len(series), -1).tolist()
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_HEADER)
-        for frame in series.frames:
-            writer.writerow([frame.frame_index] + [repr(float(v)) for v in frame.keypoints.ravel()])
+        writer.writerows([index, *map(repr, values)]
+                         for index, values in zip(series.frame_index.tolist(), rows))
 
 
 def write_series_openpose(series: KeypointSeries, directory: str | Path,
@@ -316,10 +388,11 @@ def write_series_openpose(series: KeypointSeries, directory: str | Path,
     """Write one OpenPose-schema JSON document per frame into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    rows = series.keypoints.reshape(len(series), -1).tolist()
     paths = []
-    for frame in series.frames:
-        doc = {"people": [{"pose_keypoints_2d": [float(v) for v in frame.keypoints.ravel()]}]}
-        p = directory / f"{prefix}_{frame.frame_index:012d}_keypoints.json"
+    for index, values in zip(series.frame_index.tolist(), rows):
+        doc = {"people": [{"pose_keypoints_2d": values}]}
+        p = directory / f"{prefix}_{index:012d}_keypoints.json"
         p.write_text(json.dumps(doc))
         paths.append(p)
     return paths
@@ -361,59 +434,57 @@ def preprocess_report(
     AllFramesInvalid when nothing survives. Non-required keypoints are
     gated but never repaired. The operation is idempotent.
     """
-    stats = PreprocessStats(frames_in=len(series.frames))
-    if not series.frames:
+    stats = PreprocessStats(frames_in=len(series))
+    if not len(series):
         raise AllFramesInvalid("input series is empty")
     req = sorted(required_keypoints(series.view) if required is None else set(required))
 
-    frames = [f.copy() for f in series.frames]
-    for frame in frames:
-        gate = (frame.keypoints[:, 2] < confidence_threshold) & ~frame.missing
-        stats.values_gated += int(gate.sum())
-        frame.keypoints[gate] = 0.0
-        frame.missing |= gate
+    keypoints = series.keypoints.copy()
+    missing = series.missing.copy()
+    gate = (keypoints[:, :, 2] < confidence_threshold) & ~missing
+    stats.values_gated = int(gate.sum())
+    keypoints[gate] = 0.0
+    missing |= gate
 
-    valid = np.array([[not f.missing[k] for k in req] for f in frames], dtype=bool)
-    all_ok = valid.all(axis=1)
+    all_ok = ~missing[:, req].any(axis=1)
     if not all_ok.any():
         raise AllFramesInvalid("no frame has all required keypoints present")
     first = int(np.argmax(all_ok))
-    last = int(len(frames) - 1 - np.argmax(all_ok[::-1]))
+    last = int(len(all_ok) - 1 - np.argmax(all_ok[::-1]))
     stats.frames_dropped_leading = first
-    stats.frames_dropped_trailing = len(frames) - 1 - last
-    frames = frames[first:last + 1]
-    valid = valid[first:last + 1]
+    stats.frames_dropped_trailing = len(all_ok) - 1 - last
+    keypoints = keypoints[first:last + 1]
+    missing = missing[first:last + 1]
+    frame_index = series.frame_index[first:last + 1]
 
-    for col, kp in enumerate(req):
-        ok = valid[:, col]
-        t = 0
-        n = len(frames)
-        while t < n:
-            if ok[t]:
-                t += 1
-                continue
-            start = t
-            while t < n and not ok[t]:
-                t += 1
-            gap = t - start
-            # first/last frames are fully valid, so every gap is interior
-            if gap > max_gap:
-                raise GapTooLong(
-                    f"keypoint {kp} missing for {gap} consecutive frames "
-                    f"(frames {frames[start].frame_index}..{frames[t - 1].frame_index}), "
-                    f"max_gap={max_gap}"
-                )
-            left = frames[start - 1].keypoints[kp]
-            right = frames[t].keypoints[kp]
-            conf = min(float(left[2]), float(right[2]))
-            for j in range(start, t):
-                r = (j - start + 1) / (gap + 1)
-                frame = frames[j]
-                frame.keypoints[kp, 0] = left[0] + (right[0] - left[0]) * r
-                frame.keypoints[kp, 1] = left[1] + (right[1] - left[1]) * r
-                frame.keypoints[kp, 2] = conf
-                frame.missing[kp] = False
-                stats.values_interpolated += 1
+    for kp in req:
+        gaps = missing[:, kp]
+        if not gaps.any():
+            continue
+        # first/last frames are fully valid, so every gap is interior
+        edges = np.diff(gaps.astype(np.int8))
+        starts = np.flatnonzero(edges == 1) + 1
+        ends = np.flatnonzero(edges == -1) + 1  # exclusive
+        lengths = ends - starts
+        too_long = np.flatnonzero(lengths > max_gap)
+        if too_long.size:
+            g = too_long[0]
+            raise GapTooLong(
+                f"keypoint {kp} missing for {lengths[g]} consecutive frames "
+                f"(frames {frame_index[starts[g]]}..{frame_index[ends[g] - 1]}), "
+                f"max_gap={max_gap}"
+            )
+        rows = np.flatnonzero(gaps)
+        before = np.repeat(starts - 1, lengths)  # last valid frame before each row's gap
+        left, right = keypoints[before, kp], keypoints[np.repeat(ends, lengths), kp]
+        r = (rows - before) / np.repeat(lengths + 1, lengths)
+        keypoints[rows, kp, 0] = left[:, 0] + (right[:, 0] - left[:, 0]) * r
+        keypoints[rows, kp, 1] = left[:, 1] + (right[:, 1] - left[:, 1]) * r
+        # min of the neighbours' confidences, the left one on a tie (as min())
+        keypoints[rows, kp, 2] = np.where(right[:, 2] < left[:, 2], right[:, 2], left[:, 2])
+        missing[rows, kp] = False
+        stats.values_interpolated += len(rows)
 
-    stats.frames_out = len(frames)
-    return KeypointSeries(view=series.view, frames=frames, fps=series.fps), stats
+    stats.frames_out = len(frame_index)
+    return KeypointSeries(view=series.view, keypoints=keypoints, missing=missing,
+                          frame_index=frame_index, fps=series.fps), stats

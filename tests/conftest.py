@@ -8,19 +8,20 @@ import pytest
 from aclrisk import pose_ingest as pi
 
 
-def make_frame(index: int, points: dict[int, tuple[float, float]],
-               confidence: float = 1.0) -> pi.SkeletonFrame:
-    """Frame with the listed keypoints set; everything else is missing."""
-    kp = np.zeros((pi.N_KEYPOINTS, 3))
-    missing = np.ones(pi.N_KEYPOINTS, dtype=bool)
-    for i, (x, y) in points.items():
-        kp[i] = (x, y, confidence)
-        missing[i] = False
-    return pi.SkeletonFrame(frame_index=index, keypoints=kp, missing=missing)
+def make_series(view: str, frames: list[dict[int, tuple[float, float]]],
+                frame_index=None, fps: float = 30.0) -> pi.KeypointSeries:
+    """Series whose frame t holds the keypoints listed in ``frames[t]``.
 
-
-def make_series(view: str, frames, fps: float = 30.0) -> pi.KeypointSeries:
-    return pi.KeypointSeries(view=view, frames=list(frames), fps=fps)
+    Listed keypoints get confidence 1; everything else is missing. Frame
+    indices default to 0..n-1.
+    """
+    kp = np.zeros((len(frames), pi.N_KEYPOINTS, 3))
+    for t, points in enumerate(frames):
+        for i, (x, y) in points.items():
+            kp[t, i] = (x, y, 1.0)
+    index = np.arange(len(frames)) if frame_index is None else np.asarray(frame_index)
+    return pi.KeypointSeries(view=view, keypoints=kp, missing=kp[:, :, 2] == 0.0,
+                             frame_index=index, fps=fps)
 
 
 def upright_sagittal_points(x: float = 300.0) -> dict[int, tuple[float, float]]:
@@ -61,30 +62,20 @@ def transform_series(series: pi.KeypointSeries, scale: float = 1.0,
     """Scale, rotate about the origin, then translate every detected keypoint."""
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     rot = np.array([[c, -s], [s, c]])
-    frames = []
-    for frame in series.frames:
-        out = frame.copy()
-        present = ~out.missing
-        xy = out.keypoints[present, :2]
-        out.keypoints[present, :2] = (scale * xy) @ rot.T + np.asarray(offset)
-        frames.append(out)
-    return pi.KeypointSeries(view=series.view, frames=frames, fps=series.fps)
+    kp = series.keypoints.copy()
+    present = ~series.missing
+    kp[present, :2] = (scale * kp[present, :2]) @ rot.T + np.asarray(offset)
+    return pi.KeypointSeries(view=series.view, keypoints=kp, missing=series.missing.copy(),
+                             frame_index=series.frame_index.copy(), fps=series.fps)
 
 
 def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
-    if a.view != b.view or len(a.frames) != len(b.frames):
-        return False
-    for fa, fb in zip(a.frames, b.frames):
-        if fa.frame_index != fb.frame_index:
-            return False
-        if not np.array_equal(fa.keypoints, fb.keypoints):
-            return False
-        if not np.array_equal(fa.missing, fb.missing):
-            return False
-    return True
+    return (a.view == b.view
+            and np.array_equal(a.frame_index, b.frame_index)
+            and np.array_equal(a.keypoints, b.keypoints)
+            and np.array_equal(a.missing, b.missing))
 
 
 @pytest.fixture
 def frontal_standing_series() -> pi.KeypointSeries:
-    points = upright_frontal_points()
-    return make_series(pi.FRONTAL, [make_frame(i, points) for i in range(5)])
+    return make_series(pi.FRONTAL, [upright_frontal_points()] * 5)

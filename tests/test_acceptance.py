@@ -222,7 +222,7 @@ def test_criterion_7_qualitative_trace_shape():
 def test_criterion_8_preprocessing_repair_and_idempotence():
     with criterion(8, "gap repair, gap limit, idempotence on 100 random series"):
         out = pi.preprocess(sagittal_gap_series([3]))
-        knee = out.frames[3].keypoints[pi.R_KNEE]
+        knee = out.keypoints[3, pi.R_KNEE]
         assert knee[0] == 103.0 and knee[1] == 206.0  # exact linear midpoint
 
         with pytest.raises(GapTooLong):

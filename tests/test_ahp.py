@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,13 @@ def test_diagonal_violation():
 def test_nonpositive_entry_violation():
     mat = np.array([[1.0, -2.0], [-0.5, 1.0]])
     assert any("positive" in v for v in ahp.validate(mat))
+
+
+@pytest.mark.parametrize("text", ["[[1, NaN], [NaN, 1]]", "[[1, Infinity], [NaN, 1]]",
+                                  "[[1, 2], [Infinity, 1]]"])
+def test_non_finite_entry_violation(text):
+    violations = ahp.validate(ahp.parse_matrix(json.loads(text)))
+    assert any("finite" in v for v in violations)
 
 
 def test_weights_refuse_invalid_matrix():

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from aclrisk import ahp, assessment, motion_synth
 from aclrisk import pose_ingest as pi
-from aclrisk.config import RunConfig
+from aclrisk.config import ConfigError, RunConfig
 from aclrisk.errors import (
     AclRiskError,
     ConsistencyFailure,
@@ -34,6 +36,14 @@ def write_trial(tmp_path, script: motion_synth.MotionScript, name: str = "trial"
     pi.write_series_openpose(sagittal, sag_dir)
     pi.write_series_csv(frontal, fro_csv)
     return str(sag_dir), str(fro_csv), truth
+
+
+def repeat_frame(csv_path, line: int) -> None:
+    """Give data line ``line`` (1-based, header is line 1) the frame of the line before."""
+    lines = Path(csv_path).read_text().splitlines()
+    previous = lines[line - 2].split(",", 1)[0]
+    lines[line - 1] = previous + "," + lines[line - 1].split(",", 1)[1]
+    Path(csv_path).write_text("\n".join(lines) + "\n")
 
 
 def excellent_script() -> motion_synth.MotionScript:
@@ -84,6 +94,22 @@ def test_report_json_roundtrip(tmp_path):
     payload = assessment.emit_report(report, "json")
     parsed = assessment.AssessmentReport.from_dict(json.loads(payload))
     assert parsed == report
+
+
+def test_report_json_refuses_non_finite_numbers(tmp_path):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    report = assessment.assess_trial(sag, fro, compat_config())
+    report.total = math.nan
+    with pytest.raises(IoFailure) as exc_info:
+        assessment.report_to_json(report)
+    assert exc_info.value.stage == "emit"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_explicit_weights_must_be_finite(bad):
+    cfg = RunConfig(weight_source="explicit", weights=[0.2, 0.2, 0.2, 0.2, bad])
+    with pytest.raises(ConfigError, match="finite"):
+        cfg.validate()
 
 
 def test_report_total_recomputes_from_own_fields(tmp_path):
@@ -248,6 +274,17 @@ def test_batch_isolates_failures(tmp_path):
     lines = result.summary().splitlines()
     assert lines[0] == "number,x1,x2,x3,x4,x5,total"
     assert len(lines) == 3
+
+
+def test_batch_collects_duplicate_frames_as_ingest_failure(tmp_path):
+    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
+    sag2, fro2, _ = write_trial(tmp_path, excellent_script(), "t2")
+    repeat_frame(fro2, line=10)
+    trials = [assessment.Trial(1, sag1, fro1), assessment.Trial(2, sag2, fro2)]
+    result = assessment.assess_batch(trials, compat_config())
+    assert [r.number for r in result.reports] == [1]
+    assert [(f["number"], f["stage"], f["error"]) for f in result.failures] == [
+        (2, "ingest", "MalformedDocument")]
 
 
 def test_batch_empty_list_raises():

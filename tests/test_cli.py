@@ -7,7 +7,7 @@ import pytest
 from aclrisk import ahp, cli, motion_synth
 from aclrisk import pose_ingest as pi
 
-from test_assessment import INCONSISTENT_MATRIX, excellent_script, write_trial
+from test_assessment import INCONSISTENT_MATRIX, excellent_script, repeat_frame, write_trial
 
 
 def write_json(path, payload):
@@ -77,6 +77,17 @@ def test_assess_missing_source_exits_one(tmp_path, trial, capsys):
     rc = cli.main(["assess", "--sagittal", sag, "--frontal", str(tmp_path / "none")])
     assert rc == 1
     assert "ingest" in capsys.readouterr().err
+
+
+def test_assess_duplicate_frames_exit_one_without_traceback(tmp_path, trial, capsys):
+    sag, fro = trial
+    repeat_frame(fro, line=5)
+    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro,
+                   "--report", str(tmp_path / "r.json")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "MalformedDocument" in err and "[ingest]" in err
+    assert "Traceback" not in err
 
 
 def test_assess_reruns_are_byte_identical(tmp_path, trial):

@@ -1,0 +1,162 @@
+"""The bulk CSV reader against a row-by-row reference reader.
+
+``reference_read`` is the reader the package used before CSV rows were
+parsed in one numpy call: ``csv.reader``, ``int``/``float`` per cell,
+the same checks per row, then frame order and no repeated frame. The
+property: on mutated files both readers accept or reject alike, with
+the same error class and failing lines, and accepted values agree bit
+for bit.
+"""
+
+from __future__ import annotations
+
+import csv
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from aclrisk import pose_ingest as pi
+from aclrisk.errors import AclRiskError, EmptySource, MalformedDocument, SeriesParseError
+
+HEADER = ["frame"] + [f"kp{i}_{axis}" for i in range(25) for axis in ("x", "y", "c")]
+
+
+def reference_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
+    if len(row) != len(HEADER):
+        raise MalformedDocument(f"{where}: column count")
+    try:
+        index = int(row[0])
+        values = np.array([float(v) for v in row[1:]]).reshape(25, 3)
+    except ValueError as exc:
+        raise MalformedDocument(f"{where}: non-numeric cell") from exc
+    if not np.isfinite(values).all():
+        raise MalformedDocument(f"{where}: non-finite value")
+    if np.any(values[:, 2] < 0.0) or np.any(values[:, 2] > 1.0):
+        raise MalformedDocument(f"{where}: confidence")
+    if not -2**63 <= index < 2**63:
+        raise MalformedDocument(f"{where}: frame index range")
+    return index, values
+
+
+def reference_read(path: Path) -> tuple[list[int], np.ndarray]:
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise EmptySource("empty CSV")
+        if header != HEADER:
+            raise MalformedDocument("header")
+        rows, failures = [], []
+        for lineno, row in enumerate(reader, start=2):
+            where = f"{path.name}:{lineno}"
+            try:
+                rows.append(reference_row(row, where))
+            except MalformedDocument as exc:
+                failures.append((where, exc))
+    if failures:
+        raise SeriesParseError(failures)
+    if not rows:
+        raise EmptySource("no data rows")
+    rows.sort(key=lambda r: r[0])
+    indices = [index for index, _ in rows]
+    if any(a == b for a, b in zip(indices, indices[1:])):
+        raise MalformedDocument("frame appears twice")
+    return indices, np.stack([values for _, values in rows])
+
+
+def outcome(read):
+    try:
+        indices, keypoints = read()
+    except AclRiskError as exc:
+        return ("rejected", type(exc), [fid for fid, _ in getattr(exc, "failures", [])])
+    return ("accepted", list(indices), keypoints.tobytes())
+
+
+def package_read(path: Path):
+    series = pi.read_series_csv(path, pi.SAGITTAL)
+    assert np.array_equal(series.missing, np.all(series.keypoints == 0.0, axis=2))
+    return series.frame_index.tolist(), series.keypoints
+
+
+@st.composite
+def data_row(draw, frame: int) -> list[str]:
+    """One valid row: seeded random keypoints, some undetected, plus drawn edge floats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kp = rng.uniform(-1e4, 1e4, size=(25, 3))
+    kp[:, 2] = rng.uniform(0.0, 1.0, size=25)
+    kp[rng.random(25) < 0.2] = 0.0
+    for _ in range(draw(st.integers(0, 3))):
+        i, axis = draw(st.integers(0, 24)), draw(st.integers(0, 2))
+        kp[i, axis] = draw(st.floats(0.0, 1.0) if axis == 2 else
+                           st.floats(allow_nan=False, allow_infinity=False))
+    return [str(frame)] + [repr(v) for v in kp.ravel().tolist()]
+
+
+BAD_VALUES = ["nan", "inf", "-inf", "1_0", " 5", "1e2", "+3", "", "x", "1.5", "-0.25",
+              "1e999", ".5", "5.", "-0", "1e", "٣", "0x1"]
+
+
+@st.composite
+def mutated_csv(draw) -> str:
+    n = draw(st.integers(1, 5))
+    frames = draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n, unique=True))
+    rows = [draw(data_row(frame)) for frame in frames]
+    lines = [",".join(HEADER)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        line = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+        cells = lines[line].split(",")
+        if len(cells) < len(HEADER) - 1:
+            continue
+        col = draw(st.integers(0, len(cells) - 1))
+        kind = draw(st.sampled_from([
+            "blank", "quote", "float-frame", "bad-value", "bad-confidence",
+            "too-few", "too-many", "duplicate-frame", "big-frame"]))
+        if kind == "blank":
+            lines.insert(line, "")
+            continue
+        if kind == "quote":
+            cells[col] = f'"{cells[col]}"'
+        elif kind == "float-frame":
+            cells[0] = cells[0] + ".0"
+        elif kind == "bad-value":
+            cells[col] = draw(st.sampled_from(BAD_VALUES))
+        elif kind == "bad-confidence":
+            conf = draw(st.sampled_from(["1.5", "-0.25", "1.0000001"]))
+            cells[3 * draw(st.integers(0, 24)) + 3] = conf
+        elif kind == "too-few":
+            del cells[col]
+        elif kind == "too-many":
+            cells.insert(col, "1.0")
+        elif kind == "duplicate-frame" and line > 1:
+            cells[0] = lines[line - 1].split(",")[0]
+        elif kind == "big-frame":
+            cells[0] = draw(st.sampled_from(["9" * 16, "9" * 19, "-" + "9" * 20, "0" * 17 + "7"]))
+        lines[line] = ",".join(cells)
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
+    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_csv())
+def test_bulk_reader_matches_reference(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "series.csv"
+        path.write_bytes(text.encode())
+        assert outcome(lambda: package_read(path)) == outcome(lambda: reference_read(path))
+
+
+def test_reference_agrees_on_written_series(tmp_path):
+    rng = np.random.default_rng(5)
+    kp = rng.uniform(0.0, 700.0, size=(50, 25, 3))
+    kp[:, :, 2] = rng.uniform(0.0, 1.0, size=(50, 25))
+    kp[::7, 3] = 0.0
+    series = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=kp, missing=np.all(kp == 0.0, axis=2),
+                               frame_index=np.arange(50) * 2)
+    path = tmp_path / "series.csv"
+    pi.write_series_csv(series, path)
+    with path.open(newline="") as fh:
+        assert pi._parse_csv_plain(fh.read()) is not None  # the writer's output takes the bulk parse
+    assert outcome(lambda: package_read(path)) == outcome(lambda: reference_read(path))
+    assert outcome(lambda: package_read(path))[2] == kp.tobytes()

@@ -11,7 +11,6 @@ from aclrisk import pose_ingest as pi
 from aclrisk.errors import DegenerateVector, WindowEmpty
 
 from conftest import (
-    make_frame,
     make_series,
     transform_series,
     upright_frontal_points,
@@ -19,7 +18,13 @@ from conftest import (
 )
 
 
-# -- cosine_between ---------------------------------------------------------
+# -- cosine between two vectors (_cos_series) ------------------------------
+
+
+def cosine_between(u, v) -> float:
+    """_cos_series on a one-frame stack."""
+    return float(kin._cos_series(np.array([u], dtype=float), np.array([v], dtype=float),
+                                 np.array([0]), kin.DEGENERACY_EPSILON, "u/v")[0])
 
 
 @pytest.mark.parametrize("u, v, expected", [
@@ -28,14 +33,14 @@ from conftest import (
     ((1, 0), (-1, 0), -1.0),
 ])
 def test_cosine_between_basic(u, v, expected):
-    assert kin.cosine_between(u, v) == pytest.approx(expected, abs=1e-12)
+    assert cosine_between(u, v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cosine_between_degenerate_vector():
     with pytest.raises(DegenerateVector):
-        kin.cosine_between((0, 0), (1, 1))
+        cosine_between((0, 0), (1, 1))
     with pytest.raises(DegenerateVector):
-        kin.cosine_between((1, 1), (1e-12, 0))
+        cosine_between((1, 1), (1e-12, 0))
 
 
 def test_cosine_between_stays_clamped():
@@ -45,15 +50,14 @@ def test_cosine_between_stays_clamped():
         v = rng.uniform(-1e6, 1e6, 2)
         if np.linalg.norm(u) < 1e-6 or np.linalg.norm(v) < 1e-6:
             continue
-        assert -1.0 <= kin.cosine_between(u, v) <= 1.0
+        assert -1.0 <= cosine_between(u, v) <= 1.0
 
 
 # -- sagittal extraction ----------------------------------------------------
 
 
 def test_straight_leg_gives_minus_one():
-    series = make_series(pi.SAGITTAL,
-                         [make_frame(i, upright_sagittal_points()) for i in range(4)])
+    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 4)
     feats = kin.extract_sagittal(series)
     assert feats.p1 == pytest.approx(-1.0, abs=1e-12)
     assert feats.p2 == pytest.approx(-1.0, abs=1e-12)
@@ -82,9 +86,8 @@ def test_sagittal_trace_matches_scripted_angles_within_1e6():
 
 def test_degenerate_vector_reports_frame_index():
     points = upright_sagittal_points()
-    frames = [make_frame(0, points), make_frame(5, points)]
-    frames[1].keypoints[pi.R_HIP, :2] = frames[1].keypoints[pi.R_KNEE, :2]
-    series = make_series(pi.SAGITTAL, frames)
+    series = make_series(pi.SAGITTAL, [points, points], frame_index=[0, 5])
+    series.keypoints[1, pi.R_HIP, :2] = series.keypoints[1, pi.R_KNEE, :2]
     with pytest.raises(DegenerateVector) as exc_info:
         kin.extract_sagittal(series)
     assert "frame 5" in str(exc_info.value)
@@ -98,7 +101,7 @@ def test_mirrored_left_side_extraction():
         pi.L_KNEE: (300.0, 450.0),
         pi.L_ANKLE: (300.0, 600.0),
     }
-    series = make_series(pi.SAGITTAL, [make_frame(0, points)])
+    series = make_series(pi.SAGITTAL, [points])
     feats = kin.extract_sagittal(series, side="left")
     assert feats.p1 == pytest.approx(-1.0)
 
@@ -109,7 +112,7 @@ def test_mirrored_left_side_extraction():
 def test_frontal_width_differences_on_constant_frame():
     points = upright_frontal_points(ankle_width=110.0, knee_width=100.0,
                                     shoulder_width=110.0)
-    series = make_series(pi.FRONTAL, [make_frame(i, points) for i in range(3)])
+    series = make_series(pi.FRONTAL, [points] * 3)
     feats = kin.extract_frontal(series)
     assert feats.d1 == pytest.approx(10.0, abs=1e-9)
     assert feats.d2 == pytest.approx(0.0, abs=1e-9)
@@ -197,8 +200,7 @@ def test_uniform_scaling_behaviour(scale):
 
 
 def test_full_window_covers_series():
-    series = make_series(pi.SAGITTAL,
-                         [make_frame(i, upright_sagittal_points()) for i in range(100)])
+    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 100)
     assert kin.analysis_window(series, kin.WINDOW_FULL) == (0, 99)
 
 
@@ -218,18 +220,56 @@ def test_landing_window_duration_cap():
     assert end - start == 60
 
 
+def reference_touchdown(series: pi.KeypointSeries):
+    """Frame-by-frame ankle height and touchdown scan: the reference for analysis_window."""
+    ys = []
+    for t in range(len(series)):
+        vals = [series.keypoints[t, k, 1] for k in (pi.R_ANKLE, pi.L_ANKLE)
+                if not series.missing[t, k]]
+        ys.append(float(np.mean(vals)) if vals else np.nan)
+    v = np.diff(np.array(ys))
+    best_t, best_speed = None, 0.0
+    for t in range(1, len(v)):
+        if v[t - 1] > 0.0 and v[t] <= 0.0 and v[t - 1] > best_speed:
+            best_t, best_speed = t, float(v[t - 1])
+    return np.array(ys), best_t
+
+
+def test_touchdown_matches_frame_by_frame_reference():
+    rng = np.random.default_rng(8)
+    found = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        # coarse steps make ties and zero velocities common
+        y = np.cumsum(rng.integers(-2, 3, size=n)).astype(float) * 0.5
+        series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * n)
+        series.keypoints[:, pi.R_ANKLE, 1] = y
+        series.keypoints[:, pi.L_ANKLE] = (310.0, 0.0, 1.0)
+        series.keypoints[:, pi.L_ANKLE, 1] = y + rng.integers(0, 2, size=n)
+        series.missing[:, [pi.R_ANKLE, pi.L_ANKLE]] = rng.random((n, 2)) < 0.2
+        heights, start = reference_touchdown(series)
+        assert np.array_equal(kin._ankle_height(series), heights, equal_nan=True)
+        if start is None:
+            with pytest.raises(WindowEmpty):
+                kin.analysis_window(series, kin.WINDOW_LANDING)
+        else:
+            found += 1
+            assert kin.analysis_window(series, kin.WINDOW_LANDING)[0] == start
+    assert found > 100
+
+
 def test_ascending_trajectory_has_no_touchdown():
     frames = []
     for i in range(30):
         points = upright_sagittal_points()
         points = {k: (x, y - 3.0 * i) for k, (x, y) in points.items()}  # moving up
-        frames.append(make_frame(i, points))
+        frames.append(points)
     series = make_series(pi.SAGITTAL, frames)
     with pytest.raises(WindowEmpty):
         kin.analysis_window(series, kin.WINDOW_LANDING)
 
 
 def test_empty_window_slice_raises():
-    series = make_series(pi.SAGITTAL, [make_frame(0, upright_sagittal_points())])
+    series = make_series(pi.SAGITTAL, [upright_sagittal_points()])
     with pytest.raises(WindowEmpty):
         kin.extract_sagittal(series, window=(3, 2))

@@ -70,9 +70,8 @@ def test_valgus_offset_grades_poor():
 def test_confidences_are_one_for_generated_keypoints():
     sagittal, frontal, _ = motion_synth.generate(motion_synth.MotionScript())
     for series in (sagittal, frontal):
-        for frame in series.frames:
-            present = ~frame.missing
-            assert np.all(frame.keypoints[present, 2] == 1.0)
+        present = ~series.missing
+        assert np.all(series.keypoints[present, 2] == 1.0)
 
 
 def test_generate_is_deterministic():
@@ -102,9 +101,8 @@ def test_perturb_same_seed_twice():
 def test_perturb_leaves_missing_keypoints_missing():
     sagittal, _, _ = motion_synth.generate(motion_synth.MotionScript())
     noisy = motion_synth.perturb(sagittal, 3.0, seed=2)
-    for frame, orig in zip(noisy.frames, sagittal.frames):
-        assert np.array_equal(frame.missing, orig.missing)
-        assert np.all(frame.keypoints[frame.missing] == 0.0)
+    assert np.array_equal(noisy.missing, sagittal.missing)
+    assert np.all(noisy.keypoints[noisy.missing] == 0.0)
 
 
 def test_noisy_sixty_degree_knee_stays_near_half():

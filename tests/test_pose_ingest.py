@@ -16,7 +16,7 @@ from aclrisk.errors import (
     SeriesParseError,
 )
 
-from conftest import make_frame, make_series, series_equal, upright_sagittal_points
+from conftest import make_series, series_equal, upright_sagittal_points
 
 
 def person_doc(*keypoint_arrays) -> bytes:
@@ -34,21 +34,26 @@ def flat_pose(x0: float = 10.0, confidence: float = 0.9) -> list[float]:
 # -- frame parsing ---------------------------------------------------------
 
 
-def test_parse_single_person_roundtrip():
+def test_parse_single_person_roundtrip(tmp_path):
     flat = flat_pose()
-    frame = pi.parse_openpose_frame(person_doc(flat), frame_index=7)
-    assert frame.frame_index == 7
-    assert frame.keypoints.shape == (25, 3)
-    assert not frame.missing.any()
-    assert np.array_equal(frame.keypoints.ravel(), np.array(flat))
+    assert np.array_equal(pi.parse_openpose_frame(person_doc(flat)).ravel(), np.array(flat))
+    path = tmp_path / "frame_000000000007_keypoints.json"
+    path.write_bytes(person_doc(flat))
+    series = pi.load_series(path, pi.SAGITTAL)
+    assert series.frame_index.tolist() == [7]
+    assert series.keypoints.shape == (1, 25, 3)
+    assert not series.missing.any()
+    assert np.array_equal(series.keypoints.ravel(), np.array(flat))
 
 
-def test_parse_marks_zero_triples_missing():
+def test_parse_marks_zero_triples_missing(tmp_path):
     flat = flat_pose()
     flat[3 * 4:3 * 4 + 3] = [0.0, 0.0, 0.0]
-    frame = pi.parse_openpose_frame(person_doc(flat))
-    assert frame.missing[4]
-    assert frame.missing.sum() == 1
+    path = tmp_path / "frame_0.json"
+    path.write_bytes(person_doc(flat))
+    missing = pi.load_series(path, pi.SAGITTAL).missing[0]
+    assert missing[4]
+    assert missing.sum() == 1
 
 
 def test_parse_empty_people_raises():
@@ -59,8 +64,8 @@ def test_parse_empty_people_raises():
 def test_parse_two_people_best_policy_picks_higher_confidence():
     low = flat_pose(x0=10.0, confidence=0.5)
     high = flat_pose(x0=500.0, confidence=0.9)
-    frame = pi.parse_openpose_frame(person_doc(low, high), policy=pi.POLICY_BEST)
-    assert frame.keypoints[0, 0] == 500.0
+    kp = pi.parse_openpose_frame(person_doc(low, high), policy=pi.POLICY_BEST)
+    assert kp[0, 0] == 500.0
 
 
 def test_best_policy_means_over_detected_keypoints_only():
@@ -70,8 +75,8 @@ def test_best_policy_means_over_detected_keypoints_only():
     partial = flat_pose(x0=500.0, confidence=0.9)
     for i in range(10, 25):
         partial[3 * i:3 * i + 3] = [0.0, 0.0, 0.0]
-    frame = pi.parse_openpose_frame(person_doc(full, partial))
-    assert frame.keypoints[0, 0] == 500.0
+    kp = pi.parse_openpose_frame(person_doc(full, partial))
+    assert kp[0, 0] == 500.0
 
 
 def test_parse_two_people_strict_policy_raises():
@@ -108,8 +113,41 @@ def test_load_series_directory_ordered_by_filename_suffix(tmp_path):
             person_doc(flat_pose(x0=float(i))))
     series = pi.load_series(tmp_path, pi.SAGITTAL)
     assert len(series) == 3
-    assert series.frame_indices() == [0, 1, 2]
-    assert [f.keypoints[0, 0] for f in series.frames] == [0.0, 1.0, 2.0]
+    assert series.frame_index.tolist() == [0, 1, 2]
+    assert series.keypoints[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
+
+
+def test_duplicate_frame_files_are_malformed(tmp_path):
+    (tmp_path / "frame_000000000002_keypoints.json").write_bytes(person_doc(flat_pose()))
+    (tmp_path / "frame_000000000003_keypoints.json").write_bytes(person_doc(flat_pose()))
+    (tmp_path / "take2_frame_3.json").write_bytes(person_doc(flat_pose()))
+    with pytest.raises(MalformedDocument) as exc_info:
+        pi.load_series(tmp_path, pi.SAGITTAL)
+    message = str(exc_info.value)
+    assert "frame 3 appears twice" in message
+    assert "frame_000000000003_keypoints.json" in message and "take2_frame_3.json" in message
+
+
+def test_duplicate_frame_rows_are_malformed(tmp_path):
+    path = tmp_path / "s.csv"
+    pi.write_series_csv(make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3,
+                                    frame_index=[4, 5, 6]), path)
+    lines = path.read_text().splitlines()
+    lines[3] = "4" + lines[3][1:]  # line 4 repeats the frame of line 2
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MalformedDocument, match=r"frame 4 appears twice \(line 2 and line 4\)"):
+        pi.read_series_csv(path, pi.SAGITTAL)
+
+
+def test_csv_rows_in_any_order_are_sorted(tmp_path):
+    path = tmp_path / "s.csv"
+    pi.write_series_csv(make_series(pi.SAGITTAL, [upright_sagittal_points(x) for x in (1.0, 2.0, 3.0)],
+                                    frame_index=[4, 5, 6]), path)
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header, rows[2], rows[0], rows[1]]) + "\n")
+    series = pi.read_series_csv(path, pi.SAGITTAL)
+    assert series.frame_index.tolist() == [4, 5, 6]
+    assert series.keypoints[:, pi.NECK, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_series_reports_offending_frame(tmp_path):
@@ -135,12 +173,14 @@ def test_load_series_missing_path(tmp_path):
 def test_csv_roundtrip_is_exact(tmp_path):
     rng = np.random.default_rng(7)
     frames = []
-    for i in range(4):
+    for _ in range(4):
         kp = rng.uniform(0.0, 700.0, size=(25, 3))
         kp[:, 2] = rng.uniform(0.0, 1.0, size=25)
         kp[3] = 0.0  # one missing keypoint survives the round trip as missing
-        frames.append(pi.SkeletonFrame(i, kp, np.all(kp == 0.0, axis=1)))
-    series = make_series(pi.FRONTAL, frames)
+        frames.append(kp)
+    kp = np.stack(frames)
+    series = pi.KeypointSeries(view=pi.FRONTAL, keypoints=kp, missing=np.all(kp == 0.0, axis=2),
+                               frame_index=np.arange(4), fps=30.0)
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
     back = pi.read_series_csv(path, pi.FRONTAL, fps=30.0)
@@ -148,10 +188,7 @@ def test_csv_roundtrip_is_exact(tmp_path):
 
 
 def test_csv_two_rows(tmp_path):
-    series = make_series(pi.SAGITTAL, [
-        make_frame(0, upright_sagittal_points()),
-        make_frame(1, upright_sagittal_points()),
-    ])
+    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 2)
     path = tmp_path / "s.csv"
     pi.write_series_csv(series, path)
     assert len(pi.read_series_csv(path, pi.SAGITTAL)) == 2
@@ -164,9 +201,19 @@ def test_csv_bad_header(tmp_path):
         pi.read_series_csv(path, pi.SAGITTAL)
 
 
+@pytest.mark.parametrize("body", [
+    b"\xff\xfe not text\n",
+    ",".join(pi._CSV_HEADER).encode() + b"\r\n0," + b"1" * 200_000 + b"\r\n",
+])
+def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(body)
+    with pytest.raises(MalformedDocument):
+        pi.read_series_csv(path, pi.SAGITTAL)
+
+
 def test_openpose_emission_roundtrip(tmp_path):
-    series = make_series(pi.SAGITTAL,
-                         [make_frame(i, upright_sagittal_points()) for i in range(3)])
+    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3)
     pi.write_series_openpose(series, tmp_path)
     back = pi.load_series(tmp_path, pi.SAGITTAL, fps=30.0)
     assert series_equal(series, back)
@@ -181,36 +228,35 @@ def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
     for i in range(n):
         points = upright_sagittal_points()
         points[pi.R_KNEE] = (100.0 + 1.0 * i, 200.0 + 2.0 * i)
-        frame = make_frame(i, points)
-        if i in gap_frames:
-            frame.keypoints[pi.R_KNEE] = 0.0
-            frame.missing[pi.R_KNEE] = True
-        frames.append(frame)
-    return make_series(pi.SAGITTAL, frames)
+        frames.append(points)
+    series = make_series(pi.SAGITTAL, frames)
+    series.keypoints[gap_frames, pi.R_KNEE] = 0.0
+    series.missing[gap_frames, pi.R_KNEE] = True
+    return series
 
 
 def test_interior_gap_filled_with_linear_midpoint():
     series = sagittal_gap_series([1])
     out = pi.preprocess(series)
-    knee = out.frames[1].keypoints[pi.R_KNEE]
+    knee = out.keypoints[1, pi.R_KNEE]
     assert knee[0] == pytest.approx(101.0, abs=1e-12)
     assert knee[1] == pytest.approx(202.0, abs=1e-12)
-    assert not out.frames[1].missing[pi.R_KNEE]
+    assert not out.missing[1, pi.R_KNEE]
 
 
 def test_low_confidence_treated_as_missing_then_interpolated():
     series = sagittal_gap_series([])
-    series.frames[2].keypoints[pi.R_KNEE, 2] = 0.3
+    series.keypoints[2, pi.R_KNEE, 2] = 0.3
     out, stats = pi.preprocess_report(series, confidence_threshold=0.4)
     assert stats.values_gated == 1
     assert stats.values_interpolated == 1
-    knee = out.frames[2].keypoints[pi.R_KNEE]
+    knee = out.keypoints[2, pi.R_KNEE]
     assert knee[0] == pytest.approx(102.0)
 
 
 def test_confidence_equal_to_threshold_is_kept():
     series = sagittal_gap_series([])
-    series.frames[2].keypoints[pi.R_KNEE, 2] = 0.4
+    series.keypoints[2, pi.R_KNEE, 2] = 0.4
     out, stats = pi.preprocess_report(series, confidence_threshold=0.4)
     assert stats.values_gated == 0
 
@@ -218,7 +264,7 @@ def test_confidence_equal_to_threshold_is_kept():
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():
     ok = sagittal_gap_series([2, 3], n=8)
     out = pi.preprocess(ok, max_gap=2)
-    assert not any(f.missing[pi.R_KNEE] for f in out.frames)
+    assert not out.missing[:, pi.R_KNEE].any()
     too_long = sagittal_gap_series([2, 3, 4], n=8)
     with pytest.raises(GapTooLong):
         pi.preprocess(too_long, max_gap=2)
@@ -229,7 +275,7 @@ def test_leading_and_trailing_missing_frames_dropped():
     out, stats = pi.preprocess_report(series)
     assert stats.frames_dropped_leading == 2
     assert stats.frames_dropped_trailing == 1
-    assert out.frame_indices() == [2, 3, 4, 5]
+    assert out.frame_index.tolist() == [2, 3, 4, 5]
 
 
 def test_all_frames_invalid():
@@ -240,7 +286,9 @@ def test_all_frames_invalid():
 
 def test_preprocess_empty_series():
     with pytest.raises(AllFramesInvalid):
-        pi.preprocess(pi.KeypointSeries(view=pi.SAGITTAL, frames=[]))
+        pi.preprocess(pi.KeypointSeries(
+            view=pi.SAGITTAL, keypoints=np.zeros((0, 25, 3)),
+            missing=np.zeros((0, 25), dtype=bool), frame_index=np.zeros(0, dtype=np.int64)))
 
 
 def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
@@ -252,8 +300,10 @@ def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
         # keep the edges valid so leading/trailing trims stay small
         if i in (0, n - 1):
             kp[:, 2] = 1.0
-        frames.append(pi.SkeletonFrame(i, kp, np.zeros(25, dtype=bool)))
-    return make_series(pi.SAGITTAL, frames)
+        frames.append(kp)
+    return pi.KeypointSeries(view=pi.SAGITTAL, keypoints=np.stack(frames),
+                             missing=np.zeros((n, 25), dtype=bool),
+                             frame_index=np.arange(n), fps=30.0)
 
 
 def test_preprocess_idempotent_on_random_series():
@@ -276,9 +326,9 @@ def test_interpolated_coordinates_lie_between_neighbours():
         series = sagittal_gap_series([3])
         lo_x, hi_x = 100.0 + 2, 100.0 + 4
         jitter = rng.uniform(-1, 1)
-        series.frames[2].keypoints[pi.R_KNEE, 0] += jitter
+        series.keypoints[2, pi.R_KNEE, 0] += jitter
         out = pi.preprocess(series)
-        x = out.frames[3].keypoints[pi.R_KNEE, 0]
+        x = out.keypoints[3, pi.R_KNEE, 0]
         lo = min(lo_x + jitter, hi_x)
         hi = max(lo_x + jitter, hi_x)
         assert lo <= x <= hi
@@ -292,9 +342,66 @@ def test_output_has_no_missing_required_keypoints():
             out = pi.preprocess(series)
         except GapTooLong:
             continue
-        required = pi.required_keypoints(pi.SAGITTAL)
-        for frame in out.frames:
-            assert not any(frame.missing[k] for k in required)
+        required = sorted(pi.required_keypoints(pi.SAGITTAL))
+        assert not out.missing[:, required].any()
+
+
+def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_gap: int = 5):
+    """Frame-by-frame gating and gap repair: the reference for preprocess_report."""
+    kp, missing = series.keypoints.copy(), series.missing.copy()
+    gated = 0
+    for t in range(len(kp)):
+        gate = (kp[t, :, 2] < threshold) & ~missing[t]
+        gated += int(gate.sum())
+        kp[t][gate] = 0.0
+        missing[t] |= gate
+    req = sorted(pi.required_keypoints(series.view))
+    ok = [not any(missing[t, k] for k in req) for t in range(len(kp))]
+    first, last = ok.index(True), len(ok) - 1 - ok[::-1].index(True)
+    kp, missing = kp[first:last + 1], missing[first:last + 1]
+    filled = 0
+    for k in req:
+        t = 0
+        while t < len(kp):
+            if not missing[t, k]:
+                t += 1
+                continue
+            start = t
+            while missing[t, k]:
+                t += 1
+            gap = t - start
+            if gap > max_gap:
+                raise GapTooLong(f"keypoint {k} missing for {gap} consecutive frames")
+            left, right = kp[start - 1, k].copy(), kp[t, k].copy()
+            for j in range(start, t):
+                r = (j - start + 1) / (gap + 1)
+                kp[j, k, 0] = left[0] + (right[0] - left[0]) * r
+                kp[j, k, 1] = left[1] + (right[1] - left[1]) * r
+                kp[j, k, 2] = min(float(left[2]), float(right[2]))
+                missing[j, k] = False
+                filled += 1
+    return kp, missing, series.frame_index[first:last + 1], gated, filled
+
+
+def test_preprocess_matches_frame_by_frame_reference():
+    rng = np.random.default_rng(2024)
+    repaired = rejected = 0
+    for _ in range(300):
+        series = random_series(rng)
+        try:
+            kp, missing, frame_index, gated, filled = reference_preprocess(series)
+        except GapTooLong as exc:
+            rejected += 1
+            with pytest.raises(GapTooLong, match=str(exc)):
+                pi.preprocess_report(series)
+            continue
+        out, stats = pi.preprocess_report(series)
+        assert out.keypoints.tobytes() == kp.tobytes()
+        assert np.array_equal(out.missing, missing)
+        assert np.array_equal(out.frame_index, frame_index)
+        assert (stats.values_gated, stats.values_interpolated) == (gated, filled)
+        repaired += filled > 0
+    assert repaired > 100 and rejected > 20
 
 
 def test_required_keypoints_match_views():

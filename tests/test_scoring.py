@@ -113,12 +113,12 @@ def features_for(p1, p2, s4, d1, d2, shoulder=110.0):
     sag = kin.SagittalFeatures(
         p1=p1, p2=p2,
         p1_trace=np.full(n, p1), p2_trace=np.full(n, p2),
-        frame_indices=list(range(n)))
+        frame_indices=np.arange(n))
     fro = kin.FrontalFeatures(
         d1=d1, d2=d2, s4_peak=s4,
         s1_trace=np.full(n, 100.0), s2_trace=np.full(n, 100.0),
         s3_trace=np.full(n, shoulder), s4_trace=np.full(n, s4),
-        frame_indices=list(range(n)))
+        frame_indices=np.arange(n))
     return sag, fro
 
 
