@@ -84,7 +84,7 @@ def parse_matrix(rows) -> np.ndarray:
 
     try:
         mat = np.array([[cell(v) for v in row] for row in rows], dtype=float)
-    except (ValueError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
         raise InvalidMatrix([f"unparseable matrix cell: {exc}"]) from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrix([f"matrix must be square, got shape {mat.shape}"])

@@ -62,6 +62,10 @@ class RunConfig:
             raise ConfigError("confidence_threshold must lie in [0, 1]")
         if self.max_gap < 0:
             raise ConfigError("max_gap must be nonnegative")
+        for name in ("window_duration_s", "default_fps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and > 0")
         if self.weight_source == "explicit":
             if self.weights is None or len(self.weights) != N_INDICES:
                 raise ConfigError(f"explicit weights must have length {N_INDICES}")
@@ -73,6 +77,10 @@ class RunConfig:
         if violations:
             raise InvalidMatrix(violations)
         if self.hierarchical:
+            if self.weight_source in ("table5-compat", "explicit"):
+                raise ConfigError(
+                    "hierarchical mode derives weights from judgment matrices; "
+                    f"weight_source {self.weight_source!r} gives them directly")
             if self.criterion_matrix is None or self.criterion_groups is None:
                 raise ConfigError(
                     "hierarchical mode needs criterion_matrix and criterion_groups")
@@ -129,6 +137,13 @@ def _parse_bool(value) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
+def _converted(name: str, conv, value):
+    try:
+        return conv(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {name}: {exc}") from exc
+
+
 def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig()
     known = set(_SCALAR_FIELDS) | {
@@ -140,11 +155,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for name, conv in _SCALAR_FIELDS.items():
         if name in data:
-            try:
-                value = _parse_bool(data[name]) if conv is bool else conv(data[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad value for {name}: {exc}") from exc
-            setattr(cfg, name, value)
+            setattr(cfg, name, _converted(name, _parse_bool if conv is bool else conv, data[name]))
     if "thresholds" in data:
         try:
             cfg.thresholds = ThresholdConfig(**data["thresholds"])
@@ -153,12 +164,13 @@ def config_from_dict(data: dict) -> RunConfig:
     if "judgment_matrix" in data:
         cfg.judgment_matrix = ahp.parse_matrix(data["judgment_matrix"])
     if "weights" in data and data["weights"] is not None:
-        cfg.weights = [float(v) for v in data["weights"]]
+        cfg.weights = _converted("weights", lambda ws: [float(w) for w in ws], data["weights"])
     if "criterion_matrix" in data and data["criterion_matrix"] is not None:
         cfg.criterion_matrix = ahp.parse_matrix(data["criterion_matrix"])
     if "criterion_groups" in data and data["criterion_groups"] is not None:
-        cfg.criterion_groups = [[int(i) for i in group]
-                                for group in data["criterion_groups"]]
+        cfg.criterion_groups = _converted(
+            "criterion_groups", lambda groups: [[int(i) for i in g] for g in groups],
+            data["criterion_groups"])
     cfg.validate()
     return cfg
 
@@ -172,7 +184,7 @@ def load_config(path: str | Path | None = None,
             data = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")

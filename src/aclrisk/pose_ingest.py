@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,47 +123,99 @@ class PreprocessStats:
 
 
 # -- frame parsing --------------------------------------------------------
+#
+# A frame document is checked in two steps. The structure check is plain
+# Python and runs once per file; it yields the selected person's 75 raw
+# values. The numeric check converts the values of a whole series in one
+# numpy call and checks them at once.
+
+_N_VALUES = 3 * N_KEYPOINTS
 
 
-def _as_keypoint_array(flat: list, where: str) -> np.ndarray:
-    if not isinstance(flat, list) or len(flat) != 3 * N_KEYPOINTS:
-        raise MalformedDocument(
-            f"{where}: pose_keypoints_2d must hold exactly {3 * N_KEYPOINTS} numbers"
-        )
-    try:
-        arr = np.array(flat, dtype=float).reshape(N_KEYPOINTS, 3)
-    except (TypeError, ValueError) as exc:
-        raise MalformedDocument(f"{where}: non-numeric keypoint entry ({exc})") from exc
-    if not np.all(np.isfinite(arr)):
-        raise MalformedDocument(f"{where}: keypoint values must be finite")
-    conf = arr[:, 2]
-    if np.any(conf < 0.0) or np.any(conf > 1.0):
-        raise MalformedDocument(f"{where}: confidence values must lie in [0, 1]")
-    return arr
-
-
-def _person_array(person, where: str) -> np.ndarray:
+def _keypoint_values(person, where: str) -> list:
+    """A person's ``pose_keypoints_2d`` list, checked for shape but not content."""
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
         raise MalformedDocument(f"{where}: person object missing 'pose_keypoints_2d'")
-    return _as_keypoint_array(person["pose_keypoints_2d"], where)
+    flat = person["pose_keypoints_2d"]
+    if not isinstance(flat, list) or len(flat) != _N_VALUES:
+        raise MalformedDocument(
+            f"{where}: pose_keypoints_2d must hold exactly {_N_VALUES} numbers"
+        )
+    return flat
 
 
-def _select_person(people: list, policy: str, where: str) -> np.ndarray:
+def _frame_values(raw: bytes | str, policy: str, where: str) -> list:
+    """The structure check: the selected person's 75 values of one frame document."""
+    try:
+        doc = json.loads(raw)
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
+        raise MalformedDocument(f"{where}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict) or "people" not in doc:
+        raise MalformedDocument(f"{where}: missing 'people' key")
+    people = doc["people"]
+    if not isinstance(people, list):
+        raise MalformedDocument(f"{where}: 'people' must be a list")
     if not people:
         raise NoPersonDetected(f"{where}: empty people list")
     if len(people) == 1:
-        return _person_array(people[0], where)
+        return _keypoint_values(people[0], where)
     if policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{where}: {len(people)} people present under strict policy")
-    # highest mean confidence over detected (non-zero-triple) keypoints
+    # highest mean confidence over detected (non-zero-triple) keypoints;
+    # every person must pass both checks, in order
     best, best_score = None, -1.0
     for person in people:
-        arr = _person_array(person, where)
+        flat = _keypoint_values(person, where)
+        arr = _one_keypoint_array(flat, where)
         detected = ~np.all(arr == 0.0, axis=1)
         score = float(arr[detected, 2].mean()) if detected.any() else 0.0
         if score > best_score:
-            best, best_score = arr, score
+            best, best_score = flat, score
     return best
+
+
+def _keypoint_array(rows: list[list],
+                    where: list[str]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
+    """The numeric check: rows of 75 values as one (n, 25, 3) array.
+
+    Converts all rows in one call, then checks that every value is finite
+    and every confidence lies in [0, 1]. Returns the array and the error of
+    each failing row by its position; ``where[i]`` names row i. Rows are
+    converted one by one only after the bulk conversion has failed; a
+    non-numeric row stays zero in the array.
+    """
+    try:
+        values = np.array(rows, dtype=float)
+        converted = values.shape == (len(rows), _N_VALUES)
+    except (TypeError, ValueError, OverflowError):
+        converted = False
+    errors: dict[int, MalformedDocument] = {}
+    if converted:
+        values = values.reshape(-1, N_KEYPOINTS, 3)
+    else:
+        values = np.zeros((len(rows), N_KEYPOINTS, 3))
+        for i, row in enumerate(rows):
+            try:
+                values[i] = np.array(row, dtype=float).reshape(N_KEYPOINTS, 3)
+            except (TypeError, ValueError, OverflowError) as exc:
+                errors[i] = MalformedDocument(f"{where[i]}: non-numeric keypoint entry ({exc})")
+    finite = np.isfinite(values).all(axis=(1, 2))
+    conf = values[:, :, 2]
+    in_unit = ((conf >= 0.0) & (conf <= 1.0)).all(axis=1)
+    for i in np.flatnonzero(~(finite & in_unit)).tolist():
+        if not finite[i]:
+            errors[i] = MalformedDocument(f"{where[i]}: keypoint values must be finite")
+        else:
+            errors[i] = MalformedDocument(f"{where[i]}: confidence values must lie in [0, 1]")
+    return values, errors
+
+
+def _one_keypoint_array(flat: list, where: str) -> np.ndarray:
+    """The numeric check on a single row: its (25, 3) array, or its error raised."""
+    values, errors = _keypoint_array([flat], [where])
+    if errors:
+        raise errors[0]
+    return values[0]
 
 
 def parse_openpose_frame(
@@ -175,16 +228,7 @@ def parse_openpose_frame(
     ``policy`` controls multi-person frames: "best" keeps the person with
     the highest mean confidence, "strict" raises AmbiguousPerson.
     """
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"{where}: invalid JSON ({exc})") from exc
-    if not isinstance(doc, dict) or "people" not in doc:
-        raise MalformedDocument(f"{where}: missing 'people' key")
-    people = doc["people"]
-    if not isinstance(people, list):
-        raise MalformedDocument(f"{where}: 'people' must be a list")
-    return _select_person(people, policy, where)
+    return _one_keypoint_array(_frame_values(raw, policy, where), where)
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -192,7 +236,9 @@ _DIGITS = re.compile(r"(\d+)")
 
 def frame_index_from_name(name: str, fallback: int) -> int:
     """Frame index from the last digit group in a filename stem."""
-    groups = _DIGITS.findall(Path(name).stem)
+    dot = name.rfind(".")
+    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    groups = _DIGITS.findall(stem)
     return int(groups[-1]) if groups else fallback
 
 
@@ -252,23 +298,40 @@ def _series(view: str, keypoints: np.ndarray, frame_index, fps: float | None,
                           frame_index=frame_index, fps=fps)
 
 
+# pathlib orders the paths of one directory by name, case-insensitively on Windows
+_NAME_ORDER = str.lower if os.name == "nt" else None
+
+
+def _is_frame_document(name: str) -> bool:
+    """Whether a file name has the suffix ``.json``, in any case; ``.json`` alone has none."""
+    return len(name) > 5 and name[-5:].lower() == ".json"
+
+
 def _load_series_dir(path: Path, view: str, policy: str, fps: float | None) -> KeypointSeries:
-    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".json")
-    if not files:
+    names = sorted(filter(_is_frame_document, os.listdir(path)), key=_NAME_ORDER)
+    if not names:
         raise EmptySource(f"no frame documents in {path}")
-    arrays: list[np.ndarray] = []
+    prefix = str(path / "_")[:-1]  # file paths spelled as str(path / name)
+    rows: list[list] = []
     indices: list[int] = []
-    failures: list[tuple[str, Exception]] = []
-    for pos, p in enumerate(files):
+    positions: list[int] = []
+    failures: dict[int, Exception] = {}
+    for pos, name in enumerate(names):
         try:
-            index = _checked_frame_index(frame_index_from_name(p.name, pos), p.name)
-            arrays.append(parse_openpose_frame(p.read_bytes(), policy, where=p.name))
-            indices.append(index)
+            index = _checked_frame_index(frame_index_from_name(name, pos), name)
+            with open(prefix + name, "rb") as fh:
+                raw = fh.read()
+            rows.append(_frame_values(raw, policy, name))
         except Exception as exc:  # aggregated below with the frame identifier
-            failures.append((p.name, exc))
+            failures[pos] = exc
+            continue
+        indices.append(index)
+        positions.append(pos)
+    keypoints, errors = _keypoint_array(rows, [names[pos] for pos in positions])
+    failures.update((positions[i], exc) for i, exc in errors.items())
     if failures:
-        raise SeriesParseError(failures)
-    return _series(view, np.stack(arrays), indices, fps, path.name, lambda i: files[i].name)
+        raise SeriesParseError([(names[pos], failures[pos]) for pos in sorted(failures)])
+    return _series(view, keypoints, indices, fps, path.name, names.__getitem__)
 
 
 def read_series_csv(path: str | Path, view: str, fps: float | None = None) -> KeypointSeries:
@@ -368,7 +431,7 @@ def _csv_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
         raise MalformedDocument(f"{where}: non-numeric cell ({exc})") from exc
-    keypoints = _as_keypoint_array(values, where)
+    keypoints = _one_keypoint_array(values, where)
     return _checked_frame_index(frame_index, where), keypoints
 
 

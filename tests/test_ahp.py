@@ -65,6 +65,8 @@ def test_parse_matrix_accepts_fraction_literals():
         ahp.parse_matrix([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(InvalidMatrix):
         ahp.parse_matrix([["1", "x/y"], ["1", "1"]])
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix([[1, 10**400], [1, 1]])
 
 
 # -- weight derivations --------------------------------------------------------

@@ -112,6 +112,36 @@ def test_explicit_weights_must_be_finite(bad):
         cfg.validate()
 
 
+HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
+             "criterion_groups": [[0, 1], [2, 3, 4]]}
+
+
+@pytest.mark.parametrize("data", [
+    {"weight_source": "explicit", "weights": ["a", 1, 1, 1, 1]},
+    {"weight_source": "explicit", "weights": 5},
+    {"criterion_groups": [["x"]]},
+    {"criterion_groups": [[math.inf]]},
+    {"max_gap": math.inf},
+    {"window_duration_s": "nan", "window_mode": "landing"},
+    {"window_duration_s": 0},
+    {"window_duration_s": "inf"},
+    {"default_fps": "-1"},
+    {"default_fps": "nan"},
+    {**HIERARCHY, "weight_source": "table5-compat"},
+    {**HIERARCHY, "weight_source": "explicit", "weights": [0.2] * 5},
+])
+def test_bad_config_values_are_config_errors(data):
+    from aclrisk.config import config_from_dict
+    with pytest.raises(ConfigError):
+        config_from_dict(data)
+
+
+def test_hierarchy_combines_with_derived_weight_sources():
+    from aclrisk.config import config_from_dict
+    for source in ("sum-method", "geometric"):
+        assert config_from_dict({**HIERARCHY, "weight_source": source}).hierarchical
+
+
 def test_report_total_recomputes_from_own_fields(tmp_path):
     sag, fro, _ = write_trial(tmp_path, poor_script())
     report = assessment.assess_trial(sag, fro, RunConfig())

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from aclrisk import ahp, cli, motion_synth
 from aclrisk import pose_ingest as pi
 
 from test_assessment import INCONSISTENT_MATRIX, excellent_script, repeat_frame, write_trial
+from test_openpose_dir import mutated_documents
 
 
 def write_json(path, payload):
@@ -87,6 +91,74 @@ def test_assess_duplicate_frames_exit_one_without_traceback(tmp_path, trial, cap
     err = capsys.readouterr().err
     assert rc == 1
     assert "MalformedDocument" in err and "[ingest]" in err
+    assert "Traceback" not in err
+
+
+REJECTED_DOCUMENTS = [(label, content) for label, content in
+                      mutated_documents(np.random.default_rng(3))
+                      if label not in ("numeric-string", "true")]
+
+
+def assess_exit(args, capsys) -> tuple[int, str]:
+    rc = cli.main(["assess", *args])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content", [content for _, content in REJECTED_DOCUMENTS],
+                         ids=[label for label, _ in REJECTED_DOCUMENTS])
+def test_assess_corrupt_openpose_frame_exits_one_without_traceback(tmp_path, trial, capsys,
+                                                                   content):
+    sag, fro = trial
+    frame = sorted(Path(sag).iterdir())[5]
+    frame.write_bytes(content)
+    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro,
+                           "--report", str(tmp_path / "r.json")], capsys)
+    assert rc == 1
+    assert err.startswith("error: SeriesParseError: [ingest]") and frame.name in err
+    assert "Traceback" not in err
+
+
+def second_person(frame: Path) -> None:
+    doc = json.loads(frame.read_text())
+    doc["people"].append(doc["people"][0])
+    frame.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("corrupt, error", [
+    (lambda frames: frames[5].rename(frames[5].with_name("frame_99999999999999999999.json")),
+     "SeriesParseError"),
+    (lambda frames: (frames[0].parent / "sub.json").mkdir(), "SeriesParseError"),
+    (lambda frames: frames[5].rename(frames[5].with_name("take.json")), "MalformedDocument"),
+    (lambda frames: frames[5].rename(frames[5].with_name("take2_frame_3.JSON")),
+     "MalformedDocument"),
+    (lambda frames: second_person(frames[5]), "SeriesParseError"),
+], ids=["frame-beyond-int64", "unreadable-file", "no-digits", "duplicate-frame",
+        "two-people-strict"])
+def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path, trial, capsys,
+                                                                       corrupt, error):
+    sag, fro = trial
+    corrupt(sorted(Path(sag).iterdir()))
+    config = write_json(tmp_path / "cfg.json", {"person_policy": "strict"})
+    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--config", config,
+                           "--report", str(tmp_path / "r.json")], capsys)
+    assert rc == 1
+    assert err.startswith(f"error: {error}: [ingest]")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("config", [
+    json.dumps({"window_duration_s": math.nan, "window_mode": "landing"}).encode(),
+    json.dumps({"weight_source": "explicit", "weights": ["a", 1, 1, 1, 1]}).encode(),
+    b"\xff\xfe\x00{",
+], ids=["nan-window", "non-numeric-weights", "bad-encoding"])
+def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, config):
+    sag, fro = trial
+    path = tmp_path / "cfg.json"
+    path.write_bytes(config)
+    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--config", str(path),
+                           "--report", str(tmp_path / "r.json")], capsys)
+    assert rc == 1
+    assert err.startswith("error: ConfigError:")
     assert "Traceback" not in err
 
 
