@@ -64,16 +64,6 @@ class ConsistencyReport:
     cr: float
     passed: bool
 
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "lambda_max": self.lambda_max,
-            "ci": self.ci,
-            "ri": self.ri,
-            "cr": self.cr,
-            "passed": self.passed,
-        }
-
 
 def parse_matrix(rows) -> np.ndarray:
     """Build a judgment matrix from row lists; fraction literals like "1/3" allowed."""
@@ -133,16 +123,10 @@ def weights_sum_method(matrix: np.ndarray) -> np.ndarray:
     return normalized.mean(axis=1)
 
 
-def weights_geometric(matrix: np.ndarray, root: bool = True) -> np.ndarray:
-    """Row-product weights: n-th root of each product, normalized to sum 1.
-
-    ``root=False`` skips the root and normalizes the raw products (an
-    alternative literal reading; heavily skews toward dominant rows).
-    """
+def weights_geometric(matrix: np.ndarray) -> np.ndarray:
+    """Row-product weights: n-th root of each product, normalized to sum 1."""
     mat = _checked(matrix)
-    n = mat.shape[0]
-    products = mat.prod(axis=1)
-    m = products ** (1.0 / n) if root else products
+    m = mat.prod(axis=1) ** (1.0 / mat.shape[0])
     return m / m.sum()
 
 

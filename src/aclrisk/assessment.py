@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,16 +26,7 @@ from . import kinematics as kin
 from . import pose_ingest as pi
 from .config import RunConfig
 from .errors import AclRiskError, ConsistencyFailure, EmptySource, IoFailure
-from .scoring import (
-    GradeVector,
-    grade_all,
-    grade_cosine_frontal,
-    grade_cosine_sagittal,
-    grade_distance,
-    grade_label,
-)
-
-TRACE_NAMES = ("p1", "p2", "s1", "s2", "s3", "s4")
+from .scoring import GradeVector, grade_all, grade_label
 
 GRADE_KEYS = ("x1", "x2", "x3", "x4", "x5")
 
@@ -54,28 +45,6 @@ def _stage(name: str):
 
 
 @dataclass
-class TraceBundle:
-    sagittal_frames: np.ndarray
-    p1: np.ndarray
-    p2: np.ndarray
-    frontal_frames: np.ndarray
-    s1: np.ndarray
-    s2: np.ndarray
-    s3: np.ndarray
-    s4: np.ndarray
-
-    def named(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-        return {
-            "p1": (self.sagittal_frames, self.p1),
-            "p2": (self.sagittal_frames, self.p2),
-            "s1": (self.frontal_frames, self.s1),
-            "s2": (self.frontal_frames, self.s2),
-            "s3": (self.frontal_frames, self.s3),
-            "s4": (self.frontal_frames, self.s4),
-        }
-
-
-@dataclass
 class AssessmentReport:
     number: int
     features: dict
@@ -87,39 +56,19 @@ class AssessmentReport:
     config: dict
     preprocessing: dict
     traces: dict = field(default_factory=dict)
-    trace_data: TraceBundle | None = field(default=None, compare=False, repr=False)
+    # trace name -> (frame indices, values); not part of the serialized report
+    trace_data: dict[str, tuple[np.ndarray, np.ndarray]] | None = field(
+        default=None, compare=False, repr=False)
 
     def grade_vector(self) -> GradeVector:
         return GradeVector(*(int(self.grades[k]) for k in GRADE_KEYS))
 
     def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "features": self.features,
-            "grades": self.grades,
-            "labels": self.labels,
-            "weights": self.weights,
-            "consistency": self.consistency,
-            "total": self.total,
-            "config": self.config,
-            "preprocessing": self.preprocessing,
-            "traces": self.traces,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace_data"}
 
     @classmethod
     def from_dict(cls, data: dict) -> "AssessmentReport":
-        return cls(
-            number=data["number"],
-            features=data["features"],
-            grades=data["grades"],
-            labels=data["labels"],
-            weights=data["weights"],
-            consistency=data["consistency"],
-            total=data["total"],
-            config=data["config"],
-            preprocessing=data["preprocessing"],
-            traces=data["traces"],
-        )
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name != "trace_data"})
 
 
 def resolve_weights(cfg: RunConfig):
@@ -145,7 +94,27 @@ def resolve_weights(cfg: RunConfig):
     if cfg.hierarchical:
         cw = ahp.weights_sum_method(cfg.criterion_matrix)
         weights = ahp.hierarchical_weights(cw, cfg.criterion_groups, weights)
-    return weights, cfg.weight_source, report.as_dict()
+    return weights, cfg.weight_source, asdict(report)
+
+
+def _assess_view(source: str | Path, view: str, cfg: RunConfig):
+    """Ingest, preprocess, window and extract one view.
+
+    Returns the view's features (SagittalFeatures or FrontalFeatures)
+    and its PreprocessStats.
+    """
+    with _stage("ingest"):
+        series = pi.load_series(source, view, cfg.person_policy, fps=cfg.default_fps)
+    with _stage("preprocess"):
+        series, stats = pi.preprocess_report(
+            series, cfg.confidence_threshold, cfg.max_gap,
+            pi.required_keypoints(view, cfg.sagittal_side))
+    with _stage("window"):
+        window = kin.analysis_window(series, cfg.window_mode, cfg.window_duration_s)
+    with _stage("extract"):
+        if view == pi.SAGITTAL:
+            return kin.extract_sagittal(series, window, side=cfg.sagittal_side), stats
+        return kin.extract_frontal(series, window), stats
 
 
 def assess_trial(
@@ -154,34 +123,18 @@ def assess_trial(
     config: RunConfig | None = None,
     number: int = 1,
 ) -> AssessmentReport:
-    """Run the full pipeline on one two-view trial."""
+    """Run the full pipeline on one two-view trial.
+
+    The views run one after the other, sagittal first, so when both are
+    bad the error reported is the sagittal view's.
+    """
     cfg = config or RunConfig()
     cfg.validate()
-
-    with _stage("ingest"):
-        sagittal = pi.load_series(sagittal_source, pi.SAGITTAL,
-                                  cfg.person_policy, fps=cfg.default_fps)
-        frontal = pi.load_series(frontal_source, pi.FRONTAL,
-                                 cfg.person_policy, fps=cfg.default_fps)
-
-    with _stage("preprocess"):
-        required_sag = pi.required_keypoints(pi.SAGITTAL, cfg.sagittal_side)
-        sagittal, sag_stats = pi.preprocess_report(
-            sagittal, cfg.confidence_threshold, cfg.max_gap, required_sag)
-        frontal, fro_stats = pi.preprocess_report(
-            frontal, cfg.confidence_threshold, cfg.max_gap,
-            pi.required_keypoints(pi.FRONTAL))
-
-    with _stage("window"):
-        window_sag = kin.analysis_window(sagittal, cfg.window_mode, cfg.window_duration_s)
-        window_fro = kin.analysis_window(frontal, cfg.window_mode, cfg.window_duration_s)
-
-    with _stage("extract"):
-        sag_features = kin.extract_sagittal(sagittal, window_sag, side=cfg.sagittal_side)
-        fro_features = kin.extract_frontal(frontal, window_fro)
+    sag, sag_stats = _assess_view(sagittal_source, pi.SAGITTAL, cfg)
+    fro, fro_stats = _assess_view(frontal_source, pi.FRONTAL, cfg)
 
     with _stage("grade"):
-        grades = grade_all(sag_features, fro_features, cfg.thresholds)
+        grades = grade_all(sag, fro, cfg.thresholds)
 
     with _stage("weights"):
         weights, source, consistency = resolve_weights(cfg)
@@ -196,72 +149,20 @@ def assess_trial(
     }
     return AssessmentReport(
         number=number,
-        features={
-            "p1": sag_features.p1,
-            "p2": sag_features.p2,
-            "s4_peak": fro_features.s4_peak,
-            "d1_px": fro_features.d1,
-            "d2_px": fro_features.d2,
-        },
+        features={"p1": sag.p1, "p2": sag.p2,
+                  "s4_peak": fro.s4_peak, "d1_px": fro.d1, "d2_px": fro.d2},
         grades={k: int(v) for k, v in zip(GRADE_KEYS, grades)},
         labels={k: grade_label(v) for k, v in zip(GRADE_KEYS, grades)},
         weights={"source": source, "values": [float(w) for w in weights]},
         consistency=consistency,
         total=float(total),
         config=config_snapshot,
-        preprocessing={"sagittal": sag_stats.as_dict(), "frontal": fro_stats.as_dict()},
-        trace_data=TraceBundle(
-            sagittal_frames=sag_features.frame_indices,
-            p1=sag_features.p1_trace,
-            p2=sag_features.p2_trace,
-            frontal_frames=fro_features.frame_indices,
-            s1=fro_features.s1_trace,
-            s2=fro_features.s2_trace,
-            s3=fro_features.s3_trace,
-            s4=fro_features.s4_trace,
-        ),
+        preprocessing={"sagittal": asdict(sag_stats), "frontal": asdict(fro_stats)},
+        # p1, p2, s1, ..., s4: every ``*_trace`` field of the two feature objects
+        trace_data={f.name.removesuffix("_trace"): (feats.frame_indices, getattr(feats, f.name))
+                    for feats in (sag, fro) for f in fields(feats)
+                    if f.name.endswith("_trace")},
     )
-
-
-def assess_single_view(
-    source: str | Path,
-    view: str,
-    config: RunConfig | None = None,
-) -> dict:
-    """Partial assessment of one view: its features and grades, no total."""
-    cfg = config or RunConfig()
-    cfg.validate()
-    with _stage("ingest"):
-        series = pi.load_series(source, view, cfg.person_policy, fps=cfg.default_fps)
-    with _stage("preprocess"):
-        series, stats = pi.preprocess_report(
-            series, cfg.confidence_threshold, cfg.max_gap,
-            pi.required_keypoints(view, cfg.sagittal_side))
-    with _stage("window"):
-        window = kin.analysis_window(series, cfg.window_mode, cfg.window_duration_s)
-    with _stage("extract"):
-        if view == pi.SAGITTAL:
-            feats = kin.extract_sagittal(series, window, side=cfg.sagittal_side)
-            features = {"p1": feats.p1, "p2": feats.p2}
-            grades = {
-                "x1": grade_cosine_sagittal(feats.p1, cfg.thresholds),
-                "x2": grade_cosine_sagittal(feats.p2, cfg.thresholds),
-            }
-        else:
-            feats = kin.extract_frontal(series, window)
-            features = {"s4_peak": feats.s4_peak, "d1_px": feats.d1, "d2_px": feats.d2}
-            grades = {
-                "x3": grade_cosine_frontal(feats.s4_peak, cfg.thresholds),
-                "x4": grade_distance(feats.d1, cfg.thresholds),
-                "x5": grade_distance(feats.d2, cfg.thresholds),
-            }
-    return {
-        "view": view,
-        "features": features,
-        "grades": grades,
-        "labels": {k: grade_label(v) for k, v in grades.items()},
-        "preprocessing": stats.as_dict(),
-    }
 
 
 # -- serialization ---------------------------------------------------------
@@ -279,16 +180,12 @@ def report_to_json(report: AssessmentReport) -> bytes:
     return (text + "\n").encode()
 
 
-def summary_csv_row(number: int, grades: GradeVector, total: float) -> str:
-    return f"{number},{grades.x1},{grades.x2},{grades.x3},{grades.x4},{grades.x5},{total:.4f}"
-
-
 SUMMARY_HEADER = "number,x1,x2,x3,x4,x5,total"
 
 
 def summary_csv(rows: list[tuple[int, GradeVector, float]]) -> str:
     lines = [SUMMARY_HEADER]
-    lines += [summary_csv_row(n, g, t) for n, g, t in rows]
+    lines += [f"{n},{g.x1},{g.x2},{g.x3},{g.x4},{g.x5},{t:.4f}" for n, g, t in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -297,8 +194,7 @@ def emit_report(report: AssessmentReport, fmt: str = "json") -> bytes:
     if fmt == "json":
         return report_to_json(report)
     if fmt == "csv":
-        row = summary_csv_row(report.number, report.grade_vector(), report.total)
-        return (SUMMARY_HEADER + "\n" + row + "\n").encode()
+        return summary_csv([(report.number, report.grade_vector(), report.total)]).encode()
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
@@ -314,7 +210,7 @@ def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, st
     with _stage("emit"):
         directory.mkdir(parents=True, exist_ok=True)
         refs = {}
-        for name, (frames, values) in report.trace_data.named().items():
+        for name, (frames, values) in report.trace_data.items():
             path = directory / f"{name}.csv"
             lines = ["frame,value"]
             lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]

@@ -21,12 +21,38 @@ from pathlib import Path
 from . import ahp, assessment, motion_synth
 from . import pose_ingest as pi
 from .config import load_config
-from .errors import AclRiskError, InvalidScript
+from .errors import AclRiskError, InvalidScript, MalformedDocument
 
 
 def _fail(exc: Exception) -> int:
     sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
     return 1
+
+
+def _read_json(path: str):
+    """The JSON document in a file; one that cannot be decoded is MalformedDocument."""
+    try:
+        return json.loads(Path(path).read_bytes())
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
+        raise MalformedDocument(f"{path}: invalid JSON ({exc})") from exc
+
+
+def _trials(entries) -> list[assessment.Trial]:
+    """Batch trials from a trials document: a list of {number, sagittal, frontal}."""
+    if not isinstance(entries, list):
+        raise MalformedDocument("trials file must hold a JSON list")
+    trials = []
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict) or not {"number", "sagittal", "frontal"} <= e.keys():
+            raise MalformedDocument(
+                f"trials entry {i} must be an object with number, sagittal and frontal")
+        if type(e["number"]) is not int:
+            raise MalformedDocument(
+                f"trials entry {i}: number must be an integer, got {e['number']!r}")
+        if not (isinstance(e["sagittal"], str) and isinstance(e["frontal"], str)):
+            raise MalformedDocument(f"trials entry {i}: sagittal and frontal must be paths")
+        trials.append(assessment.Trial(e["number"], e["sagittal"], e["frontal"]))
+    return trials
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
@@ -55,8 +81,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 def cmd_ahp(args: argparse.Namespace) -> int:
     try:
-        rows = json.loads(Path(args.matrix).read_text())
-        matrix = ahp.parse_matrix(rows)
+        matrix = ahp.parse_matrix(_read_json(args.matrix))
         violations = ahp.validate(matrix)
         if violations:
             for v in violations:
@@ -74,13 +99,13 @@ def cmd_ahp(args: argparse.Namespace) -> int:
         print(f"CR: {report.cr:.6f}")
         print("consistency:", "PASS" if report.passed else "FAIL")
         return 0
-    except (AclRiskError, OSError, json.JSONDecodeError) as exc:
+    except (AclRiskError, OSError) as exc:
         return _fail(exc)
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
     try:
-        data = json.loads(Path(args.script).read_text())
+        data = _read_json(args.script)
         if not isinstance(data, dict):
             raise InvalidScript("script file must hold a JSON object")
         script = motion_synth.MotionScript.from_dict(data)
@@ -96,17 +121,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
         motion_synth.write_ground_truth(truth, out / "ground_truth.json")
         print(f"wrote trial to {out}")
         return 0
-    except (AclRiskError, OSError, json.JSONDecodeError) as exc:
+    except (AclRiskError, OSError) as exc:
         return _fail(exc)
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
     try:
         cfg = load_config(args.config)
-        entries = json.loads(Path(args.trials).read_text())
-        trials = [assessment.Trial(int(e["number"]), e["sagittal"], e["frontal"])
-                  for e in entries]
-        result = assessment.assess_batch(trials, cfg)
+        result = assessment.assess_batch(_trials(_read_json(args.trials)), cfg)
         if args.out:
             out = Path(args.out)
             out.mkdir(parents=True, exist_ok=True)
@@ -123,7 +145,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 f"trial {failure['number']} failed at {failure['stage']}: "
                 f"{failure['error']}: {failure['message']}\n")
         return 1 if result.failures else 0
-    except (AclRiskError, OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (AclRiskError, OSError) as exc:
         return _fail(exc)
 
 

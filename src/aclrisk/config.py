@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,39 +91,12 @@ class RunConfig:
                 raise OrderMismatch("one group per criterion row required")
 
     def as_dict(self) -> dict:
-        return {
-            "confidence_threshold": self.confidence_threshold,
-            "max_gap": self.max_gap,
-            "person_policy": self.person_policy,
-            "window_mode": self.window_mode,
-            "window_duration_s": self.window_duration_s,
-            "sagittal_side": self.sagittal_side,
-            "default_fps": self.default_fps,
-            "thresholds": self.thresholds.as_dict(),
-            "weight_source": self.weight_source,
-            "judgment_matrix": [[float(v) for v in row] for row in self.judgment_matrix],
-            "weights": list(self.weights) if self.weights is not None else None,
-            "criterion_matrix": (
-                [[float(v) for v in row] for row in self.criterion_matrix]
-                if self.criterion_matrix is not None else None),
-            "criterion_groups": self.criterion_groups,
-            "hierarchical": self.hierarchical,
-            "force": self.force,
-        }
-
-
-_SCALAR_FIELDS = {
-    "confidence_threshold": float,
-    "max_gap": int,
-    "person_policy": str,
-    "window_mode": str,
-    "window_duration_s": float,
-    "sagittal_side": str,
-    "default_fps": float,
-    "weight_source": str,
-    "hierarchical": bool,
-    "force": bool,
-}
+        """Every field as JSON-ready values; matrices become lists of float rows."""
+        out = asdict(self)
+        for f in fields(self):
+            if f.type.startswith("np.ndarray") and out[f.name] is not None:
+                out[f.name] = np.asarray(out[f.name], dtype=float).tolist()
+        return out
 
 
 def _parse_bool(value) -> bool:
@@ -144,18 +117,21 @@ def _converted(name: str, conv, value):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
+# Scalar fields in field order, each with the conversion of a config file
+# value or an environment string.
+_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
+_SCALAR_FIELDS = {f.name: _CONVERTERS[f.type]
+                  for f in fields(RunConfig) if f.type in _CONVERTERS}
+
+
 def config_from_dict(data: dict) -> RunConfig:
     cfg = RunConfig()
-    known = set(_SCALAR_FIELDS) | {
-        "thresholds", "judgment_matrix", "weights", "criterion_matrix",
-        "criterion_groups",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for name, conv in _SCALAR_FIELDS.items():
         if name in data:
-            setattr(cfg, name, _converted(name, _parse_bool if conv is bool else conv, data[name]))
+            setattr(cfg, name, _converted(name, conv, data[name]))
     if "thresholds" in data:
         try:
             cfg.thresholds = ThresholdConfig(**data["thresholds"])

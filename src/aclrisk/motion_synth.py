@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,22 +77,33 @@ class MotionScript:
             raise InvalidScript("noise sigma must be nonnegative")
         if self.drop_height_px < 0.0:
             raise InvalidScript("drop height must be nonnegative")
+        if self.seed < 0:
+            raise InvalidScript("seed must be nonnegative")
 
     def as_dict(self) -> dict:
         return dict(self.__dict__)
 
     @classmethod
     def from_dict(cls, data: dict) -> "MotionScript":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        types = {f.name: f.type for f in fields(cls)}
+        unknown = set(data) - set(types)
         if unknown:
             raise InvalidScript(f"unknown script fields: {sorted(unknown)}")
-        try:
-            script = cls(**data)
-        except TypeError as exc:
-            raise InvalidScript(str(exc)) from exc
+        for name, value in data.items():
+            if not _fits(value, types[name]):
+                raise InvalidScript(f"{name} must be a finite {types[name]}, got {value!r}")
+        script = cls(**data)
         script.validate()
         return script
+
+
+def _fits(value, annotation: str) -> bool:
+    """Whether a script value has its field's type: float, int or int | None."""
+    if value is None:
+        return annotation.endswith("| None")
+    if isinstance(value, float):
+        return annotation == "float" and math.isfinite(value)
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -114,22 +125,6 @@ class GroundTruth:
         self.p1 = float(self.p1_trace.max())
         self.p2 = float(self.p2_trace.max())
         self.s4_peak = float(self.s4_trace.max())
-
-    def as_dict(self) -> dict:
-        return {
-            "touchdown_frame": self.touchdown_frame,
-            "knee_deg": self.knee_deg.tolist(),
-            "hip_deg": self.hip_deg.tolist(),
-            "lean_deg": self.lean_deg.tolist(),
-            "p1_trace": self.p1_trace.tolist(),
-            "p2_trace": self.p2_trace.tolist(),
-            "s4_trace": self.s4_trace.tolist(),
-            "p1": self.p1,
-            "p2": self.p2,
-            "s4_peak": self.s4_peak,
-            "d1": self.d1,
-            "d2": self.d2,
-        }
 
 
 def _rot(angle_rad: float) -> np.ndarray:
@@ -277,4 +272,5 @@ def perturb(series: pi.KeypointSeries, sigma_px: float, seed: int) -> pi.Keypoin
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(truth.as_dict(), sort_keys=True, indent=2) + "\n")
+    text = json.dumps(asdict(truth), default=np.ndarray.tolist, sort_keys=True, indent=2)
+    Path(path).write_text(text + "\n")

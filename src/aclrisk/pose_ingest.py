@@ -111,16 +111,6 @@ class PreprocessStats:
     values_gated: int = 0
     values_interpolated: int = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "frames_in": self.frames_in,
-            "frames_out": self.frames_out,
-            "frames_dropped_leading": self.frames_dropped_leading,
-            "frames_dropped_trailing": self.frames_dropped_trailing,
-            "values_gated": self.values_gated,
-            "values_interpolated": self.values_interpolated,
-        }
-
 
 # -- frame parsing --------------------------------------------------------
 #
@@ -462,17 +452,6 @@ def write_series_openpose(series: KeypointSeries, directory: str | Path,
 
 
 # -- preprocessing --------------------------------------------------------
-
-
-def preprocess(
-    series: KeypointSeries,
-    confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
-    max_gap: int = DEFAULT_MAX_GAP,
-    required: Iterable[int] | None = None,
-) -> KeypointSeries:
-    """Confidence-gate, repair, and trim a series. See preprocess_report."""
-    cleaned, _ = preprocess_report(series, confidence_threshold, max_gap, required)
-    return cleaned
 
 
 def preprocess_report(

@@ -49,15 +49,6 @@ class ThresholdConfig:
         if not 0 < self.distance_lo < self.distance_hi:
             raise ValueError("need 0 < distance_lo < distance_hi")
 
-    def as_dict(self) -> dict:
-        return {
-            "cosine_hi": self.cosine_hi,
-            "cosine_lo": self.cosine_lo,
-            "distance_lo": self.distance_lo,
-            "distance_hi": self.distance_hi,
-            "normalize_by_shoulder": self.normalize_by_shoulder,
-        }
-
 
 class GradeVector(NamedTuple):
     """Grades for (knee flexion, hip flexion, lateral alignment, knee-ankle

@@ -221,22 +221,22 @@ def test_criterion_7_qualitative_trace_shape():
 
 def test_criterion_8_preprocessing_repair_and_idempotence():
     with criterion(8, "gap repair, gap limit, idempotence on 100 random series"):
-        out = pi.preprocess(sagittal_gap_series([3]))
+        out = pi.preprocess_report(sagittal_gap_series([3]))[0]
         knee = out.keypoints[3, pi.R_KNEE]
         assert knee[0] == 103.0 and knee[1] == 206.0  # exact linear midpoint
 
         with pytest.raises(GapTooLong):
-            pi.preprocess(sagittal_gap_series([1, 2, 3], n=8), max_gap=2)
+            pi.preprocess_report(sagittal_gap_series([1, 2, 3], n=8), max_gap=2)[0]
 
         rng = np.random.default_rng(777)
         done = 0
         while done < 100:
             series = random_series(rng)
             try:
-                once = pi.preprocess(series)
+                once = pi.preprocess_report(series)[0]
             except GapTooLong:
                 continue
-            assert series_equal(pi.preprocess(once), once)
+            assert series_equal(pi.preprocess_report(once)[0], once)
             done += 1
 
 

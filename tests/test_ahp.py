@@ -112,13 +112,6 @@ def test_geometric_matches_brute_force_products():
     assert ahp.weights_geometric(mat) == pytest.approx(expected, abs=1e-9)
 
 
-def test_geometric_without_root_normalizes_raw_products():
-    mat = FIVE_INDEX_MATRIX
-    products = mat.prod(axis=1)
-    expected = products / products.sum()
-    assert ahp.weights_geometric(mat, root=False) == pytest.approx(list(expected), abs=1e-12)
-
-
 # -- consistency ---------------------------------------------------------------
 
 

@@ -14,6 +14,7 @@ from aclrisk.errors import (
     AclRiskError,
     ConsistencyFailure,
     EmptySource,
+    GapTooLong,
     IoFailure,
 )
 from aclrisk.scoring import GradeVector
@@ -199,7 +200,7 @@ def test_landing_window_mode(tmp_path):
     cfg.window_mode = "landing"
     report = assessment.assess_trial(sag, fro, cfg)
     assert report.grade_vector() == GradeVector(9, 9, 9, 9, 9)
-    n_sag_frames = len(report.trace_data.sagittal_frames)
+    n_sag_frames = len(report.trace_data["p1"][0])
     assert n_sag_frames < 90  # landing window is a strict subrange
 
 
@@ -269,20 +270,8 @@ def test_trace_peak_for_65_degree_knee(tmp_path):
         n_frames=80, touchdown_frame=20, peak_knee_flexion_deg=65.0)
     sag, fro, _ = write_trial(tmp_path, script)
     report = assessment.assess_trial(sag, fro, compat_config())
-    peak = max(report.trace_data.p1)
+    peak = max(report.trace_data["p1"][1])
     assert -0.5 < peak < 0.0
-
-
-# -- partial (single view) ----------------------------------------------------
-
-
-def test_single_view_partial_assessment(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    partial = assessment.assess_single_view(sag, pi.SAGITTAL, compat_config())
-    assert set(partial["grades"]) == {"x1", "x2"}
-    assert "total" not in partial
-    partial = assessment.assess_single_view(fro, pi.FRONTAL, compat_config())
-    assert set(partial["grades"]) == {"x3", "x4", "x5"}
 
 
 # -- batch ---------------------------------------------------------------------
@@ -315,6 +304,29 @@ def test_batch_collects_duplicate_frames_as_ingest_failure(tmp_path):
     assert [r.number for r in result.reports] == [1]
     assert [(f["number"], f["stage"], f["error"]) for f in result.failures] == [
         (2, "ingest", "MalformedDocument")]
+
+
+def occluded_sagittal_csv(tmp_path) -> str:
+    """A sagittal CSV whose right knee is lost for 10 interior frames (max_gap is 5)."""
+    sagittal, _, _ = motion_synth.generate(excellent_script())
+    sagittal.keypoints[40:50, pi.R_KNEE] = 0.0
+    sagittal.missing[40:50, pi.R_KNEE] = True
+    path = tmp_path / "sagittal.csv"
+    pi.write_series_csv(sagittal, path)
+    return str(path)
+
+
+def test_two_bad_views_report_the_sagittal_view_first(tmp_path):
+    # the frontal file is missing (ingest), the sagittal view has a long gap
+    # (preprocess): the views run in turn, so the sagittal error wins
+    sag, missing_fro = occluded_sagittal_csv(tmp_path), str(tmp_path / "gone.csv")
+    with pytest.raises(GapTooLong) as exc_info:
+        assessment.assess_trial(sag, missing_fro, compat_config())
+    assert exc_info.value.stage == "preprocess"
+    result = assessment.assess_batch([assessment.Trial(4, sag, missing_fro)], compat_config())
+    assert result.reports == []
+    assert [(f["number"], f["stage"], f["error"]) for f in result.failures] == [
+        (4, "preprocess", "GapTooLong")]
 
 
 def test_batch_empty_list_raises():

@@ -5,7 +5,9 @@ canonical JSON report and of each of the six trace files, as the
 per-frame ``SkeletonFrame`` implementation wrote them before the
 series became one ``(n, 25, 3)`` array. Any change to ingest,
 preprocessing, windowing, extraction or emission that moves a single
-bit of these outputs fails here.
+bit of these outputs fails here. The pins for non-default configs
+were computed with the hand-written serializers, before the report and
+config snapshot were derived from the dataclass fields.
 
 Trials run from inside their directory with relative paths, because
 the report records its input and trace paths.
@@ -21,7 +23,7 @@ import pytest
 
 from aclrisk import assessment, motion_synth
 from aclrisk import pose_ingest as pi
-from aclrisk.config import RunConfig
+from aclrisk.config import RunConfig, config_from_dict
 
 TRIALS = {
     # criterion 9 of the acceptance suite
@@ -106,12 +108,11 @@ def write_inputs(directory: Path, script: motion_synth.MotionScript) -> None:
         pi.write_series_openpose(series, directory / view)
 
 
-def output_digests(fmt: str, mode: str) -> dict[str, str]:
+def output_digests(fmt: str, cfg: RunConfig, traces: str) -> dict[str, str]:
     """Assess the trial in the working directory; digest its outputs."""
     suffix = ".csv" if fmt == "csv" else ""
-    report = assessment.assess_trial(f"{pi.SAGITTAL}{suffix}", f"{pi.FRONTAL}{suffix}",
-                                     RunConfig(window_mode=mode))
-    refs = assessment.emit_traces(report, f"traces_{fmt}_{mode}")
+    report = assessment.assess_trial(f"{pi.SAGITTAL}{suffix}", f"{pi.FRONTAL}{suffix}", cfg)
+    refs = assessment.emit_traces(report, traces)
     blobs = {"report": assessment.report_to_json(report)}
     blobs.update((name, Path(ref).read_bytes()) for name, ref in refs.items())
     return {name: hashlib.sha256(blob).hexdigest()[:16] for name, blob in blobs.items()}
@@ -131,4 +132,98 @@ def trial_dirs(tmp_path_factory):
 @pytest.mark.parametrize("trial", sorted(TRIALS))
 def test_outputs_match_pinned_bytes(trial, fmt, mode, trial_dirs, monkeypatch):
     monkeypatch.chdir(trial_dirs[trial])
-    assert output_digests(fmt, mode) == PINNED[(trial, fmt, mode)]
+    digests = output_digests(fmt, RunConfig(window_mode=mode), f"traces_{fmt}_{mode}")
+    assert digests == PINNED[(trial, fmt, mode)]
+
+
+# Non-default configs, written as config files would hold them. The
+# report carries the config snapshot, so these pins also hold the
+# snapshot's bytes for every kind of field: matrices, lists of lists,
+# nested thresholds and explicit weights.
+CONFIGS = {
+    "geometric-hierarchical": {
+        "weight_source": "geometric", "hierarchical": True,
+        "criterion_matrix": [[1, 3], ["1/3", 1]],
+        "criterion_groups": [[0, 1], [2, 3, 4]],
+    },
+    "explicit": {
+        "weight_source": "explicit", "weights": [0.3, 0.25, 0.2, 0.15, 0.1],
+    },
+    "normalized": {
+        "thresholds": {"distance_lo": 0.1, "distance_hi": 0.15,
+                       "normalize_by_shoulder": True},
+    },
+    "left": {"sagittal_side": "left"},
+    "confidence": {"confidence_threshold": 0.35},
+}
+
+PINNED_CONFIGS = {
+    ("criterion9", "confidence"): {
+        "report": "e24600cb06261f79",
+        "p1": "e429f1b06abb1024", "p2": "a492779a16fad5ce",
+        "s1": "113e5e2026886d5f", "s2": "113e5e2026886d5f",
+        "s3": "846de8bbdb651ec5", "s4": "2ed99dee3b531f3e",
+    },
+    ("criterion9", "explicit"): {
+        "report": "5223ec29db398426",
+        "p1": "e429f1b06abb1024", "p2": "a492779a16fad5ce",
+        "s1": "113e5e2026886d5f", "s2": "113e5e2026886d5f",
+        "s3": "846de8bbdb651ec5", "s4": "2ed99dee3b531f3e",
+    },
+    ("criterion9", "geometric-hierarchical"): {
+        "report": "4833529b39ebafef",
+        "p1": "e429f1b06abb1024", "p2": "a492779a16fad5ce",
+        "s1": "113e5e2026886d5f", "s2": "113e5e2026886d5f",
+        "s3": "846de8bbdb651ec5", "s4": "2ed99dee3b531f3e",
+    },
+    ("criterion9", "left"): {
+        "report": "216def1895e8a0ab",
+        "p1": "e429f1b06abb1024", "p2": "a492779a16fad5ce",
+        "s1": "113e5e2026886d5f", "s2": "113e5e2026886d5f",
+        "s3": "846de8bbdb651ec5", "s4": "2ed99dee3b531f3e",
+    },
+    ("criterion9", "normalized"): {
+        "report": "22551426e4a5ec36",
+        "p1": "e429f1b06abb1024", "p2": "a492779a16fad5ce",
+        "s1": "113e5e2026886d5f", "s2": "113e5e2026886d5f",
+        "s3": "846de8bbdb651ec5", "s4": "2ed99dee3b531f3e",
+    },
+    ("noisy3000", "confidence"): {
+        "report": "b8c07a0eb2ae5a23",
+        "p1": "c7762271bcdc2cf0", "p2": "397784507ef66015",
+        "s1": "5f39dd00d88a7780", "s2": "b1ca73011948077b",
+        "s3": "b4030a432a9bbfc5", "s4": "47c44c5ff7feaf99",
+    },
+    ("noisy3000", "explicit"): {
+        "report": "65932d34a8d7492e",
+        "p1": "c7762271bcdc2cf0", "p2": "397784507ef66015",
+        "s1": "5f39dd00d88a7780", "s2": "b1ca73011948077b",
+        "s3": "b4030a432a9bbfc5", "s4": "47c44c5ff7feaf99",
+    },
+    ("noisy3000", "geometric-hierarchical"): {
+        "report": "932ac3cc837bd992",
+        "p1": "c7762271bcdc2cf0", "p2": "397784507ef66015",
+        "s1": "5f39dd00d88a7780", "s2": "b1ca73011948077b",
+        "s3": "b4030a432a9bbfc5", "s4": "47c44c5ff7feaf99",
+    },
+    ("noisy3000", "left"): {
+        "report": "aa38dffd21e86b81",
+        "p1": "9cf5e428d76f5a4d", "p2": "6ffd6916aadde793",
+        "s1": "5f39dd00d88a7780", "s2": "b1ca73011948077b",
+        "s3": "b4030a432a9bbfc5", "s4": "47c44c5ff7feaf99",
+    },
+    ("noisy3000", "normalized"): {
+        "report": "9a96d5018e11dee5",
+        "p1": "c7762271bcdc2cf0", "p2": "397784507ef66015",
+        "s1": "5f39dd00d88a7780", "s2": "b1ca73011948077b",
+        "s3": "b4030a432a9bbfc5", "s4": "47c44c5ff7feaf99",
+    },
+}
+
+
+@pytest.mark.parametrize("config", sorted(CONFIGS))
+@pytest.mark.parametrize("trial", sorted(TRIALS))
+def test_non_default_configs_match_pinned_bytes(trial, config, trial_dirs, monkeypatch):
+    monkeypatch.chdir(trial_dirs[trial])
+    digests = output_digests("csv", config_from_dict(CONFIGS[config]), f"traces_{config}")
+    assert digests == PINNED_CONFIGS[(trial, config)]

@@ -339,3 +339,69 @@ def test_batch_isolates_bad_trial(tmp_path, capsys):
     assert rc == 1
     assert len(captured.out.splitlines()) == 2  # header + one surviving trial
     assert "trial 2 failed at ingest" in captured.err
+
+
+# -- corrupt input files of ahp, synth and batch ---------------------------------
+
+BAD_FILES = {
+    "utf16-bom": b"\xff\xfe\x00{",
+    "not-utf8": b"[[1, \x80]]",
+    "deep": b"[" * 100000,
+    "invalid-json": b"[[1, 3], ",
+}
+
+COMMANDS = {"ahp": ["--matrix"], "synth": ["--script"], "batch": ["--trials"]}
+
+
+def assert_malformed(args, capsys) -> None:
+    """The CLI exits 1 with a MalformedDocument error, no traceback and no output."""
+    rc = cli.main(args)
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err.startswith("error: MalformedDocument:")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
+@pytest.mark.parametrize("command", COMMANDS)
+def test_undecodable_input_file_exits_one_without_traceback(tmp_path, capsys, command,
+                                                            content):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    args = [command, *COMMANDS[command], str(path)]
+    if command == "synth":
+        args += ["--out", str(tmp_path / "out")]
+    assert_malformed(args, capsys)
+
+
+BAD_TRIALS = {
+    "not-a-list": {"number": 1, "sagittal": "s", "frontal": "f"},
+    "entry-not-object": [3],
+    "entry-missing-key": [{"number": 2, "sagittal": "s"}],
+    "number-text": [{"number": "x", "sagittal": "s", "frontal": "f"}],
+    "number-fraction": [{"number": 2.5, "sagittal": "s", "frontal": "f"}],
+    "number-bool": [{"number": True, "sagittal": "s", "frontal": "f"}],
+    "path-not-text": [{"number": 2, "sagittal": ["s"], "frontal": "f"}],
+}
+
+
+@pytest.mark.parametrize("entries", BAD_TRIALS.values(), ids=BAD_TRIALS.keys())
+def test_bad_trials_entry_exits_one_without_traceback(tmp_path, capsys, entries):
+    sag, fro, _ = write_trial(tmp_path, excellent_script(), "t1")
+    if isinstance(entries, list):  # a good trial first: the whole file is refused
+        entries = [{"number": 1, "sagittal": sag, "frontal": fro}, *entries]
+    trials = write_json(tmp_path / "trials.json", entries)
+    assert_malformed(["batch", "--trials", trials], capsys)
+
+
+@pytest.mark.parametrize("script", [
+    {"n_frames": "x"}, {"fps": None}, {"fps": math.nan}, {"seed": -1, "noise_sigma_px": 1.0},
+], ids=["text-frames", "null-fps", "nan-fps", "negative-seed"])
+def test_synth_bad_script_value_exits_one_without_traceback(tmp_path, capsys, script):
+    path = write_json(tmp_path / "script.json", script)
+    rc = cli.main(["synth", "--script", path, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: InvalidScript:")
+    assert "Traceback" not in err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -143,6 +145,27 @@ def test_from_dict_rejects_unknown_fields():
         motion_synth.MotionScript.from_dict({"n_frames": 10, "bogus": 1})
 
 
+@pytest.mark.parametrize("data", [
+    {"n_frames": "x"},
+    {"n_frames": 10.5},
+    {"seed": True},
+    {"fps": None},
+    {"fps": float("nan")},
+    {"thigh_length_px": float("inf")},
+    {"noise_sigma_px": "a"},
+    {"ramp_frames": 2.5},
+    {"seed": -1, "noise_sigma_px": 1.0},
+])
+def test_from_dict_rejects_values_of_the_wrong_type(data):
+    with pytest.raises(InvalidScript):
+        motion_synth.MotionScript.from_dict(data)
+
+
+def test_from_dict_takes_integers_for_floats_and_null_ramp():
+    script = motion_synth.MotionScript.from_dict({"fps": 25, "ramp_frames": None})
+    assert script == motion_synth.MotionScript(fps=25.0)
+
+
 def test_from_dict_roundtrip():
     script = motion_synth.MotionScript(peak_knee_flexion_deg=42.0, seed=7)
     assert motion_synth.MotionScript.from_dict(script.as_dict()) == script
@@ -162,3 +185,25 @@ def test_emitted_series_reingest_identically(tmp_path):
     pi.write_series_csv(frontal, tmp_path / "fro.csv")
     back = pi.read_series_csv(tmp_path / "fro.csv", pi.FRONTAL, fps=script.fps)
     assert series_equal(frontal, back)
+
+
+def test_ground_truth_file_holds_every_field(tmp_path):
+    script = motion_synth.MotionScript(n_frames=40, touchdown_frame=10, knee_offset_px=12.0)
+    _, _, truth = motion_synth.generate(script)
+    motion_synth.write_ground_truth(truth, tmp_path / "truth.json")
+    expected = {
+        "touchdown_frame": truth.touchdown_frame,
+        "knee_deg": truth.knee_deg.tolist(),
+        "hip_deg": truth.hip_deg.tolist(),
+        "lean_deg": truth.lean_deg.tolist(),
+        "p1_trace": truth.p1_trace.tolist(),
+        "p2_trace": truth.p2_trace.tolist(),
+        "s4_trace": truth.s4_trace.tolist(),
+        "p1": truth.p1,
+        "p2": truth.p2,
+        "s4_peak": truth.s4_peak,
+        "d1": truth.d1,
+        "d2": truth.d2,
+    }
+    text = (tmp_path / "truth.json").read_text()
+    assert text == json.dumps(expected, sort_keys=True, indent=2) + "\n"

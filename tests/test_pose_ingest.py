@@ -237,7 +237,7 @@ def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
 
 def test_interior_gap_filled_with_linear_midpoint():
     series = sagittal_gap_series([1])
-    out = pi.preprocess(series)
+    out = pi.preprocess_report(series)[0]
     knee = out.keypoints[1, pi.R_KNEE]
     assert knee[0] == pytest.approx(101.0, abs=1e-12)
     assert knee[1] == pytest.approx(202.0, abs=1e-12)
@@ -263,11 +263,11 @@ def test_confidence_equal_to_threshold_is_kept():
 
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():
     ok = sagittal_gap_series([2, 3], n=8)
-    out = pi.preprocess(ok, max_gap=2)
+    out = pi.preprocess_report(ok, max_gap=2)[0]
     assert not out.missing[:, pi.R_KNEE].any()
     too_long = sagittal_gap_series([2, 3, 4], n=8)
     with pytest.raises(GapTooLong):
-        pi.preprocess(too_long, max_gap=2)
+        pi.preprocess_report(too_long, max_gap=2)[0]
 
 
 def test_leading_and_trailing_missing_frames_dropped():
@@ -281,14 +281,14 @@ def test_leading_and_trailing_missing_frames_dropped():
 def test_all_frames_invalid():
     series = sagittal_gap_series(list(range(7)))
     with pytest.raises(AllFramesInvalid):
-        pi.preprocess(series)
+        pi.preprocess_report(series)[0]
 
 
 def test_preprocess_empty_series():
     with pytest.raises(AllFramesInvalid):
-        pi.preprocess(pi.KeypointSeries(
+        pi.preprocess_report(pi.KeypointSeries(
             view=pi.SAGITTAL, keypoints=np.zeros((0, 25, 3)),
-            missing=np.zeros((0, 25), dtype=bool), frame_index=np.zeros(0, dtype=np.int64)))
+            missing=np.zeros((0, 25), dtype=bool), frame_index=np.zeros(0, dtype=np.int64)))[0]
 
 
 def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
@@ -312,10 +312,10 @@ def test_preprocess_idempotent_on_random_series():
     while done < 25:
         series = random_series(rng)
         try:
-            once = pi.preprocess(series)
+            once = pi.preprocess_report(series)[0]
         except GapTooLong:
             continue
-        twice = pi.preprocess(once)
+        twice = pi.preprocess_report(once)[0]
         assert series_equal(once, twice)
         done += 1
 
@@ -327,7 +327,7 @@ def test_interpolated_coordinates_lie_between_neighbours():
         lo_x, hi_x = 100.0 + 2, 100.0 + 4
         jitter = rng.uniform(-1, 1)
         series.keypoints[2, pi.R_KNEE, 0] += jitter
-        out = pi.preprocess(series)
+        out = pi.preprocess_report(series)[0]
         x = out.keypoints[3, pi.R_KNEE, 0]
         lo = min(lo_x + jitter, hi_x)
         hi = max(lo_x + jitter, hi_x)
@@ -339,7 +339,7 @@ def test_output_has_no_missing_required_keypoints():
     for _ in range(10):
         series = random_series(rng)
         try:
-            out = pi.preprocess(series)
+            out = pi.preprocess_report(series)[0]
         except GapTooLong:
             continue
         required = sorted(pi.required_keypoints(pi.SAGITTAL))
