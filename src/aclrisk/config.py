@@ -117,11 +117,35 @@ def _converted(name: str, conv, value):
         raise ConfigError(f"bad value for {name}: {exc}") from exc
 
 
+def _finite_float(value) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
 # Scalar fields in field order, each with the conversion of a config file
 # value or an environment string.
 _CONVERTERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
 _SCALAR_FIELDS = {f.name: _CONVERTERS[f.type]
                   for f in fields(RunConfig) if f.type in _CONVERTERS}
+_THRESHOLD_FIELDS = {f.name: {**_CONVERTERS, "float": _finite_float}[f.type]
+                     for f in fields(ThresholdConfig)}
+
+
+def _thresholds(section) -> ThresholdConfig:
+    """The ``thresholds`` section, each value converted by its field's type."""
+    if not isinstance(section, dict):
+        raise ConfigError("thresholds must be an object")
+    unknown = set(section) - set(_THRESHOLD_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown thresholds keys: {sorted(unknown)}")
+    values = {name: _converted(f"thresholds.{name}", conv, section[name])
+              for name, conv in _THRESHOLD_FIELDS.items() if name in section}
+    try:
+        return ThresholdConfig(**values)
+    except ValueError as exc:
+        raise ConfigError(f"bad thresholds section: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
@@ -133,10 +157,7 @@ def config_from_dict(data: dict) -> RunConfig:
         if name in data:
             setattr(cfg, name, _converted(name, conv, data[name]))
     if "thresholds" in data:
-        try:
-            cfg.thresholds = ThresholdConfig(**data["thresholds"])
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad thresholds section: {exc}") from exc
+        cfg.thresholds = _thresholds(data["thresholds"])
     if "judgment_matrix" in data:
         cfg.judgment_matrix = ahp.parse_matrix(data["judgment_matrix"])
     if "weights" in data and data["weights"] is not None:

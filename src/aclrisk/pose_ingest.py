@@ -115,9 +115,10 @@ class PreprocessStats:
 # -- frame parsing --------------------------------------------------------
 #
 # A frame document is checked in two steps. The structure check is plain
-# Python and runs once per file; it yields the selected person's 75 raw
-# values. The numeric check converts the values of a whole series in one
-# numpy call and checks them at once.
+# Python and runs once per file; it yields the candidate persons' 75 raw
+# values. The numeric check converts the candidates of a whole series in
+# one numpy call and checks them at once; the best person of each frame is
+# picked after it.
 
 _N_VALUES = 3 * N_KEYPOINTS
 
@@ -134,8 +135,8 @@ def _keypoint_values(person, where: str) -> list:
     return flat
 
 
-def _frame_values(raw: bytes | str, policy: str, where: str) -> list:
-    """The structure check: the selected person's 75 values of one frame document."""
+def _frame_values(raw: bytes | str, policy: str, where: str) -> list[list]:
+    """The structure check: the candidate persons' 75 values of one frame document."""
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
@@ -148,20 +149,21 @@ def _frame_values(raw: bytes | str, policy: str, where: str) -> list:
     if not people:
         raise NoPersonDetected(f"{where}: empty people list")
     if len(people) == 1:
-        return _keypoint_values(people[0], where)
+        return [_keypoint_values(people[0], where)]
     if policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{where}: {len(people)} people present under strict policy")
-    # highest mean confidence over detected (non-zero-triple) keypoints;
-    # every person must pass both checks, in order
-    best, best_score = None, -1.0
+    rows: list[list] = []
     for person in people:
-        flat = _keypoint_values(person, where)
-        arr = _one_keypoint_array(flat, where)
-        detected = ~np.all(arr == 0.0, axis=1)
-        score = float(arr[detected, 2].mean()) if detected.any() else 0.0
-        if score > best_score:
-            best, best_score = flat, score
-    return best
+        try:
+            rows.append(_keypoint_values(person, where))
+        except MalformedDocument:
+            # each person is checked in full before the next one, so a
+            # numeric error of an earlier person is the one reported
+            _, errors = _keypoint_array(rows, [where] * len(rows))
+            if errors:
+                raise errors[min(errors)] from None
+            raise
+    return rows
 
 
 def _keypoint_array(rows: list[list],
@@ -200,6 +202,43 @@ def _keypoint_array(rows: list[list],
     return values, errors
 
 
+def _select_rows(candidates: list[list[list]],
+                 where: list[str]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
+    """The numeric check and person selection for the frames of a series.
+
+    ``candidates[i]`` holds the candidate rows of frame i, in document
+    order, and ``where[i]`` names it. All rows are checked by one
+    ``_keypoint_array`` call; a frame fails with the error of its first
+    failing row. Of several candidates, the one with the highest mean
+    confidence over detected (non-zero-triple) keypoints is selected, the
+    first on a tie. Returns the (n, 25, 3) array of the selected rows and
+    the error of each failing frame by its position.
+    """
+    rows = [row for frame in candidates for row in frame]
+    if len(rows) == len(candidates):  # one candidate per frame
+        return _keypoint_array(rows, where)
+    frame_of = [i for i, frame in enumerate(candidates) for _ in frame]
+    values, row_errors = _keypoint_array(rows, [where[i] for i in frame_of])
+    errors: dict[int, MalformedDocument] = {}
+    for r in sorted(row_errors):
+        errors.setdefault(frame_of[r], row_errors[r])
+    selected: list[int] = []
+    start = 0
+    for i, frame in enumerate(candidates):
+        best = start
+        if len(frame) > 1 and i not in errors:
+            best_score = -1.0
+            for r in range(start, start + len(frame)):
+                arr = values[r]
+                detected = ~np.all(arr == 0.0, axis=1)
+                score = float(arr[detected, 2].mean()) if detected.any() else 0.0
+                if score > best_score:
+                    best, best_score = r, score
+        selected.append(best)
+        start += len(frame)
+    return values[selected], errors
+
+
 def _one_keypoint_array(flat: list, where: str) -> np.ndarray:
     """The numeric check on a single row: its (25, 3) array, or its error raised."""
     values, errors = _keypoint_array([flat], [where])
@@ -218,7 +257,10 @@ def parse_openpose_frame(
     ``policy`` controls multi-person frames: "best" keeps the person with
     the highest mean confidence, "strict" raises AmbiguousPerson.
     """
-    return _one_keypoint_array(_frame_values(raw, policy, where), where)
+    keypoints, errors = _select_rows([_frame_values(raw, policy, where)], [where])
+    if errors:
+        raise errors[0]
+    return keypoints[0]
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -232,11 +274,12 @@ def frame_index_from_name(name: str, fallback: int) -> int:
     return int(groups[-1]) if groups else fallback
 
 
-_INT64 = np.iinfo(np.int64)
+_INT64_MIN = int(np.iinfo(np.int64).min)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _checked_frame_index(index: int, where: str) -> int:
-    if not _INT64.min <= index <= _INT64.max:
+    if not _INT64_MIN <= index <= _INT64_MAX:
         raise MalformedDocument(f"{where}: frame index {index} out of range")
     return index
 
@@ -260,7 +303,7 @@ def load_series(
         if path.suffix.lower() == ".csv":
             return read_series_csv(path, view, fps)
         index = _checked_frame_index(frame_index_from_name(path.name, 0), path.name)
-        keypoints = parse_openpose_frame(path.read_bytes(), policy, where=path.name)
+        keypoints = parse_openpose_frame(_read_file(str(path)), policy, where=path.name)
         return _series(view, keypoints[np.newaxis], [index], fps, path.name,
                        lambda i: path.name)
     raise EmptySource(f"source not found: {path}")
@@ -292,6 +335,30 @@ def _series(view: str, keypoints: np.ndarray, frame_index, fps: float | None,
 _NAME_ORDER = str.lower if os.name == "nt" else None
 
 
+_READ_FLAGS = os.O_RDONLY | getattr(os, "O_BINARY", 0)  # no newline translation on Windows
+_READ_CHUNK = 1 << 16
+
+
+def _read_file(path: str) -> bytes:
+    """A file's bytes, read with os-level calls and no buffered file object.
+
+    Raises what ``open(path, "rb").read()`` raises, with the path named in
+    the error, also when ``path`` is a directory.
+    """
+    fd = os.open(path, _READ_FLAGS)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = path
+        raise
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
 def _is_frame_document(name: str) -> bool:
     """Whether a file name has the suffix ``.json``, in any case; ``.json`` alone has none."""
     return len(name) > 5 and name[-5:].lower() == ".json"
@@ -302,22 +369,20 @@ def _load_series_dir(path: Path, view: str, policy: str, fps: float | None) -> K
     if not names:
         raise EmptySource(f"no frame documents in {path}")
     prefix = str(path / "_")[:-1]  # file paths spelled as str(path / name)
-    rows: list[list] = []
+    candidates: list[list[list]] = []
     indices: list[int] = []
     positions: list[int] = []
     failures: dict[int, Exception] = {}
     for pos, name in enumerate(names):
         try:
             index = _checked_frame_index(frame_index_from_name(name, pos), name)
-            with open(prefix + name, "rb") as fh:
-                raw = fh.read()
-            rows.append(_frame_values(raw, policy, name))
+            candidates.append(_frame_values(_read_file(prefix + name), policy, name))
         except Exception as exc:  # aggregated below with the frame identifier
             failures[pos] = exc
             continue
         indices.append(index)
         positions.append(pos)
-    keypoints, errors = _keypoint_array(rows, [names[pos] for pos in positions])
+    keypoints, errors = _select_rows(candidates, [names[pos] for pos in positions])
     failures.update((positions[i], exc) for i, exc in errors.items())
     if failures:
         raise SeriesParseError([(names[pos], failures[pos]) for pos in sorted(failures)])

@@ -130,6 +130,18 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"default_fps": "nan"},
     {**HIERARCHY, "weight_source": "table5-compat"},
     {**HIERARCHY, "weight_source": "explicit", "weights": [0.2] * 5},
+    {"thresholds": {"distance_hi": math.inf}},
+    {"thresholds": {"cosine_lo": math.nan}},
+    {"thresholds": {"distance_lo": "-inf"}},
+    {"thresholds": {"distance_lo": 10**400}},
+    {"thresholds": {"distance_lo": None}},
+    {"thresholds": {"distance_lo": 60.0}},  # not below distance_hi
+    {"thresholds": {"normalize_by_shoulder": "maybe"}},
+    {"thresholds": {"normalize_by_shoulder": 1}},
+    {"thresholds": {"unknown": 1}},
+    {"thresholds": []},
+    {"thresholds": "x"},
+    {"thresholds": None},
 ])
 def test_bad_config_values_are_config_errors(data):
     from aclrisk.config import config_from_dict
@@ -141,6 +153,21 @@ def test_hierarchy_combines_with_derived_weight_sources():
     from aclrisk.config import config_from_dict
     for source in ("sum-method", "geometric"):
         assert config_from_dict({**HIERARCHY, "weight_source": source}).hierarchical
+
+
+@pytest.mark.parametrize("section, expected", [
+    ({"normalize_by_shoulder": "false"}, {"normalize_by_shoulder": False}),
+    ({"normalize_by_shoulder": "on"}, {"normalize_by_shoulder": True}),
+    ({"distance_lo": "10", "distance_hi": 20}, {"distance_lo": 10.0, "distance_hi": 20.0}),
+])
+def test_thresholds_values_are_converted_by_field_type(section, expected):
+    from aclrisk.config import config_from_dict
+    cfg = config_from_dict({"thresholds": section})
+    snapshot = cfg.as_dict()["thresholds"]
+    for name, value in expected.items():
+        assert getattr(cfg.thresholds, name) == value
+        assert type(getattr(cfg.thresholds, name)) is type(value)
+        assert type(snapshot[name]) is type(value)
 
 
 def test_report_total_recomputes_from_own_fields(tmp_path):
@@ -246,7 +273,7 @@ def test_emit_traces_files(tmp_path):
     assert sorted(refs) == ["p1", "p2", "s1", "s2", "s3", "s4"]
     assert report.traces == refs
     for name, ref in refs.items():
-        lines = open(ref).read().splitlines()
+        lines = Path(ref).read_text().splitlines()
         assert lines[0] == "frame,value"
         assert len(lines) == 1 + script.n_frames
 
@@ -260,7 +287,7 @@ def test_trace_values_for_constant_upright_pose(tmp_path):
     sag, fro, _ = write_trial(tmp_path, script)
     report = assessment.assess_trial(sag, fro, compat_config())
     refs = assessment.emit_traces(report, tmp_path / "traces")
-    rows = open(refs["s4"]).read().splitlines()[1:]
+    rows = Path(refs["s4"]).read_text().splitlines()[1:]
     values = [float(r.split(",")[1]) for r in rows]
     assert values == [-1.0] * 30
 

@@ -150,7 +150,8 @@ def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path,
     json.dumps({"window_duration_s": math.nan, "window_mode": "landing"}).encode(),
     json.dumps({"weight_source": "explicit", "weights": ["a", 1, 1, 1, 1]}).encode(),
     b"\xff\xfe\x00{",
-], ids=["nan-window", "non-numeric-weights", "bad-encoding"])
+    json.dumps({"thresholds": {"distance_hi": math.inf}}).encode(),
+], ids=["nan-window", "non-numeric-weights", "bad-encoding", "infinite-threshold"])
 def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, config):
     sag, fro = trial
     path = tmp_path / "cfg.json"

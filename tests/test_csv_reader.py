@@ -124,7 +124,7 @@ def mutated_csv(draw) -> str:
             cells[col] = draw(st.sampled_from(BAD_VALUES))
         elif kind == "bad-confidence":
             conf = draw(st.sampled_from(["1.5", "-0.25", "1.0000001"]))
-            cells[3 * draw(st.integers(0, 24)) + 3] = conf
+            cells[3 * draw(st.integers(0, (len(cells) - 4) // 3)) + 3] = conf
         elif kind == "too-few":
             del cells[col]
         elif kind == "too-many":

@@ -350,3 +350,64 @@ def test_frame_index_from_name_matches_path_stem(name, index):
     assert pi.frame_index_from_name(name, 7) == index
     groups = re.findall(r"(\d+)", Path(name).stem)
     assert index == (int(groups[-1]) if groups else 7)
+
+
+# -- person selection after the series-level numeric check ----------------------
+
+
+def flat_person(x: float, conf: float) -> list[float]:
+    return [v for k in range(25) for v in (x + k, 2.0 * k, conf)]
+
+
+def frame_between_single_person_frames(directory: Path, people: list) -> Path:
+    """frame_1.json holds ``people``; frame_0 and frame_2 one person each."""
+    directory.mkdir()
+    for i in (0, 2):
+        doc = {"people": [{"pose_keypoints_2d": flat_person(10.0 * i, 0.9)}]}
+        (directory / f"frame_{i}.json").write_text(json.dumps(doc))
+    (directory / "frame_1.json").write_text(json.dumps({"people": people}))
+    return directory
+
+
+def selected_person(tmp_path: Path, people: list) -> np.ndarray:
+    """Frame 1's selected array, which the frame parser and the directory loader agree on."""
+    directory = frame_between_single_person_frames(tmp_path / "frames", people)
+    series = pi.load_series(directory, pi.SAGITTAL)
+    parsed = pi.parse_openpose_frame((directory / "frame_1.json").read_bytes())
+    assert np.array_equal(series.keypoints[1], parsed)
+    return parsed
+
+
+def test_numeric_error_of_an_earlier_person_comes_before_a_structure_error(tmp_path):
+    first = flat_person(0.0, 0.9)
+    first[4] = float("nan")
+    directory = frame_between_single_person_frames(tmp_path / "frames",
+                                                   [{"pose_keypoints_2d": first}, {}])
+    with pytest.raises(SeriesParseError) as exc_info:
+        pi.load_series(directory, pi.SAGITTAL)
+    assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
+        ("frame_1.json", "frame_1.json: keypoint values must be finite")]
+    with pytest.raises(MalformedDocument, match="^frame: keypoint values must be finite$"):
+        pi.parse_openpose_frame((directory / "frame_1.json").read_bytes())
+
+
+def test_structure_error_of_an_earlier_person_comes_before_a_numeric_error():
+    second = flat_person(0.0, 0.9)
+    second[4] = float("nan")
+    doc = json.dumps({"people": [{}, {"pose_keypoints_2d": second}]})
+    with pytest.raises(MalformedDocument, match="missing 'pose_keypoints_2d'"):
+        pi.parse_openpose_frame(doc)
+
+
+def test_best_person_is_selected_when_it_comes_second(tmp_path):
+    weak, strong = flat_person(0.0, 0.3), flat_person(180.0, 0.8)
+    selected = selected_person(tmp_path, [{"pose_keypoints_2d": weak},
+                                          {"pose_keypoints_2d": strong}])
+    assert np.array_equal(selected, np.reshape(strong, (25, 3)))
+
+
+def test_exact_tie_keeps_the_first_person(tmp_path):
+    first, second = flat_person(0.0, 0.6), flat_person(100.0, 0.6)
+    selected = selected_person(tmp_path, [{"pose_keypoints_2d": first},
+                                          {"pose_keypoints_2d": second}])
+    assert np.array_equal(selected, np.reshape(first, (25, 3)))
