@@ -7,8 +7,8 @@ per-view peak, so each view is windowed and reduced independently.
 
 Reports are deterministic: identical inputs and config produce
 byte-identical JSON. Every pipeline error is annotated with exactly one
-stage name ("ingest", "preprocess", "window", "extract", "grade",
-"weights", "aggregate", "emit").
+stage name ("config", "ingest", "preprocess", "window", "extract",
+"grade", "weights", "aggregate", "emit").
 """
 
 from __future__ import annotations
@@ -104,13 +104,14 @@ def _assess_view(source: str | Path, view: str, cfg: RunConfig):
     and its PreprocessStats.
     """
     with _stage("ingest"):
-        series = pi.load_series(source, view, cfg.person_policy, fps=cfg.default_fps)
+        series = pi.load_series(source, view, cfg.person_policy)
     with _stage("preprocess"):
         series, stats = pi.preprocess_report(
             series, cfg.confidence_threshold, cfg.max_gap,
             pi.required_keypoints(view, cfg.sagittal_side))
     with _stage("window"):
-        window = kin.analysis_window(series, cfg.window_mode, cfg.window_duration_s)
+        window = kin.analysis_window(series, cfg.window_mode, cfg.window_duration_s,
+                                     cfg.default_fps)
     with _stage("extract"):
         if view == pi.SAGITTAL:
             return kin.extract_sagittal(series, window, side=cfg.sagittal_side), stats
@@ -129,7 +130,8 @@ def assess_trial(
     bad the error reported is the sagittal view's.
     """
     cfg = config or RunConfig()
-    cfg.validate()
+    with _stage("config"):
+        cfg.validate()
     sag, sag_stats = _assess_view(sagittal_source, pi.SAGITTAL, cfg)
     fro, fro_stats = _assess_view(frontal_source, pi.FRONTAL, cfg)
 
@@ -241,6 +243,8 @@ class BatchResult:
 
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
     """Assess many trials; per-trial failures are collected, never fatal."""
+    with _stage("config"):
+        (config or RunConfig()).validate()
     if not trials:
         raise EmptySource("batch contains no trials")
     reports: list[AssessmentReport] = []

@@ -62,7 +62,6 @@ def cmd_assess(args: argparse.Namespace) -> int:
             cfg.window_mode = args.window
         if args.force:
             cfg.force = True
-        cfg.validate()
         report = assessment.assess_trial(args.sagittal, args.frontal, cfg,
                                          number=args.number)
         if args.traces:

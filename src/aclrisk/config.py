@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import ahp
+from . import kinematics as kin
+from . import pose_ingest as pi
 from .errors import AclRiskError, InvalidMatrix, OrderMismatch
 from .scoring import ThresholdConfig
 
@@ -32,13 +34,13 @@ class ConfigError(AclRiskError):
 
 @dataclass
 class RunConfig:
-    confidence_threshold: float = 0.4
-    max_gap: int = 5
+    confidence_threshold: float = pi.DEFAULT_CONFIDENCE_THRESHOLD
+    max_gap: int = pi.DEFAULT_MAX_GAP
     person_policy: str = "best"          # best | strict
     window_mode: str = "full"            # full | landing
-    window_duration_s: float = 1.0
+    window_duration_s: float = kin.DEFAULT_LANDING_DURATION_S
     sagittal_side: str = "right"         # right | left (mirrored recordings)
-    default_fps: float = 30.0
+    default_fps: float = kin.DEFAULT_FPS
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
     weight_source: str = "sum-method"
     judgment_matrix: np.ndarray = field(
@@ -66,11 +68,11 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0")
+        if self.weights is not None and not all(math.isfinite(w) for w in self.weights):
+            raise ConfigError("weights must be finite")
         if self.weight_source == "explicit":
             if self.weights is None or len(self.weights) != N_INDICES:
                 raise ConfigError(f"explicit weights must have length {N_INDICES}")
-            if not all(math.isfinite(w) for w in self.weights):
-                raise ConfigError("explicit weights must be finite")
             if any(w < 0 for w in self.weights):
                 raise ConfigError("explicit weights must be nonnegative")
         violations = ahp.validate(self.judgment_matrix)
@@ -89,6 +91,8 @@ class RunConfig:
                 raise InvalidMatrix(violations)
             if len(self.criterion_groups) != self.criterion_matrix.shape[0]:
                 raise OrderMismatch("one group per criterion row required")
+        if self.criterion_matrix is not None and not np.isfinite(self.criterion_matrix).all():
+            raise ConfigError("criterion_matrix entries must be finite")
 
     def as_dict(self) -> dict:
         """Every field as JSON-ready values; matrices become lists of float rows."""

@@ -138,7 +138,7 @@ def extract_frontal(
 def _ankle_height(series: pi.KeypointSeries) -> np.ndarray:
     """Mean y of whichever ankle keypoints are present, per frame (NaN if none)."""
     ankles = [pi.R_ANKLE, pi.L_ANKLE]
-    present = ~series.missing[:, ankles]
+    present = ~pi.undetected(series.keypoints[:, ankles])
     total = np.where(present, series.keypoints[:, ankles, 1], 0.0).sum(axis=1)
     with np.errstate(invalid="ignore"):
         return total / present.sum(axis=1)
@@ -148,13 +148,15 @@ def analysis_window(
     series: pi.KeypointSeries,
     mode: str = WINDOW_FULL,
     duration_s: float = DEFAULT_LANDING_DURATION_S,
+    fps: float = DEFAULT_FPS,
 ) -> tuple[int, int]:
     """Frame-position range (inclusive) to analyse.
 
     ``full`` covers the whole series. ``landing`` starts at the touchdown
     proxy: the downward-to-stationary sign change of ankle vertical
     velocity with the largest preceding downward speed (image y grows
-    downward), and extends ``duration_s`` seconds or to the series end.
+    downward), and extends ``duration_s`` seconds (at ``fps``) or to the
+    series end.
     """
     n = len(series)
     if n == 0:
@@ -173,6 +175,5 @@ def analysis_window(
         raise WindowEmpty("no touchdown found in ankle trajectory")
     # diff index t is the velocity into frame t+1; frame t is impact
     start = int(np.argmax(np.where(touchdown, v[:-1], -np.inf))) + 1
-    fps = series.fps if series.fps else DEFAULT_FPS
     end = min(n - 1, start + int(round(duration_s * fps)))
     return (start, end)

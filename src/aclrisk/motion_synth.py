@@ -227,13 +227,9 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
         _put(frame, pi.L_KNEE, knee_l)
         _put(frame, pi.L_ANKLE, ankle_l)
 
-    # every keypoint not placed above keeps confidence 0 and is missing
-    sagittal = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=sag_kp,
-                                 missing=sag_kp[:, :, 2] == 0.0,
-                                 frame_index=np.arange(n), fps=script.fps)
-    frontal = pi.KeypointSeries(view=pi.FRONTAL, keypoints=fro_kp,
-                                missing=fro_kp[:, :, 2] == 0.0,
-                                frame_index=np.arange(n), fps=script.fps)
+    # every keypoint not placed above stays (0, 0, 0): undetected
+    sagittal = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=sag_kp, frame_index=np.arange(n))
+    frontal = pi.KeypointSeries(view=pi.FRONTAL, keypoints=fro_kp, frame_index=np.arange(n))
 
     knee_rad = np.radians(knee)
     hip_rad = np.radians(hip)
@@ -263,12 +259,11 @@ def perturb(series: pi.KeypointSeries, sigma_px: float, seed: int) -> pi.Keypoin
         raise InvalidScript("noise sigma must be nonnegative")
     keypoints = series.keypoints.copy()
     if sigma_px > 0.0:
-        present = ~series.missing
+        present = ~pi.undetected(keypoints)
         rng = np.random.default_rng(seed)
         keypoints[present, :2] += rng.normal(0.0, sigma_px, size=(int(present.sum()), 2))
     return pi.KeypointSeries(view=series.view, keypoints=keypoints,
-                             missing=series.missing.copy(),
-                             frame_index=series.frame_index.copy(), fps=series.fps)
+                             frame_index=series.frame_index.copy())
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:

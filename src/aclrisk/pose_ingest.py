@@ -9,12 +9,13 @@ Two on-disk formats are supported:
 * a single CSV file with header
   ``frame,kp0_x,kp0_y,kp0_c,...,kp24_x,kp24_y,kp24_c`` (76 columns).
 
-A keypoint stored as the triple (0, 0, 0) means "not detected". Both
-loaders return the frames in frame order and reject a frame index that
-appears twice. Preprocessing applies a confidence gate (default 0.4),
-repairs short interior gaps on the required keypoints by linear
-interpolation, and drops leading/trailing frames where a required
-keypoint is missing.
+A keypoint stored as the triple (0, 0, 0), and only that, means "not
+detected" (``undetected``). Both loaders check a series' values in one
+numeric check and return them in frame order; a frame index given twice
+is rejected. Preprocessing zeroes keypoints under a confidence gate
+(default 0.4), repairs short interior gaps on the required keypoints by
+linear interpolation, and drops leading/trailing frames where a required
+keypoint is undetected.
 """
 
 from __future__ import annotations
@@ -79,20 +80,23 @@ def required_keypoints(view: str, side: str = "right") -> frozenset[int]:
     raise ValueError(f"unknown view: {view!r}")
 
 
+def undetected(keypoints: np.ndarray) -> np.ndarray:
+    """Mask of the undetected keypoints: those stored as the triple (0, 0, 0)."""
+    return np.all(keypoints == 0.0, axis=-1)
+
+
 @dataclass
 class KeypointSeries:
-    """One view's keypoints as three parallel arrays.
+    """One view's keypoints as two parallel arrays.
 
-    ``keypoints`` has shape (n, 25, 3) = x, y, confidence per frame;
-    ``missing`` (n, 25) marks undetected keypoints; ``frame_index`` (n,)
-    holds the source frame numbers, strictly increasing.
+    ``keypoints`` has shape (n, 25, 3) = x, y, confidence per frame, with
+    (0, 0, 0) for an undetected keypoint; ``frame_index`` (n,) holds the
+    source frame numbers, strictly increasing.
     """
 
     view: str
     keypoints: np.ndarray
-    missing: np.ndarray
     frame_index: np.ndarray
-    fps: float | None = None
 
     def __post_init__(self):
         if np.any(np.diff(self.frame_index) <= 0):
@@ -230,21 +234,13 @@ def _select_rows(candidates: list[list[list]],
             best_score = -1.0
             for r in range(start, start + len(frame)):
                 arr = values[r]
-                detected = ~np.all(arr == 0.0, axis=1)
+                detected = ~undetected(arr)
                 score = float(arr[detected, 2].mean()) if detected.any() else 0.0
                 if score > best_score:
                     best, best_score = r, score
         selected.append(best)
         start += len(frame)
     return values[selected], errors
-
-
-def _one_keypoint_array(flat: list, where: str) -> np.ndarray:
-    """The numeric check on a single row: its (25, 3) array, or its error raised."""
-    values, errors = _keypoint_array([flat], [where])
-    if errors:
-        raise errors[0]
-    return values[0]
 
 
 def parse_openpose_frame(
@@ -287,29 +283,23 @@ def _checked_frame_index(index: int, where: str) -> int:
 # -- series loading -------------------------------------------------------
 
 
-def load_series(
-    source: str | Path,
-    view: str,
-    policy: str = POLICY_BEST,
-    fps: float | None = None,
-) -> KeypointSeries:
+def load_series(source: str | Path, view: str, policy: str = POLICY_BEST) -> KeypointSeries:
     """Load a keypoint series from a directory of frame JSONs or one CSV file."""
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
     path = Path(source)
     if path.is_dir():
-        return _load_series_dir(path, view, policy, fps)
+        return _load_series_dir(path, view, policy)
     if path.is_file():
         if path.suffix.lower() == ".csv":
-            return read_series_csv(path, view, fps)
+            return read_series_csv(path, view)
         index = _checked_frame_index(frame_index_from_name(path.name, 0), path.name)
         keypoints = parse_openpose_frame(_read_file(str(path)), policy, where=path.name)
-        return _series(view, keypoints[np.newaxis], [index], fps, path.name,
-                       lambda i: path.name)
+        return _series(view, keypoints[np.newaxis], [index], path.name, lambda i: path.name)
     raise EmptySource(f"source not found: {path}")
 
 
-def _series(view: str, keypoints: np.ndarray, frame_index, fps: float | None,
+def _series(view: str, keypoints: np.ndarray, frame_index,
             where: str, row_name: Callable[[int], str]) -> KeypointSeries:
     """Series of the parsed rows in frame order.
 
@@ -326,9 +316,19 @@ def _series(view: str, keypoints: np.ndarray, frame_index, fps: float | None,
             raise MalformedDocument(
                 f"{where}: frame {frame_index[dup[0]]} appears twice "
                 f"({row_name(first)} and {row_name(second)})")
-    return KeypointSeries(view=view, keypoints=keypoints,
-                          missing=np.all(keypoints == 0.0, axis=2),
-                          frame_index=frame_index, fps=fps)
+    return KeypointSeries(view=view, keypoints=keypoints, frame_index=frame_index)
+
+
+def _raise_failures(failures: dict[int, Exception], errors: dict[int, MalformedDocument],
+                    positions: list[int], name: Callable[[int], str]) -> None:
+    """One SeriesParseError for the failing inputs, if any, in input order.
+
+    ``failures`` are keyed by input, the numeric check's ``errors`` by row;
+    row i came from input ``positions[i]``.
+    """
+    failures.update((positions[i], exc) for i, exc in errors.items())
+    if failures:
+        raise SeriesParseError([(name(pos), failures[pos]) for pos in sorted(failures)])
 
 
 # pathlib orders the paths of one directory by name, case-insensitively on Windows
@@ -364,7 +364,7 @@ def _is_frame_document(name: str) -> bool:
     return len(name) > 5 and name[-5:].lower() == ".json"
 
 
-def _load_series_dir(path: Path, view: str, policy: str, fps: float | None) -> KeypointSeries:
+def _load_series_dir(path: Path, view: str, policy: str) -> KeypointSeries:
     names = sorted(filter(_is_frame_document, os.listdir(path)), key=_NAME_ORDER)
     if not names:
         raise EmptySource(f"no frame documents in {path}")
@@ -383,13 +383,11 @@ def _load_series_dir(path: Path, view: str, policy: str, fps: float | None) -> K
         indices.append(index)
         positions.append(pos)
     keypoints, errors = _select_rows(candidates, [names[pos] for pos in positions])
-    failures.update((positions[i], exc) for i, exc in errors.items())
-    if failures:
-        raise SeriesParseError([(names[pos], failures[pos]) for pos in sorted(failures)])
-    return _series(view, keypoints, indices, fps, path.name, names.__getitem__)
+    _raise_failures(failures, errors, positions, names.__getitem__)
+    return _series(view, keypoints, indices, path.name, names.__getitem__)
 
 
-def read_series_csv(path: str | Path, view: str, fps: float | None = None) -> KeypointSeries:
+def read_series_csv(path: str | Path, view: str) -> KeypointSeries:
     """Read the 76-column CSV format; rows may come in any frame order."""
     path = Path(path)
     try:
@@ -400,7 +398,7 @@ def read_series_csv(path: str | Path, view: str, fps: float | None = None) -> Ke
     if parsed is None:
         parsed = _parse_csv_rows(path)
     frame_index, values = parsed
-    return _series(view, values.reshape(-1, N_KEYPOINTS, 3), frame_index, fps,
+    return _series(view, values.reshape(-1, N_KEYPOINTS, 3), frame_index,
                    path.name, lambda i: f"line {i + 2}")
 
 
@@ -456,29 +454,28 @@ def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedDocument(f"{path.name}: {exc}") from exc
         if header != _CSV_HEADER:
             raise MalformedDocument(f"{path.name}: unexpected CSV header")
-        indices: list[int] = []
-        rows: list[np.ndarray] = []
-        failures: list[tuple[str, Exception]] = []
+        indices, rows, linenos = [], [], []
+        failures: dict[int, Exception] = {}
         try:
             for lineno, row in enumerate(reader, start=2):
-                where = f"{path.name}:{lineno}"
                 try:
-                    index, values = _csv_row(row, where)
+                    index, values = _csv_row(row, f"{path.name}:{lineno}")
                 except MalformedDocument as exc:
-                    failures.append((where, exc))
+                    failures[lineno] = exc
                     continue
                 indices.append(index)
                 rows.append(values)
+                linenos.append(lineno)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
-    if failures:
-        raise SeriesParseError(failures)
+    keypoints, errors = _keypoint_array(rows, [f"{path.name}:{n}" for n in linenos])
+    _raise_failures(failures, errors, linenos, lambda n: f"{path.name}:{n}")
     if not rows:
         raise EmptySource(f"{path.name}: no data rows")
-    return np.array(indices, dtype=np.int64), np.stack(rows)
+    return np.array(indices, dtype=np.int64), keypoints
 
 
-def _csv_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
+def _csv_row(row: list[str], where: str) -> tuple[int, list[float]]:
     if len(row) != len(_CSV_HEADER):
         raise MalformedDocument(f"{where}: expected {len(_CSV_HEADER)} columns, got {len(row)}")
     try:
@@ -486,8 +483,7 @@ def _csv_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
         raise MalformedDocument(f"{where}: non-numeric cell ({exc})") from exc
-    keypoints = _one_keypoint_array(values, where)
-    return _checked_frame_index(frame_index, where), keypoints
+    return _checked_frame_index(frame_index, where), values
 
 
 def write_series_csv(series: KeypointSeries, path: str | Path) -> None:
@@ -530,10 +526,10 @@ def preprocess_report(
     Steps, in order:
 
     1. every keypoint with confidence below ``confidence_threshold`` is
-       zeroed and marked missing;
-    2. leading/trailing frames where any required keypoint is missing are
-       dropped;
-    3. interior gaps of at most ``max_gap`` consecutive missing frames on a
+       zeroed, i.e. made undetected;
+    2. leading/trailing frames where any required keypoint is undetected
+       are dropped;
+    3. interior gaps of at most ``max_gap`` consecutive undetected frames on a
        required keypoint are filled by linear interpolation between the
        nearest valid neighbours (confidence = min of the neighbours).
 
@@ -547,7 +543,7 @@ def preprocess_report(
     req = sorted(required_keypoints(series.view) if required is None else set(required))
 
     keypoints = series.keypoints.copy()
-    missing = series.missing.copy()
+    missing = undetected(keypoints)
     gate = (keypoints[:, :, 2] < confidence_threshold) & ~missing
     stats.values_gated = int(gate.sum())
     keypoints[gate] = 0.0
@@ -589,9 +585,7 @@ def preprocess_report(
         keypoints[rows, kp, 1] = left[:, 1] + (right[:, 1] - left[:, 1]) * r
         # min of the neighbours' confidences, the left one on a tie (as min())
         keypoints[rows, kp, 2] = np.where(right[:, 2] < left[:, 2], right[:, 2], left[:, 2])
-        missing[rows, kp] = False
         stats.values_interpolated += len(rows)
 
     stats.frames_out = len(frame_index)
-    return KeypointSeries(view=series.view, keypoints=keypoints, missing=missing,
-                          frame_index=frame_index, fps=series.fps), stats
+    return KeypointSeries(view=series.view, keypoints=keypoints, frame_index=frame_index), stats

@@ -44,8 +44,8 @@ class ThresholdConfig:
     normalize_by_shoulder: bool = False
 
     def __post_init__(self):
-        if not self.cosine_lo < self.cosine_hi:
-            raise ValueError("cosine_lo must be below cosine_hi")
+        if not -1.0 <= self.cosine_lo < self.cosine_hi <= 1.0:
+            raise ValueError("need -1 <= cosine_lo < cosine_hi <= 1")
         if not 0 < self.distance_lo < self.distance_hi:
             raise ValueError("need 0 < distance_lo < distance_hi")
 

@@ -9,10 +9,10 @@ from aclrisk import pose_ingest as pi
 
 
 def make_series(view: str, frames: list[dict[int, tuple[float, float]]],
-                frame_index=None, fps: float = 30.0) -> pi.KeypointSeries:
+                frame_index=None) -> pi.KeypointSeries:
     """Series whose frame t holds the keypoints listed in ``frames[t]``.
 
-    Listed keypoints get confidence 1; everything else is missing. Frame
+    Listed keypoints get confidence 1; everything else is (0, 0, 0). Frame
     indices default to 0..n-1.
     """
     kp = np.zeros((len(frames), pi.N_KEYPOINTS, 3))
@@ -20,8 +20,7 @@ def make_series(view: str, frames: list[dict[int, tuple[float, float]]],
         for i, (x, y) in points.items():
             kp[t, i] = (x, y, 1.0)
     index = np.arange(len(frames)) if frame_index is None else np.asarray(frame_index)
-    return pi.KeypointSeries(view=view, keypoints=kp, missing=kp[:, :, 2] == 0.0,
-                             frame_index=index, fps=fps)
+    return pi.KeypointSeries(view=view, keypoints=kp, frame_index=index)
 
 
 def upright_sagittal_points(x: float = 300.0) -> dict[int, tuple[float, float]]:
@@ -63,17 +62,16 @@ def transform_series(series: pi.KeypointSeries, scale: float = 1.0,
     c, s = math.cos(angle_rad), math.sin(angle_rad)
     rot = np.array([[c, -s], [s, c]])
     kp = series.keypoints.copy()
-    present = ~series.missing
+    present = ~pi.undetected(kp)
     kp[present, :2] = (scale * kp[present, :2]) @ rot.T + np.asarray(offset)
-    return pi.KeypointSeries(view=series.view, keypoints=kp, missing=series.missing.copy(),
-                             frame_index=series.frame_index.copy(), fps=series.fps)
+    return pi.KeypointSeries(view=series.view, keypoints=kp,
+                             frame_index=series.frame_index.copy())
 
 
 def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
     return (a.view == b.view
             and np.array_equal(a.frame_index, b.frame_index)
-            and np.array_equal(a.keypoints, b.keypoints)
-            and np.array_equal(a.missing, b.missing))
+            and np.array_equal(a.keypoints, b.keypoints))
 
 
 @pytest.fixture

@@ -142,6 +142,9 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"thresholds": []},
     {"thresholds": "x"},
     {"thresholds": None},
+    {"thresholds": {"cosine_lo": -5, "cosine_hi": 3}},  # cosines lie in [-1, 1]
+    {"criterion_matrix": [[1, math.inf], [1, 1]]},  # not hierarchical, still checked
+    {"weights": [math.nan, 1, 1, 1, 1]},  # weight_source is not explicit, still checked
 ])
 def test_bad_config_values_are_config_errors(data):
     from aclrisk.config import config_from_dict
@@ -337,7 +340,6 @@ def occluded_sagittal_csv(tmp_path) -> str:
     """A sagittal CSV whose right knee is lost for 10 interior frames (max_gap is 5)."""
     sagittal, _, _ = motion_synth.generate(excellent_script())
     sagittal.keypoints[40:50, pi.R_KNEE] = 0.0
-    sagittal.missing[40:50, pi.R_KNEE] = True
     path = tmp_path / "sagittal.csv"
     pi.write_series_csv(sagittal, path)
     return str(path)
@@ -354,6 +356,18 @@ def test_two_bad_views_report_the_sagittal_view_first(tmp_path):
     assert result.reports == []
     assert [(f["number"], f["stage"], f["error"]) for f in result.failures] == [
         (4, "preprocess", "GapTooLong")]
+
+
+def test_bad_config_fails_at_stage_config(tmp_path):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    bad = RunConfig(max_gap=-1)
+    with pytest.raises(ConfigError) as exc_info:
+        assessment.assess_trial(sag, fro, bad)
+    assert exc_info.value.stage == "config"
+    # one error for the whole batch, not one "unknown" failure per trial
+    with pytest.raises(ConfigError) as exc_info:
+        assessment.assess_batch([assessment.Trial(1, sag, fro), assessment.Trial(2, sag, fro)], bad)
+    assert exc_info.value.stage == "config"
 
 
 def test_batch_empty_list_raises():

@@ -76,7 +76,6 @@ def outcome(read):
 
 def package_read(path: Path):
     series = pi.read_series_csv(path, pi.SAGITTAL)
-    assert np.array_equal(series.missing, np.all(series.keypoints == 0.0, axis=2))
     return series.frame_index.tolist(), series.keypoints
 
 
@@ -152,8 +151,7 @@ def test_reference_agrees_on_written_series(tmp_path):
     kp = rng.uniform(0.0, 700.0, size=(50, 25, 3))
     kp[:, :, 2] = rng.uniform(0.0, 1.0, size=(50, 25))
     kp[::7, 3] = 0.0
-    series = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=kp, missing=np.all(kp == 0.0, axis=2),
-                               frame_index=np.arange(50) * 2)
+    series = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=kp, frame_index=np.arange(50) * 2)
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
     with path.open(newline="") as fh:

@@ -225,7 +225,7 @@ def reference_touchdown(series: pi.KeypointSeries):
     ys = []
     for t in range(len(series)):
         vals = [series.keypoints[t, k, 1] for k in (pi.R_ANKLE, pi.L_ANKLE)
-                if not series.missing[t, k]]
+                if not np.all(series.keypoints[t, k] == 0.0)]
         ys.append(float(np.mean(vals)) if vals else np.nan)
     v = np.diff(np.array(ys))
     best_t, best_speed = None, 0.0
@@ -246,7 +246,9 @@ def test_touchdown_matches_frame_by_frame_reference():
         series.keypoints[:, pi.R_ANKLE, 1] = y
         series.keypoints[:, pi.L_ANKLE] = (310.0, 0.0, 1.0)
         series.keypoints[:, pi.L_ANKLE, 1] = y + rng.integers(0, 2, size=n)
-        series.missing[:, [pi.R_ANKLE, pi.L_ANKLE]] = rng.random((n, 2)) < 0.2
+        ankles = series.keypoints[:, [pi.R_ANKLE, pi.L_ANKLE]]
+        ankles[rng.random((n, 2)) < 0.2] = 0.0  # undetected
+        series.keypoints[:, [pi.R_ANKLE, pi.L_ANKLE]] = ankles
         heights, start = reference_touchdown(series)
         assert np.array_equal(kin._ankle_height(series), heights, equal_nan=True)
         if start is None:

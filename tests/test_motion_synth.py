@@ -72,7 +72,7 @@ def test_valgus_offset_grades_poor():
 def test_confidences_are_one_for_generated_keypoints():
     sagittal, frontal, _ = motion_synth.generate(motion_synth.MotionScript())
     for series in (sagittal, frontal):
-        present = ~series.missing
+        present = ~pi.undetected(series.keypoints)
         assert np.all(series.keypoints[present, 2] == 1.0)
 
 
@@ -103,8 +103,9 @@ def test_perturb_same_seed_twice():
 def test_perturb_leaves_missing_keypoints_missing():
     sagittal, _, _ = motion_synth.generate(motion_synth.MotionScript())
     noisy = motion_synth.perturb(sagittal, 3.0, seed=2)
-    assert np.array_equal(noisy.missing, sagittal.missing)
-    assert np.all(noisy.keypoints[noisy.missing] == 0.0)
+    hidden = pi.undetected(sagittal.keypoints)
+    assert np.all(noisy.keypoints[hidden] == 0.0)
+    assert not pi.undetected(noisy.keypoints[~hidden]).any()
 
 
 def test_noisy_sixty_degree_knee_stays_near_half():
@@ -179,11 +180,11 @@ def test_emitted_series_reingest_identically(tmp_path):
     sagittal, frontal, _ = motion_synth.generate(script)
 
     pi.write_series_openpose(sagittal, tmp_path / "sag")
-    back = pi.load_series(tmp_path / "sag", pi.SAGITTAL, fps=script.fps)
+    back = pi.load_series(tmp_path / "sag", pi.SAGITTAL)
     assert series_equal(sagittal, back)
 
     pi.write_series_csv(frontal, tmp_path / "fro.csv")
-    back = pi.read_series_csv(tmp_path / "fro.csv", pi.FRONTAL, fps=script.fps)
+    back = pi.read_series_csv(tmp_path / "fro.csv", pi.FRONTAL)
     assert series_equal(frontal, back)
 
 

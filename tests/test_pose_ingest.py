@@ -42,16 +42,17 @@ def test_parse_single_person_roundtrip(tmp_path):
     series = pi.load_series(path, pi.SAGITTAL)
     assert series.frame_index.tolist() == [7]
     assert series.keypoints.shape == (1, 25, 3)
-    assert not series.missing.any()
+    assert not pi.undetected(series.keypoints).any()
     assert np.array_equal(series.keypoints.ravel(), np.array(flat))
 
 
 def test_parse_marks_zero_triples_missing(tmp_path):
     flat = flat_pose()
     flat[3 * 4:3 * 4 + 3] = [0.0, 0.0, 0.0]
+    flat[3 * 6:3 * 6 + 3] = [5.0, 6.0, 0.0]  # confidence 0 alone is not "undetected"
     path = tmp_path / "frame_0.json"
     path.write_bytes(person_doc(flat))
-    missing = pi.load_series(path, pi.SAGITTAL).missing[0]
+    missing = pi.undetected(pi.load_series(path, pi.SAGITTAL).keypoints[0])
     assert missing[4]
     assert missing.sum() == 1
 
@@ -179,11 +180,10 @@ def test_csv_roundtrip_is_exact(tmp_path):
         kp[3] = 0.0  # one missing keypoint survives the round trip as missing
         frames.append(kp)
     kp = np.stack(frames)
-    series = pi.KeypointSeries(view=pi.FRONTAL, keypoints=kp, missing=np.all(kp == 0.0, axis=2),
-                               frame_index=np.arange(4), fps=30.0)
+    series = pi.KeypointSeries(view=pi.FRONTAL, keypoints=kp, frame_index=np.arange(4))
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    back = pi.read_series_csv(path, pi.FRONTAL, fps=30.0)
+    back = pi.read_series_csv(path, pi.FRONTAL)
     assert series_equal(series, back)
 
 
@@ -215,7 +215,7 @@ def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
 def test_openpose_emission_roundtrip(tmp_path):
     series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3)
     pi.write_series_openpose(series, tmp_path)
-    back = pi.load_series(tmp_path, pi.SAGITTAL, fps=30.0)
+    back = pi.load_series(tmp_path, pi.SAGITTAL)
     assert series_equal(series, back)
 
 
@@ -231,7 +231,6 @@ def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
         frames.append(points)
     series = make_series(pi.SAGITTAL, frames)
     series.keypoints[gap_frames, pi.R_KNEE] = 0.0
-    series.missing[gap_frames, pi.R_KNEE] = True
     return series
 
 
@@ -241,7 +240,7 @@ def test_interior_gap_filled_with_linear_midpoint():
     knee = out.keypoints[1, pi.R_KNEE]
     assert knee[0] == pytest.approx(101.0, abs=1e-12)
     assert knee[1] == pytest.approx(202.0, abs=1e-12)
-    assert not out.missing[1, pi.R_KNEE]
+    assert not pi.undetected(out.keypoints[1, pi.R_KNEE])
 
 
 def test_low_confidence_treated_as_missing_then_interpolated():
@@ -264,7 +263,7 @@ def test_confidence_equal_to_threshold_is_kept():
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():
     ok = sagittal_gap_series([2, 3], n=8)
     out = pi.preprocess_report(ok, max_gap=2)[0]
-    assert not out.missing[:, pi.R_KNEE].any()
+    assert not pi.undetected(out.keypoints[:, pi.R_KNEE]).any()
     too_long = sagittal_gap_series([2, 3, 4], n=8)
     with pytest.raises(GapTooLong):
         pi.preprocess_report(too_long, max_gap=2)[0]
@@ -288,7 +287,7 @@ def test_preprocess_empty_series():
     with pytest.raises(AllFramesInvalid):
         pi.preprocess_report(pi.KeypointSeries(
             view=pi.SAGITTAL, keypoints=np.zeros((0, 25, 3)),
-            missing=np.zeros((0, 25), dtype=bool), frame_index=np.zeros(0, dtype=np.int64)))[0]
+            frame_index=np.zeros(0, dtype=np.int64)))[0]
 
 
 def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
@@ -302,8 +301,7 @@ def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
             kp[:, 2] = 1.0
         frames.append(kp)
     return pi.KeypointSeries(view=pi.SAGITTAL, keypoints=np.stack(frames),
-                             missing=np.zeros((n, 25), dtype=bool),
-                             frame_index=np.arange(n), fps=30.0)
+                             frame_index=np.arange(n))
 
 
 def test_preprocess_idempotent_on_random_series():
@@ -343,12 +341,12 @@ def test_output_has_no_missing_required_keypoints():
         except GapTooLong:
             continue
         required = sorted(pi.required_keypoints(pi.SAGITTAL))
-        assert not out.missing[:, required].any()
+        assert not pi.undetected(out.keypoints[:, required]).any()
 
 
 def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_gap: int = 5):
     """Frame-by-frame gating and gap repair: the reference for preprocess_report."""
-    kp, missing = series.keypoints.copy(), series.missing.copy()
+    kp, missing = series.keypoints.copy(), np.all(series.keypoints == 0.0, axis=2)
     gated = 0
     for t in range(len(kp)):
         gate = (kp[t, :, 2] < threshold) & ~missing[t]
@@ -397,7 +395,7 @@ def test_preprocess_matches_frame_by_frame_reference():
             continue
         out, stats = pi.preprocess_report(series)
         assert out.keypoints.tobytes() == kp.tobytes()
-        assert np.array_equal(out.missing, missing)
+        assert np.array_equal(pi.undetected(out.keypoints), missing)
         assert np.array_equal(out.frame_index, frame_index)
         assert (stats.values_gated, stats.values_interpolated) == (gated, filled)
         repaired += filled > 0
