@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -68,13 +69,19 @@ class ConsistencyReport:
 def parse_matrix(rows) -> np.ndarray:
     """Build a judgment matrix from row lists; fraction literals like "1/3" allowed."""
     def cell(v):
-        if isinstance(v, str):
-            return float(Fraction(v))
-        return float(v)
+        if not isinstance(v, str):
+            return float(v)
+        # read exactly, a decimal at a cost that does not grow with its exponent; "-0" is 0.0
+        number = float(Fraction(v)) if "/" in v else float(Decimal(v) or 0)
+        if not math.isfinite(number):
+            raise ValueError(f"{v!r} is not a finite number")
+        return number
 
     try:
+        if any(isinstance(row, str) for row in rows):
+            raise InvalidMatrix(["matrix rows must be lists, not strings"])
         mat = np.array([[cell(v) for v in row] for row in rows], dtype=float)
-    except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+    except (ValueError, ZeroDivisionError, TypeError, OverflowError, InvalidOperation) as exc:
         raise InvalidMatrix([f"unparseable matrix cell: {exc}"]) from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrix([f"matrix must be square, got shape {mat.shape}"])
@@ -109,7 +116,8 @@ def validate(matrix: np.ndarray) -> list[str]:
     return violations
 
 
-def _checked(matrix: np.ndarray) -> np.ndarray:
+def check_matrix(matrix: np.ndarray) -> np.ndarray:
+    """The matrix as floats; InvalidMatrix with every violation if it has any."""
     violations = validate(matrix)
     if violations:
         raise InvalidMatrix(violations)
@@ -118,14 +126,14 @@ def _checked(matrix: np.ndarray) -> np.ndarray:
 
 def weights_sum_method(matrix: np.ndarray) -> np.ndarray:
     """Column-normalize and average rows (the default derivation)."""
-    mat = _checked(matrix)
+    mat = check_matrix(matrix)
     normalized = mat / mat.sum(axis=0)
     return normalized.mean(axis=1)
 
 
 def weights_geometric(matrix: np.ndarray) -> np.ndarray:
     """Row-product weights: n-th root of each product, normalized to sum 1."""
-    mat = _checked(matrix)
+    mat = check_matrix(matrix)
     m = mat.prod(axis=1) ** (1.0 / mat.shape[0])
     return m / m.sum()
 
@@ -171,18 +179,23 @@ def hierarchical_weights(
     """
     cw = np.asarray(criterion_weights, dtype=float)
     iw = np.asarray(index_weights, dtype=float)
-    if len(groups) != cw.shape[0]:
-        raise OrderMismatch(f"{len(groups)} groups vs {cw.shape[0]} criterion weights")
+    check_groups(groups, cw.shape[0], iw.shape[0])
+    out = np.zeros_like(iw)
+    for c, group in enumerate(groups):
+        share = iw[group] / iw[group].sum()
+        out[group] = cw[c] * share
+    return out
+
+
+def check_groups(groups: list[list[int]], n_criteria: int, n_indices: int) -> None:
+    """OrderMismatch unless there is one group per criterion and they partition the indices."""
+    if len(groups) != n_criteria:
+        raise OrderMismatch(f"{len(groups)} groups vs {n_criteria} criteria")
     seen: set[int] = set()
     for group in groups:
         for idx in group:
             if idx in seen:
                 raise OrderMismatch(f"index {idx} assigned to more than one criterion")
             seen.add(idx)
-    if seen != set(range(iw.shape[0])):
+    if seen != set(range(n_indices)) or not all(groups):
         raise OrderMismatch("groups must partition the index positions")
-    out = np.zeros_like(iw)
-    for c, group in enumerate(groups):
-        share = iw[group] / iw[group].sum()
-        out[group] = cw[c] * share
-    return out

@@ -28,9 +28,6 @@ from .config import RunConfig
 from .errors import AclRiskError, ConsistencyFailure, EmptySource, IoFailure
 from .scoring import GradeVector, grade_all, grade_label
 
-GRADE_KEYS = ("x1", "x2", "x3", "x4", "x5")
-
-
 @contextmanager
 def _stage(name: str):
     """Annotate any pipeline error escaping this block with one stage name."""
@@ -61,14 +58,10 @@ class AssessmentReport:
         default=None, compare=False, repr=False)
 
     def grade_vector(self) -> GradeVector:
-        return GradeVector(*(int(self.grades[k]) for k in GRADE_KEYS))
+        return GradeVector(*(int(self.grades[k]) for k in GradeVector._fields))
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "trace_data"}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AssessmentReport":
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name != "trace_data"})
 
 
 def resolve_weights(cfg: RunConfig):
@@ -153,8 +146,8 @@ def assess_trial(
         number=number,
         features={"p1": sag.p1, "p2": sag.p2,
                   "s4_peak": fro.s4_peak, "d1_px": fro.d1, "d2_px": fro.d2},
-        grades={k: int(v) for k, v in zip(GRADE_KEYS, grades)},
-        labels={k: grade_label(v) for k, v in zip(GRADE_KEYS, grades)},
+        grades={k: int(v) for k, v in zip(GradeVector._fields, grades)},
+        labels={k: grade_label(v) for k, v in zip(GradeVector._fields, grades)},
         weights={"source": source, "values": [float(w) for w in weights]},
         consistency=consistency,
         total=float(total),
@@ -242,16 +235,19 @@ class BatchResult:
 
 
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
-    """Assess many trials; per-trial failures are collected, never fatal."""
+    """Assess trials; a bad config or weighting fails the batch, a bad trial only itself."""
+    cfg = config or RunConfig()
     with _stage("config"):
-        (config or RunConfig()).validate()
+        cfg.validate()
+    with _stage("weights"):
+        resolve_weights(cfg)
     if not trials:
         raise EmptySource("batch contains no trials")
     reports: list[AssessmentReport] = []
     failures: list[dict] = []
     for trial in trials:
         try:
-            reports.append(assess_trial(trial.sagittal, trial.frontal, config,
+            reports.append(assess_trial(trial.sagittal, trial.frontal, cfg,
                                          number=trial.number))
         except AclRiskError as exc:
             failures.append({

@@ -71,9 +71,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
             Path(args.report).write_bytes(payload)
         else:
             sys.stdout.buffer.write(payload)
-    except AclRiskError as exc:
-        return _fail(exc)
-    except OSError as exc:
+    except (AclRiskError, OSError) as exc:
         return _fail(exc)
     return 0
 

@@ -19,7 +19,7 @@ import numpy as np
 from . import ahp
 from . import kinematics as kin
 from . import pose_ingest as pi
-from .errors import AclRiskError, InvalidMatrix, OrderMismatch
+from .errors import AclRiskError, OrderMismatch
 from .scoring import ThresholdConfig
 
 ENV_PREFIX = "ACLRISK_"
@@ -75,9 +75,9 @@ class RunConfig:
                 raise ConfigError(f"explicit weights must have length {N_INDICES}")
             if any(w < 0 for w in self.weights):
                 raise ConfigError("explicit weights must be nonnegative")
-        violations = ahp.validate(self.judgment_matrix)
-        if violations:
-            raise InvalidMatrix(violations)
+        ahp.check_matrix(self.judgment_matrix)
+        if len(self.judgment_matrix) != N_INDICES:
+            raise OrderMismatch(f"judgment_matrix must be {N_INDICES}x{N_INDICES}")
         if self.hierarchical:
             if self.weight_source in ("table5-compat", "explicit"):
                 raise ConfigError(
@@ -86,11 +86,8 @@ class RunConfig:
             if self.criterion_matrix is None or self.criterion_groups is None:
                 raise ConfigError(
                     "hierarchical mode needs criterion_matrix and criterion_groups")
-            violations = ahp.validate(self.criterion_matrix)
-            if violations:
-                raise InvalidMatrix(violations)
-            if len(self.criterion_groups) != self.criterion_matrix.shape[0]:
-                raise OrderMismatch("one group per criterion row required")
+            ahp.check_matrix(self.criterion_matrix)
+            ahp.check_groups(self.criterion_groups, len(self.criterion_matrix), N_INDICES)
         if self.criterion_matrix is not None and not np.isfinite(self.criterion_matrix).all():
             raise ConfigError("criterion_matrix entries must be finite")
 
@@ -114,71 +111,75 @@ def _parse_bool(value) -> bool:
     raise ConfigError(f"expected a boolean, got {value!r}")
 
 
-def _converted(name: str, conv, value):
-    try:
-        return conv(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {name}: {exc}") from exc
-
-
-def _finite_float(value) -> float:
+def _float(value) -> float:
+    """A finite number or numeric string as a float; a boolean is not a number."""
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
     number = float(value)
     if not math.isfinite(number):
         raise ValueError(f"{value!r} is not a finite number")
     return number
 
 
-# Scalar fields in field order, each with the conversion of a config file
-# value or an environment string.
-_CONVERTERS = {"float": float, "int": int, "str": str, "bool": _parse_bool}
-_SCALAR_FIELDS = {f.name: _CONVERTERS[f.type]
-                  for f in fields(RunConfig) if f.type in _CONVERTERS}
-_THRESHOLD_FIELDS = {f.name: {**_CONVERTERS, "float": _finite_float}[f.type]
-                     for f in fields(ThresholdConfig)}
+def _int(value) -> int:
+    """A whole number or integer string as an int; booleans and fractions are refused."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
 
 
-def _thresholds(section) -> ThresholdConfig:
-    """The ``thresholds`` section, each value converted by its field's type."""
-    if not isinstance(section, dict):
-        raise ConfigError("thresholds must be an object")
-    unknown = set(section) - set(_THRESHOLD_FIELDS)
+def _list(value) -> list:
+    """A JSON list as it is; a string or an object is not a list."""
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {type(value).__name__}")
+    return value
+
+
+# The conversion of a config file value or an environment string, by the
+# annotation of its field; a field annotated ``X | None`` also takes null.
+_SCALARS = {"float": _float, "int": _int, "str": str, "bool": _parse_bool}
+_CONVERTERS = {
+    **_SCALARS,
+    "ThresholdConfig": lambda section: _from_dict(ThresholdConfig, section, "thresholds"),
+    "np.ndarray": ahp.parse_matrix,
+    "list[float]": lambda values: [_float(v) for v in _list(values)],
+    "list[list[int]]": lambda groups: [[_int(i) for i in _list(g)] for g in _list(groups)],
+}
+
+
+def _from_dict(cls, data, where: str):
+    """A ``cls`` dataclass from the JSON object ``where``, converted in field order."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown thresholds keys: {sorted(unknown)}")
-    values = {name: _converted(f"thresholds.{name}", conv, section[name])
-              for name, conv in _THRESHOLD_FIELDS.items() if name in section}
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    prefix = "" if where == "config" else f"{where}."
+    values = {}
+    for f in fields(cls):
+        if f.name not in data or (data[f.name] is None and f.type.endswith(" | None")):
+            continue  # null keeps the default of an optional field, None
+        try:
+            values[f.name] = _CONVERTERS[f.type.removesuffix(" | None")](data[f.name])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"bad value for {prefix}{f.name}: {exc}") from exc
     try:
-        return ThresholdConfig(**values)
+        return cls(**values)
     except ValueError as exc:
-        raise ConfigError(f"bad thresholds section: {exc}") from exc
+        raise ConfigError(f"bad {where} section: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    cfg = RunConfig()
-    unknown = set(data) - {f.name for f in fields(RunConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name, conv in _SCALAR_FIELDS.items():
-        if name in data:
-            setattr(cfg, name, _converted(name, conv, data[name]))
-    if "thresholds" in data:
-        cfg.thresholds = _thresholds(data["thresholds"])
-    if "judgment_matrix" in data:
-        cfg.judgment_matrix = ahp.parse_matrix(data["judgment_matrix"])
-    if "weights" in data and data["weights"] is not None:
-        cfg.weights = _converted("weights", lambda ws: [float(w) for w in ws], data["weights"])
-    if "criterion_matrix" in data and data["criterion_matrix"] is not None:
-        cfg.criterion_matrix = ahp.parse_matrix(data["criterion_matrix"])
-    if "criterion_groups" in data and data["criterion_groups"] is not None:
-        cfg.criterion_groups = _converted(
-            "criterion_groups", lambda groups: [[int(i) for i in g] for g in groups],
-            data["criterion_groups"])
+    cfg = _from_dict(RunConfig, data, "config")
     cfg.validate()
     return cfg
 
 
-def load_config(path: str | Path | None = None,
-                environ: dict | None = None) -> RunConfig:
-    """Config from file (optional), then environment overrides, then validation."""
+def load_config(path: str | Path | None = None) -> RunConfig:
+    """Config from a JSON file (optional), then ``ACLRISK_<FIELD>`` overrides, then validation.
+
+    A list value must be a JSON list, an integer a whole number; a boolean is not a number.
+    """
     data: dict = {}
     if path is not None:
         try:
@@ -189,9 +190,8 @@ def load_config(path: str | Path | None = None,
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("config file must hold a JSON object")
-    env = os.environ if environ is None else environ
-    for name, conv in _SCALAR_FIELDS.items():
-        key = ENV_PREFIX + name.upper()
-        if key in env:
-            data[name] = env[key]
+    for f in fields(RunConfig):
+        key = ENV_PREFIX + f.name.upper()
+        if f.type in _SCALARS and key in os.environ:
+            data[f.name] = os.environ[key]
     return config_from_dict(data)

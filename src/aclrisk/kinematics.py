@@ -70,11 +70,11 @@ def _window_slice(series: pi.KeypointSeries,
 
 
 def _cos_series(a: np.ndarray, b: np.ndarray, frame_index: np.ndarray,
-                epsilon: float, what: str) -> np.ndarray:
+                what: str) -> np.ndarray:
     """Rowwise clamped cosine between (n,2) vector stacks a and b."""
     na = np.linalg.norm(a, axis=1)
     nb = np.linalg.norm(b, axis=1)
-    bad = (na < epsilon) | (nb < epsilon)
+    bad = (na < DEGENERACY_EPSILON) | (nb < DEGENERACY_EPSILON)
     if bad.any():
         i = int(np.argmax(bad))
         raise DegenerateVector(
@@ -86,7 +86,6 @@ def extract_sagittal(
     series: pi.KeypointSeries,
     window: tuple[int, int] | None = None,
     side: str = "right",
-    epsilon: float = DEGENERACY_EPSILON,
 ) -> SagittalFeatures:
     """Per-frame knee/hip flexion cosines and their window maxima."""
     kp, frame_index = _window_slice(series, window)
@@ -97,8 +96,8 @@ def extract_sagittal(
     thigh = kp[:, hip] - kp[:, knee]
     shank = kp[:, ankle] - kp[:, knee]
     trunk = kp[:, pi.MID_HIP] - kp[:, pi.NECK]
-    p1_trace = _cos_series(thigh, shank, frame_index, epsilon, "thigh/shank")
-    p2_trace = _cos_series(thigh, trunk, frame_index, epsilon, "thigh/trunk")
+    p1_trace = _cos_series(thigh, shank, frame_index, "thigh/shank")
+    p2_trace = _cos_series(thigh, trunk, frame_index, "thigh/trunk")
     return SagittalFeatures(
         p1=float(p1_trace.max()),
         p2=float(p2_trace.max()),
@@ -111,7 +110,6 @@ def extract_sagittal(
 def extract_frontal(
     series: pi.KeypointSeries,
     window: tuple[int, int] | None = None,
-    epsilon: float = DEGENERACY_EPSILON,
 ) -> FrontalFeatures:
     """Stance-width distances and trunk/thigh alignment cosine per frame."""
     kp, frame_index = _window_slice(series, window)
@@ -121,8 +119,8 @@ def extract_frontal(
     trunk = kp[:, pi.MID_HIP] - kp[:, pi.NECK]
     thigh_r = kp[:, pi.R_HIP] - kp[:, pi.R_KNEE]
     thigh_l = kp[:, pi.L_HIP] - kp[:, pi.L_KNEE]
-    s4 = 0.5 * (_cos_series(trunk, thigh_r, frame_index, epsilon, "trunk/right thigh")
-                + _cos_series(trunk, thigh_l, frame_index, epsilon, "trunk/left thigh"))
+    s4 = 0.5 * (_cos_series(trunk, thigh_r, frame_index, "trunk/right thigh")
+                + _cos_series(trunk, thigh_l, frame_index, "trunk/left thigh"))
     return FrontalFeatures(
         d1=float(np.abs(s1 - s2).max()),
         d2=float(np.abs(s1 - s3).max()),

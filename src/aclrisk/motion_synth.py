@@ -80,9 +80,6 @@ class MotionScript:
         if self.seed < 0:
             raise InvalidScript("seed must be nonnegative")
 
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
     @classmethod
     def from_dict(cls, data: dict) -> "MotionScript":
         types = {f.name: f.type for f in fields(cls)}

@@ -219,8 +219,6 @@ def _select_rows(candidates: list[list[list]],
     the error of each failing frame by its position.
     """
     rows = [row for frame in candidates for row in frame]
-    if len(rows) == len(candidates):  # one candidate per frame
-        return _keypoint_array(rows, where)
     frame_of = [i for i, frame in enumerate(candidates) for _ in frame]
     values, row_errors = _keypoint_array(rows, [where[i] for i in frame_of])
     errors: dict[int, MalformedDocument] = {}
@@ -497,8 +495,7 @@ def write_series_csv(series: KeypointSeries, path: str | Path) -> None:
                          for index, values in zip(series.frame_index.tolist(), rows))
 
 
-def write_series_openpose(series: KeypointSeries, directory: str | Path,
-                          prefix: str = "frame") -> list[Path]:
+def write_series_openpose(series: KeypointSeries, directory: str | Path) -> list[Path]:
     """Write one OpenPose-schema JSON document per frame into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -506,7 +503,7 @@ def write_series_openpose(series: KeypointSeries, directory: str | Path,
     paths = []
     for index, values in zip(series.frame_index.tolist(), rows):
         doc = {"people": [{"pose_keypoints_2d": values}]}
-        p = directory / f"{prefix}_{index:012d}_keypoints.json"
+        p = directory / f"frame_{index:012d}_keypoints.json"
         p.write_text(json.dumps(doc))
         paths.append(p)
     return paths

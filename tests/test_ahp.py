@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import struct
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -67,6 +70,40 @@ def test_parse_matrix_accepts_fraction_literals():
         ahp.parse_matrix([["1", "x/y"], ["1", "1"]])
     with pytest.raises(InvalidMatrix):
         ahp.parse_matrix([[1, 10**400], [1, 1]])
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400", "1e10000000", "1/0"])
+def test_parse_matrix_rejects_non_finite_string_cells(cell):
+    start = time.perf_counter()
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix([["1", cell], ["1", "1"]])
+    assert time.perf_counter() - start < 1.0  # not a function of the exponent
+
+
+def test_parse_matrix_rejects_rows_given_as_strings():
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix(["11", "11"])
+
+
+def bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+DECIMALS = st.from_regex(r"[-+]?([0-9]{1,30}\.?[0-9]{0,30}|\.[0-9]{1,30})([eE][-+]?[0-9]{1,3})?",
+                         fullmatch=True)
+RATIOS = st.builds("{}/{}".format, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(DECIMALS | RATIOS)
+def test_parse_matrix_string_cell_is_its_exact_value_rounded(text):
+    try:
+        expected = float(Fraction(text))
+    except OverflowError:
+        with pytest.raises(InvalidMatrix):
+            ahp.parse_matrix([[text]])
+        return
+    assert bits(ahp.parse_matrix([[text]])[0, 0]) == bits(expected)
 
 
 # -- weight derivations --------------------------------------------------------
@@ -244,6 +281,12 @@ def test_consistent_matrices_have_zero_ci(raw):
 
 
 # -- hierarchical combination -----------------------------------------------------
+
+
+def test_hierarchical_weights_refuse_an_empty_group():
+    # the empty group's criterion weight would be lost: the weights would sum to 0.75
+    with pytest.raises(OrderMismatch):
+        ahp.hierarchical_weights([0.75, 0.25], [[0, 1, 2, 3, 4], []], [0.2] * 5)
 
 
 def test_hierarchical_weights_combine_levels():

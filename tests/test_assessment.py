@@ -16,6 +16,7 @@ from aclrisk.errors import (
     EmptySource,
     GapTooLong,
     IoFailure,
+    OrderMismatch,
 )
 from aclrisk.scoring import GradeVector
 
@@ -93,7 +94,7 @@ def test_report_json_roundtrip(tmp_path):
     sag, fro, _ = write_trial(tmp_path, excellent_script())
     report = assessment.assess_trial(sag, fro, compat_config())
     payload = assessment.emit_report(report, "json")
-    parsed = assessment.AssessmentReport.from_dict(json.loads(payload))
+    parsed = assessment.AssessmentReport(**json.loads(payload))
     assert parsed == report
 
 
@@ -145,11 +146,43 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"thresholds": {"cosine_lo": -5, "cosine_hi": 3}},  # cosines lie in [-1, 1]
     {"criterion_matrix": [[1, math.inf], [1, 1]]},  # not hierarchical, still checked
     {"weights": [math.nan, 1, 1, 1, 1]},  # weight_source is not explicit, still checked
+    {"weight_source": "explicit", "weights": "12345"},  # a list value must be a JSON list
+    {"criterion_groups": "01"},
+    {"criterion_groups": ["01", "23"]},
+    {"max_gap": 2.5},  # integers must be whole numbers
+    {"max_gap": True},  # booleans are not numbers
+    {"confidence_threshold": True},
+    {"weight_source": "explicit", "weights": [True, 0, 0, 0, 0]},
+    {"thresholds": {"distance_lo": True}},
+    {**HIERARCHY, "criterion_groups": [[0.9, 1], [2, 3, 4]]},
 ])
 def test_bad_config_values_are_config_errors(data):
     from aclrisk.config import config_from_dict
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"judgment_matrix": [[1, 1], [1, 1]]},  # five indices need a 5x5 matrix
+    {**HIERARCHY, "criterion_groups": [[0, 1], [1, 2]]},  # not a partition of 0..4
+    {**HIERARCHY, "criterion_groups": [[0, 1], [2, 3]]},
+    {**HIERARCHY, "criterion_groups": [[0, 1, 2, 3, 4], []]},  # weights would sum to 3/4
+])
+def test_weighting_of_the_wrong_shape_fails_at_load(data):
+    from aclrisk.config import config_from_dict
+    with pytest.raises(OrderMismatch):
+        config_from_dict(data)
+
+
+def test_environment_strings_convert_by_field_type(monkeypatch):
+    from aclrisk.config import load_config
+    monkeypatch.setenv("ACLRISK_MAX_GAP", "5")
+    monkeypatch.setenv("ACLRISK_HIERARCHICAL", "off")
+    cfg = load_config()
+    assert (cfg.max_gap, cfg.hierarchical) == (5, False)
+    monkeypatch.setenv("ACLRISK_MAX_GAP", "2.5")
+    with pytest.raises(ConfigError):
+        load_config()
 
 
 def test_hierarchy_combines_with_derived_weight_sources():
@@ -260,8 +293,7 @@ def test_csv_summary_row(tmp_path):
 def test_csv_summary_works_without_trace_data(tmp_path):
     sag, fro, _ = write_trial(tmp_path, excellent_script())
     report = assessment.assess_trial(sag, fro, compat_config())
-    parsed = assessment.AssessmentReport.from_dict(
-        json.loads(assessment.emit_report(report, "json")))
+    parsed = assessment.AssessmentReport(**json.loads(assessment.emit_report(report, "json")))
     assert parsed.trace_data is None
     assert assessment.emit_report(parsed, "csv")  # still emits a row
     with pytest.raises(IoFailure):
@@ -368,6 +400,31 @@ def test_bad_config_fails_at_stage_config(tmp_path):
     with pytest.raises(ConfigError) as exc_info:
         assessment.assess_batch([assessment.Trial(1, sag, fro), assessment.Trial(2, sag, fro)], bad)
     assert exc_info.value.stage == "config"
+
+
+@pytest.mark.parametrize("bad", [
+    RunConfig(judgment_matrix=np.ones((2, 2))),
+    RunConfig(hierarchical=True, criterion_matrix=ahp.DEFAULT_CRITERION_MATRIX.copy(),
+              criterion_groups=[[0, 1], [1, 2]]),
+], ids=["order", "groups"])
+def test_batch_with_weighting_of_the_wrong_shape_fails_once_at_config(tmp_path, bad):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
+    with pytest.raises(OrderMismatch) as exc_info:
+        assessment.assess_batch(trials, bad)
+    assert exc_info.value.stage == "config"
+
+
+def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
+    matrix = ahp.parse_matrix(INCONSISTENT_MATRIX)
+    with pytest.raises(ConsistencyFailure) as exc_info:
+        assessment.assess_batch(trials, RunConfig(judgment_matrix=matrix))
+    assert exc_info.value.stage == "weights"
+    result = assessment.assess_batch(trials, RunConfig(judgment_matrix=matrix, force=True))
+    assert [r.number for r in result.reports] == [1, 2, 3]
+    assert result.failures == []
 
 
 def test_batch_empty_list_raises():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +262,7 @@ def test_ahp_geometric_method(tmp_path, capsys):
 
 def test_synth_writes_series_and_ground_truth(tmp_path):
     script = write_json(tmp_path / "script.json",
-                        motion_synth.MotionScript(n_frames=30, touchdown_frame=8).as_dict())
+                        asdict(motion_synth.MotionScript(n_frames=30, touchdown_frame=8)))
     out = tmp_path / "trial"
     assert cli.main(["synth", "--script", script, "--out", str(out)]) == 0
     assert (out / "ground_truth.json").exists()
@@ -271,7 +272,7 @@ def test_synth_writes_series_and_ground_truth(tmp_path):
 
 def test_synth_csv_format(tmp_path):
     script = write_json(tmp_path / "script.json",
-                        motion_synth.MotionScript(n_frames=12, touchdown_frame=3).as_dict())
+                        asdict(motion_synth.MotionScript(n_frames=12, touchdown_frame=3)))
     out = tmp_path / "trial"
     assert cli.main(["synth", "--script", script, "--out", str(out),
                      "--format", "csv"]) == 0
@@ -291,7 +292,7 @@ def test_synth_output_assesses_to_ground_truth_grades(tmp_path, capsys):
         peak_knee_flexion_deg=45.0, peak_hip_flexion_deg=65.0,
         peak_lateral_lean_deg=40.0,
         stance_ankle_width_px=150.0, knee_offset_px=35.0, shoulder_width_px=110.0)
-    script = write_json(tmp_path / "script.json", script_obj.as_dict())
+    script = write_json(tmp_path / "script.json", asdict(script_obj))
     out = tmp_path / "trial"
     assert cli.main(["synth", "--script", script, "--out", str(out)]) == 0
 
@@ -331,6 +332,17 @@ def test_batch_summary_and_reports(tmp_path, capsys):
     assert len(lines) == 3
     assert (out / "report_1.json").exists()
     assert (out / "report_2.json").exists()
+
+
+def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path, capsys):
+    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
+    trials = write_json(tmp_path / "trials.json", [
+        {"number": n, "sagittal": sag1, "frontal": fro1} for n in (1, 2, 3)])
+    config = write_json(tmp_path / "cfg.json", {"judgment_matrix": INCONSISTENT_MATRIX})
+    rc = cli.main(["batch", "--trials", trials, "--config", config])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error: ConsistencyFailure:")
 
 
 def test_batch_isolates_bad_trial(tmp_path, capsys):

@@ -24,7 +24,7 @@ from conftest import (
 def cosine_between(u, v) -> float:
     """_cos_series on a one-frame stack."""
     return float(kin._cos_series(np.array([u], dtype=float), np.array([v], dtype=float),
-                                 np.array([0]), kin.DEGENERACY_EPSILON, "u/v")[0])
+                                 np.array([0]), "u/v")[0])
 
 
 @pytest.mark.parametrize("u, v, expected", [

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -169,7 +170,7 @@ def test_from_dict_takes_integers_for_floats_and_null_ramp():
 
 def test_from_dict_roundtrip():
     script = motion_synth.MotionScript(peak_knee_flexion_deg=42.0, seed=7)
-    assert motion_synth.MotionScript.from_dict(script.as_dict()) == script
+    assert motion_synth.MotionScript.from_dict(asdict(script)) == script
 
 
 # -- emission through the ingest formats ----------------------------------------
