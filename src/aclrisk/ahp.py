@@ -69,6 +69,8 @@ class ConsistencyReport:
 def parse_matrix(rows) -> np.ndarray:
     """Build a judgment matrix from row lists; fraction literals like "1/3" allowed."""
     def cell(v):
+        if isinstance(v, bool):
+            raise TypeError(f"expected a number, got {v!r}")
         if not isinstance(v, str):
             return float(v)
         # read exactly, a decimal at a cost that does not grow with its exponent; "-0" is 0.0

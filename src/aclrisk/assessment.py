@@ -67,14 +67,14 @@ class AssessmentReport:
 def resolve_weights(cfg: RunConfig):
     """Weight vector per the configured source.
 
-    Returns (weights, source label, consistency dict or None). Raises
+    Returns (weights, consistency dict or None). Raises
     ConsistencyFailure when a derived matrix fails the CR < 0.1 check and
     force is not set.
     """
     if cfg.weight_source == "table5-compat":
-        return ahp.TABLE5_COMPAT_WEIGHTS.copy(), cfg.weight_source, None
+        return ahp.TABLE5_COMPAT_WEIGHTS.copy(), None
     if cfg.weight_source == "explicit":
-        return np.asarray(cfg.weights, dtype=float), cfg.weight_source, None
+        return np.asarray(cfg.weights, dtype=float), None
     if cfg.weight_source == "geometric":
         weights = ahp.weights_geometric(cfg.judgment_matrix)
     else:
@@ -87,7 +87,7 @@ def resolve_weights(cfg: RunConfig):
     if cfg.hierarchical:
         cw = ahp.weights_sum_method(cfg.criterion_matrix)
         weights = ahp.hierarchical_weights(cw, cfg.criterion_groups, weights)
-    return weights, cfg.weight_source, asdict(report)
+    return weights, asdict(report)
 
 
 def _assess_view(source: str | Path, view: str, cfg: RunConfig):
@@ -132,7 +132,7 @@ def assess_trial(
         grades = grade_all(sag, fro, cfg.thresholds)
 
     with _stage("weights"):
-        weights, source, consistency = resolve_weights(cfg)
+        weights, consistency = resolve_weights(cfg)
 
     with _stage("aggregate"):
         total = ahp.aggregate(list(grades), weights)
@@ -148,7 +148,7 @@ def assess_trial(
                   "s4_peak": fro.s4_peak, "d1_px": fro.d1, "d2_px": fro.d2},
         grades={k: int(v) for k, v in zip(GradeVector._fields, grades)},
         labels={k: grade_label(v) for k, v in zip(GradeVector._fields, grades)},
-        weights={"source": source, "values": [float(w) for w in weights]},
+        weights={"source": cfg.weight_source, "values": [float(w) for w in weights]},
         consistency=consistency,
         total=float(total),
         config=config_snapshot,

@@ -38,10 +38,11 @@ def _read_json(path: str):
 
 
 def _trials(entries) -> list[assessment.Trial]:
-    """Batch trials from a trials document: a list of {number, sagittal, frontal}."""
+    """Batch trials from a trials document: {number, sagittal, frontal} items, numbers unique."""
     if not isinstance(entries, list):
         raise MalformedDocument("trials file must hold a JSON list")
     trials = []
+    entry_of: dict[int, int] = {}
     for i, e in enumerate(entries):
         if not isinstance(e, dict) or not {"number", "sagittal", "frontal"} <= e.keys():
             raise MalformedDocument(
@@ -51,6 +52,10 @@ def _trials(entries) -> list[assessment.Trial]:
                 f"trials entry {i}: number must be an integer, got {e['number']!r}")
         if not (isinstance(e["sagittal"], str) and isinstance(e["frontal"], str)):
             raise MalformedDocument(f"trials entry {i}: sagittal and frontal must be paths")
+        first = entry_of.setdefault(e["number"], i)
+        if first != i:
+            raise MalformedDocument(
+                f"trials entries {first} and {i} both have number {e['number']}")
         trials.append(assessment.Trial(e["number"], e["sagittal"], e["frontal"]))
     return trials
 

@@ -108,7 +108,7 @@ def _parse_bool(value) -> bool:
             return True
         if value.lower() in ("0", "false", "no", "off"):
             return False
-    raise ConfigError(f"expected a boolean, got {value!r}")
+    raise ValueError(f"expected a boolean, got {value!r}")
 
 
 def _float(value) -> float:

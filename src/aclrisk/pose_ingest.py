@@ -5,7 +5,7 @@ Two on-disk formats are supported:
 * per-frame JSON documents in the OpenPose output schema
   (``{"people": [{"pose_keypoints_2d": [75 floats]}]}``), one file per
   frame, frame index taken from the zero-padded digit group in the
-  filename;
+  filename; a single frame file is read as a directory holding only it;
 * a single CSV file with header
   ``frame,kp0_x,kp0_y,kp0_c,...,kp24_x,kp24_y,kp24_c`` (76 columns).
 
@@ -127,58 +127,55 @@ class PreprocessStats:
 _N_VALUES = 3 * N_KEYPOINTS
 
 
-def _keypoint_values(person, where: str) -> list:
+def _keypoint_values(person) -> list:
     """A person's ``pose_keypoints_2d`` list, checked for shape but not content."""
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-        raise MalformedDocument(f"{where}: person object missing 'pose_keypoints_2d'")
+        raise MalformedDocument("person object missing 'pose_keypoints_2d'")
     flat = person["pose_keypoints_2d"]
     if not isinstance(flat, list) or len(flat) != _N_VALUES:
-        raise MalformedDocument(
-            f"{where}: pose_keypoints_2d must hold exactly {_N_VALUES} numbers"
-        )
+        raise MalformedDocument(f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
     return flat
 
 
-def _frame_values(raw: bytes | str, policy: str, where: str) -> list[list]:
+def _frame_values(raw: bytes, policy: str) -> list[list]:
     """The structure check: the candidate persons' 75 values of one frame document."""
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
-        raise MalformedDocument(f"{where}: invalid JSON ({exc})") from exc
+        raise MalformedDocument(f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "people" not in doc:
-        raise MalformedDocument(f"{where}: missing 'people' key")
+        raise MalformedDocument("missing 'people' key")
     people = doc["people"]
     if not isinstance(people, list):
-        raise MalformedDocument(f"{where}: 'people' must be a list")
+        raise MalformedDocument("'people' must be a list")
     if not people:
-        raise NoPersonDetected(f"{where}: empty people list")
+        raise NoPersonDetected("empty people list")
     if len(people) == 1:
-        return [_keypoint_values(people[0], where)]
+        return [_keypoint_values(people[0])]
     if policy == POLICY_STRICT:
-        raise AmbiguousPerson(f"{where}: {len(people)} people present under strict policy")
+        raise AmbiguousPerson(f"{len(people)} people present under strict policy")
     rows: list[list] = []
     for person in people:
         try:
-            rows.append(_keypoint_values(person, where))
+            rows.append(_keypoint_values(person))
         except MalformedDocument:
             # each person is checked in full before the next one, so a
             # numeric error of an earlier person is the one reported
-            _, errors = _keypoint_array(rows, [where] * len(rows))
+            _, errors = _keypoint_array(rows)
             if errors:
                 raise errors[min(errors)] from None
             raise
     return rows
 
 
-def _keypoint_array(rows: list[list],
-                    where: list[str]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
+def _keypoint_array(rows: list[list]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     """The numeric check: rows of 75 values as one (n, 25, 3) array.
 
     Converts all rows in one call, then checks that every value is finite
     and every confidence lies in [0, 1]. Returns the array and the error of
-    each failing row by its position; ``where[i]`` names row i. Rows are
-    converted one by one only after the bulk conversion has failed; a
-    non-numeric row stays zero in the array.
+    each failing row by its position. Rows are converted one by one only
+    after the bulk conversion has failed; a non-numeric row stays zero in
+    the array.
     """
     try:
         values = np.array(rows, dtype=float)
@@ -194,33 +191,32 @@ def _keypoint_array(rows: list[list],
             try:
                 values[i] = np.array(row, dtype=float).reshape(N_KEYPOINTS, 3)
             except (TypeError, ValueError, OverflowError) as exc:
-                errors[i] = MalformedDocument(f"{where[i]}: non-numeric keypoint entry ({exc})")
+                errors[i] = MalformedDocument(f"non-numeric keypoint entry ({exc})")
     finite = np.isfinite(values).all(axis=(1, 2))
     conf = values[:, :, 2]
     in_unit = ((conf >= 0.0) & (conf <= 1.0)).all(axis=1)
     for i in np.flatnonzero(~(finite & in_unit)).tolist():
         if not finite[i]:
-            errors[i] = MalformedDocument(f"{where[i]}: keypoint values must be finite")
+            errors[i] = MalformedDocument("keypoint values must be finite")
         else:
-            errors[i] = MalformedDocument(f"{where[i]}: confidence values must lie in [0, 1]")
+            errors[i] = MalformedDocument("confidence values must lie in [0, 1]")
     return values, errors
 
 
-def _select_rows(candidates: list[list[list]],
-                 where: list[str]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
+def _select_rows(candidates: list[list[list]]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     """The numeric check and person selection for the frames of a series.
 
     ``candidates[i]`` holds the candidate rows of frame i, in document
-    order, and ``where[i]`` names it. All rows are checked by one
-    ``_keypoint_array`` call; a frame fails with the error of its first
-    failing row. Of several candidates, the one with the highest mean
-    confidence over detected (non-zero-triple) keypoints is selected, the
-    first on a tie. Returns the (n, 25, 3) array of the selected rows and
-    the error of each failing frame by its position.
+    order. All rows are checked by one ``_keypoint_array`` call; a frame
+    fails with the error of its first failing row. Of several candidates,
+    the one with the highest mean confidence over detected (non-zero-triple)
+    keypoints is selected, the first on a tie. Returns the (n, 25, 3) array
+    of the selected rows and the error of each failing frame by its
+    position.
     """
     rows = [row for frame in candidates for row in frame]
     frame_of = [i for i, frame in enumerate(candidates) for _ in frame]
-    values, row_errors = _keypoint_array(rows, [where[i] for i in frame_of])
+    values, row_errors = _keypoint_array(rows)
     errors: dict[int, MalformedDocument] = {}
     for r in sorted(row_errors):
         errors.setdefault(frame_of[r], row_errors[r])
@@ -241,22 +237,6 @@ def _select_rows(candidates: list[list[list]],
     return values[selected], errors
 
 
-def parse_openpose_frame(
-    raw: bytes | str,
-    policy: str = POLICY_BEST,
-    where: str = "frame",
-) -> np.ndarray:
-    """Parse one OpenPose frame document into its (25, 3) keypoint array.
-
-    ``policy`` controls multi-person frames: "best" keeps the person with
-    the highest mean confidence, "strict" raises AmbiguousPerson.
-    """
-    keypoints, errors = _select_rows([_frame_values(raw, policy, where)], [where])
-    if errors:
-        raise errors[0]
-    return keypoints[0]
-
-
 _DIGITS = re.compile(r"(\d+)")
 
 
@@ -272,9 +252,9 @@ _INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _checked_frame_index(index: int, where: str) -> int:
+def _checked_frame_index(index: int) -> int:
     if not _INT64_MIN <= index <= _INT64_MAX:
-        raise MalformedDocument(f"{where}: frame index {index} out of range")
+        raise MalformedDocument(f"frame index {index} out of range")
     return index
 
 
@@ -282,18 +262,19 @@ def _checked_frame_index(index: int, where: str) -> int:
 
 
 def load_series(source: str | Path, view: str, policy: str = POLICY_BEST) -> KeypointSeries:
-    """Load a keypoint series from a directory of frame JSONs or one CSV file."""
+    """Load a keypoint series from a directory of frame JSONs, one frame JSON or one CSV file."""
     if view not in VIEWS:
         raise ValueError(f"unknown view: {view!r}")
     path = Path(source)
     if path.is_dir():
-        return _load_series_dir(path, view, policy)
+        names = sorted(filter(_is_frame_document, os.listdir(path)), key=_NAME_ORDER)
+        if not names:
+            raise EmptySource(f"no frame documents in {path}")
+        return _load_frames(path, names, view, policy)
     if path.is_file():
         if path.suffix.lower() == ".csv":
             return read_series_csv(path, view)
-        index = _checked_frame_index(frame_index_from_name(path.name, 0), path.name)
-        keypoints = parse_openpose_frame(_read_file(str(path)), policy, where=path.name)
-        return _series(view, keypoints[np.newaxis], [index], path.name, lambda i: path.name)
+        return _load_frames(path.parent, [path.name], view, policy)
     raise EmptySource(f"source not found: {path}")
 
 
@@ -362,27 +343,28 @@ def _is_frame_document(name: str) -> bool:
     return len(name) > 5 and name[-5:].lower() == ".json"
 
 
-def _load_series_dir(path: Path, view: str, policy: str) -> KeypointSeries:
-    names = sorted(filter(_is_frame_document, os.listdir(path)), key=_NAME_ORDER)
-    if not names:
-        raise EmptySource(f"no frame documents in {path}")
-    prefix = str(path / "_")[:-1]  # file paths spelled as str(path / name)
+def _load_frames(directory: Path, names: list[str], view: str, policy: str) -> KeypointSeries:
+    """Series of the frame documents ``names`` (in name order) in ``directory``.
+
+    A name without digits takes its position as its frame index.
+    """
+    prefix = str(directory / "_")[:-1]  # file paths spelled as str(directory / name)
     candidates: list[list[list]] = []
     indices: list[int] = []
     positions: list[int] = []
     failures: dict[int, Exception] = {}
     for pos, name in enumerate(names):
         try:
-            index = _checked_frame_index(frame_index_from_name(name, pos), name)
-            candidates.append(_frame_values(_read_file(prefix + name), policy, name))
+            index = _checked_frame_index(frame_index_from_name(name, pos))
+            candidates.append(_frame_values(_read_file(prefix + name), policy))
         except Exception as exc:  # aggregated below with the frame identifier
             failures[pos] = exc
             continue
         indices.append(index)
         positions.append(pos)
-    keypoints, errors = _select_rows(candidates, [names[pos] for pos in positions])
+    keypoints, errors = _select_rows(candidates)
     _raise_failures(failures, errors, positions, names.__getitem__)
-    return _series(view, keypoints, indices, path.name, names.__getitem__)
+    return _series(view, keypoints, indices, directory.name, names.__getitem__)
 
 
 def read_series_csv(path: str | Path, view: str) -> KeypointSeries:
@@ -457,7 +439,7 @@ def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
         try:
             for lineno, row in enumerate(reader, start=2):
                 try:
-                    index, values = _csv_row(row, f"{path.name}:{lineno}")
+                    index, values = _csv_row(row)
                 except MalformedDocument as exc:
                     failures[lineno] = exc
                     continue
@@ -466,22 +448,22 @@ def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 linenos.append(lineno)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
-    keypoints, errors = _keypoint_array(rows, [f"{path.name}:{n}" for n in linenos])
+    keypoints, errors = _keypoint_array(rows)
     _raise_failures(failures, errors, linenos, lambda n: f"{path.name}:{n}")
     if not rows:
         raise EmptySource(f"{path.name}: no data rows")
     return np.array(indices, dtype=np.int64), keypoints
 
 
-def _csv_row(row: list[str], where: str) -> tuple[int, list[float]]:
+def _csv_row(row: list[str]) -> tuple[int, list[float]]:
     if len(row) != len(_CSV_HEADER):
-        raise MalformedDocument(f"{where}: expected {len(_CSV_HEADER)} columns, got {len(row)}")
+        raise MalformedDocument(f"expected {len(_CSV_HEADER)} columns, got {len(row)}")
     try:
         frame_index = int(row[0])
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
-        raise MalformedDocument(f"{where}: non-numeric cell ({exc})") from exc
-    return _checked_frame_index(frame_index, where), values
+        raise MalformedDocument(f"non-numeric cell ({exc})") from exc
+    return _checked_frame_index(frame_index), values
 
 
 def write_series_csv(series: KeypointSeries, path: str | Path) -> None:

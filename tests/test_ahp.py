@@ -80,6 +80,11 @@ def test_parse_matrix_rejects_non_finite_string_cells(cell):
     assert time.perf_counter() - start < 1.0  # not a function of the exponent
 
 
+def test_parse_matrix_rejects_boolean_cells():
+    with pytest.raises(InvalidMatrix, match="expected a number, got True"):
+        ahp.parse_matrix([[True, 1], [1, True]])
+
+
 def test_parse_matrix_rejects_rows_given_as_strings():
     with pytest.raises(InvalidMatrix):
         ahp.parse_matrix(["11", "11"])

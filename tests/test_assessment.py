@@ -15,6 +15,7 @@ from aclrisk.errors import (
     ConsistencyFailure,
     EmptySource,
     GapTooLong,
+    InvalidMatrix,
     IoFailure,
     OrderMismatch,
 )
@@ -172,6 +173,34 @@ def test_weighting_of_the_wrong_shape_fails_at_load(data):
     from aclrisk.config import config_from_dict
     with pytest.raises(OrderMismatch):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"hierarchical": "maybe"}, "bad value for hierarchical: expected a boolean, got 'maybe'"),
+    ({"thresholds": {"normalize_by_shoulder": 2}},
+     "bad value for thresholds.normalize_by_shoulder: expected a boolean, got 2"),
+], ids=["hierarchical", "normalize_by_shoulder"])
+def test_a_bad_boolean_names_its_key(data, message):
+    from aclrisk.config import config_from_dict
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(data)
+    assert str(exc_info.value) == message
+
+
+def test_a_bad_boolean_override_names_its_key(monkeypatch):
+    from aclrisk.config import load_config
+    monkeypatch.setenv("ACLRISK_FORCE", "maybe")
+    with pytest.raises(ConfigError) as exc_info:
+        load_config()
+    assert str(exc_info.value) == "bad value for force: expected a boolean, got 'maybe'"
+
+
+def test_a_boolean_matrix_cell_fails_at_load():
+    from aclrisk.config import config_from_dict
+    matrix = ahp.DEFAULT_INDEX_MATRIX.tolist()
+    matrix[2][2] = True
+    with pytest.raises(InvalidMatrix):
+        config_from_dict({"judgment_matrix": matrix})
 
 
 def test_environment_strings_convert_by_field_type(monkeypatch):

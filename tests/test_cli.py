@@ -249,6 +249,14 @@ def test_ahp_rejects_non_reciprocal(tmp_path, capsys):
     assert "reciprocity" in capsys.readouterr().err
 
 
+def test_ahp_rejects_boolean_cells(tmp_path, capsys):
+    matrix = write_json(tmp_path / "m.json", [[True, 1], [1, True]])
+    assert cli.main(["ahp", "--matrix", matrix]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: InvalidMatrix:")
+    assert captured.out == ""
+
+
 def test_ahp_geometric_method(tmp_path, capsys):
     matrix = write_json(tmp_path / "m.json", [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
     assert cli.main(["ahp", "--matrix", matrix, "--method", "geometric"]) == 0
@@ -343,6 +351,19 @@ def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert rc == 1
     assert len(lines) == 1 and lines[0].startswith("error: ConsistencyFailure:")
+
+
+def test_batch_refuses_a_repeated_trial_number(tmp_path, capsys):
+    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
+    trials = write_json(tmp_path / "trials.json", [
+        {"number": n, "sagittal": sag1, "frontal": fro1} for n in (1, 2, 1)])
+    out = tmp_path / "reports"
+    rc = cli.main(["batch", "--trials", trials, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.err == ("error: MalformedDocument: "
+                            "trials entries 0 and 2 both have number 1\n")
+    assert not out.exists()
 
 
 def test_batch_isolates_bad_trial(tmp_path, capsys):

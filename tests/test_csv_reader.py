@@ -15,6 +15,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from aclrisk import pose_ingest as pi
@@ -158,3 +159,12 @@ def test_reference_agrees_on_written_series(tmp_path):
         assert pi._parse_csv_plain(fh.read()) is not None  # the writer's output takes the bulk parse
     assert outcome(lambda: package_read(path)) == outcome(lambda: reference_read(path))
     assert outcome(lambda: package_read(path))[2] == kp.tobytes()
+
+
+def test_a_short_line_is_named_once(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(",".join(HEADER) + "\n0," + ",".join(["0.5"] * 75) + "\n1,2\n")
+    with pytest.raises(SeriesParseError) as exc_info:
+        pi.load_series(path, pi.SAGITTAL)
+    message = "1 frame(s) failed to parse: t.csv:3: expected 76 columns, got 2"
+    assert str(exc_info.value) == message

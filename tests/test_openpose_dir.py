@@ -2,16 +2,18 @@
 
 ``reference_load`` is the loader the package used before a series was
 converted and checked in one numpy call: ``pathlib`` listing and order,
-one ``parse_openpose_frame`` per file with its own numpy checks, then
-frame order and no repeated frame. It differs from that loader in one
-respect on purpose: undecodable or too deeply nested JSON and integers
-too large for a float are ``MalformedDocument``, where they used to
-escape as ``UnicodeDecodeError``, ``RecursionError`` and ``OverflowError``.
+one ``reference_parse`` per file with its own numpy checks, then frame
+order and no repeated frame. It differs from that loader in one respect
+on purpose: undecodable or too deeply nested JSON and integers too large
+for a float are ``MalformedDocument``, where they used to escape as
+``UnicodeDecodeError``, ``RecursionError`` and ``OverflowError``. A
+single frame file is read as a directory that holds only that file.
 
-The property: on generated directories with mutated files, both loaders
-accept or reject alike, with the same error class, the same failing
-files in the same order with the same messages, and bit-identical
-arrays when they accept.
+The property: on generated directories with mutated files, and on each
+of their files alone, both loaders accept or reject alike, with the same
+error class, the same failing files in the same order with the same
+messages, each naming its file once, and bit-identical arrays when they
+accept.
 """
 
 from __future__ import annotations
@@ -38,46 +40,46 @@ from aclrisk.errors import (
 # -- reference: the frame-by-frame parser --------------------------------------
 
 
-def reference_array(flat, where: str) -> np.ndarray:
+def reference_array(flat) -> np.ndarray:
     if not isinstance(flat, list) or len(flat) != 75:
-        raise MalformedDocument(f"{where}: pose_keypoints_2d must hold exactly 75 numbers")
+        raise MalformedDocument("pose_keypoints_2d must hold exactly 75 numbers")
     try:
         arr = np.array(flat, dtype=float).reshape(25, 3)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"{where}: non-numeric keypoint entry ({exc})") from exc
+        raise MalformedDocument(f"non-numeric keypoint entry ({exc})") from exc
     if not np.all(np.isfinite(arr)):
-        raise MalformedDocument(f"{where}: keypoint values must be finite")
+        raise MalformedDocument("keypoint values must be finite")
     conf = arr[:, 2]
     if np.any(conf < 0.0) or np.any(conf > 1.0):
-        raise MalformedDocument(f"{where}: confidence values must lie in [0, 1]")
+        raise MalformedDocument("confidence values must lie in [0, 1]")
     return arr
 
 
-def reference_person(person, where: str) -> np.ndarray:
+def reference_person(person) -> np.ndarray:
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-        raise MalformedDocument(f"{where}: person object missing 'pose_keypoints_2d'")
-    return reference_array(person["pose_keypoints_2d"], where)
+        raise MalformedDocument("person object missing 'pose_keypoints_2d'")
+    return reference_array(person["pose_keypoints_2d"])
 
 
-def reference_parse(raw: bytes, policy: str, where: str) -> np.ndarray:
+def reference_parse(raw: bytes, policy: str) -> np.ndarray:
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:
-        raise MalformedDocument(f"{where}: invalid JSON ({exc})") from exc
+        raise MalformedDocument(f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "people" not in doc:
-        raise MalformedDocument(f"{where}: missing 'people' key")
+        raise MalformedDocument("missing 'people' key")
     people = doc["people"]
     if not isinstance(people, list):
-        raise MalformedDocument(f"{where}: 'people' must be a list")
+        raise MalformedDocument("'people' must be a list")
     if not people:
-        raise NoPersonDetected(f"{where}: empty people list")
+        raise NoPersonDetected("empty people list")
     if len(people) == 1:
-        return reference_person(people[0], where)
+        return reference_person(people[0])
     if policy == pi.POLICY_STRICT:
-        raise AmbiguousPerson(f"{where}: {len(people)} people present under strict policy")
+        raise AmbiguousPerson(f"{len(people)} people present under strict policy")
     best, best_score = None, -1.0
     for person in people:
-        arr = reference_person(person, where)
+        arr = reference_person(person)
         detected = ~np.all(arr == 0.0, axis=1)
         score = float(arr[detected, 2].mean()) if detected.any() else 0.0
         if score > best_score:
@@ -89,19 +91,23 @@ def reference_index(name: str, fallback: int) -> int:
     groups = re.findall(r"(\d+)", Path(name).stem)
     index = int(groups[-1]) if groups else fallback
     if not -2**63 <= index < 2**63:
-        raise MalformedDocument(f"{name}: frame index {index} out of range")
+        raise MalformedDocument(f"frame index {index} out of range")
     return index
 
 
 def reference_load(path: Path, policy: str) -> tuple[list[int], np.ndarray]:
-    files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".json")
-    if not files:
-        raise EmptySource(f"no frame documents in {path}")
+    """A directory's frame documents, or a single file as the one document of its directory."""
+    if path.is_dir():
+        files = sorted(p for p in path.iterdir() if p.suffix.lower() == ".json")
+        if not files:
+            raise EmptySource(f"no frame documents in {path}")
+    else:
+        files, path = [path], path.parent
     frames, failures = [], []
     for pos, p in enumerate(files):
         try:
             index = reference_index(p.name, pos)
-            frames.append((index, p.name, reference_parse(p.read_bytes(), policy, p.name)))
+            frames.append((index, p.name, reference_parse(p.read_bytes(), policy)))
         except Exception as exc:
             failures.append((p.name, exc))
     if failures:
@@ -258,11 +264,6 @@ def write_directory(root: Path, files: dict[str, bytes | None]) -> Path:
     return directory
 
 
-def reference_single(path: Path, policy: str) -> tuple[list[int], np.ndarray]:
-    index = reference_index(path.name, 0)
-    return [index], reference_parse(path.read_bytes(), policy, path.name)[np.newaxis]
-
-
 @settings(max_examples=300, deadline=None)
 @given(frame_directory(), st.sampled_from([pi.POLICY_BEST, pi.POLICY_STRICT]))
 def test_directory_loader_matches_reference(files, policy):
@@ -270,15 +271,13 @@ def test_directory_loader_matches_reference(files, policy):
         directory = write_directory(Path(tmp), files)
         assert (outcome(lambda: package_load(directory, policy))
                 == outcome(lambda: reference_load(directory, policy)))
-        # each document alone: parse_openpose_frame and the single-file branch
+        # each file alone, as a one-file directory
         for name, content in files.items():
             if content is None:
                 continue
-            assert (outcome(lambda: ([0], pi.parse_openpose_frame(content, policy, name)[None]))
-                    == outcome(lambda: ([0], reference_parse(content, policy, name)[None])))
             path = directory / name
             assert (outcome(lambda: package_load(path, policy))
-                    == outcome(lambda: reference_single(path, policy)))
+                    == outcome(lambda: reference_load(path, policy)))
 
 
 def mutated_documents(rng: np.random.Generator) -> list[tuple[str, bytes]]:
@@ -369,12 +368,19 @@ def frame_between_single_person_frames(directory: Path, people: list) -> Path:
 
 
 def selected_person(tmp_path: Path, people: list) -> np.ndarray:
-    """Frame 1's selected array, which the frame parser and the directory loader agree on."""
+    """Frame 1's selected array, which the one-file and the directory loads agree on."""
     directory = frame_between_single_person_frames(tmp_path / "frames", people)
     series = pi.load_series(directory, pi.SAGITTAL)
-    parsed = pi.parse_openpose_frame((directory / "frame_1.json").read_bytes())
-    assert np.array_equal(series.keypoints[1], parsed)
-    return parsed
+    single = pi.load_series(directory / "frame_1.json", pi.SAGITTAL)
+    assert single.frame_index.tolist() == [1]
+    assert np.array_equal(series.keypoints[1:2], single.keypoints)
+    return single.keypoints[0]
+
+
+def failures(source) -> list[tuple[str, type, str]]:
+    with pytest.raises(SeriesParseError) as exc_info:
+        pi.load_series(source, pi.SAGITTAL)
+    return [(fid, type(err), str(err)) for fid, err in exc_info.value.failures]
 
 
 def test_numeric_error_of_an_earlier_person_comes_before_a_structure_error(tmp_path):
@@ -382,20 +388,25 @@ def test_numeric_error_of_an_earlier_person_comes_before_a_structure_error(tmp_p
     first[4] = float("nan")
     directory = frame_between_single_person_frames(tmp_path / "frames",
                                                    [{"pose_keypoints_2d": first}, {}])
-    with pytest.raises(SeriesParseError) as exc_info:
-        pi.load_series(directory, pi.SAGITTAL)
-    assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
-        ("frame_1.json", "frame_1.json: keypoint values must be finite")]
-    with pytest.raises(MalformedDocument, match="^frame: keypoint values must be finite$"):
-        pi.parse_openpose_frame((directory / "frame_1.json").read_bytes())
+    expected = [("frame_1.json", MalformedDocument, "keypoint values must be finite")]
+    assert failures(directory) == expected
+    assert failures(directory / "frame_1.json") == expected
 
 
-def test_structure_error_of_an_earlier_person_comes_before_a_numeric_error():
+def test_structure_error_of_an_earlier_person_comes_before_a_numeric_error(tmp_path):
     second = flat_person(0.0, 0.9)
     second[4] = float("nan")
-    doc = json.dumps({"people": [{}, {"pose_keypoints_2d": second}]})
-    with pytest.raises(MalformedDocument, match="missing 'pose_keypoints_2d'"):
-        pi.parse_openpose_frame(doc)
+    path = tmp_path / "frame_0.json"
+    path.write_text(json.dumps({"people": [{}, {"pose_keypoints_2d": second}]}))
+    assert failures(path) == [
+        ("frame_0.json", MalformedDocument, "person object missing 'pose_keypoints_2d'")]
+
+
+def test_a_broken_frame_is_named_once(tmp_path):
+    directory = frame_between_single_person_frames(tmp_path / "frames", [])
+    with pytest.raises(SeriesParseError) as exc_info:
+        pi.load_series(directory, pi.SAGITTAL)
+    assert str(exc_info.value) == "1 frame(s) failed to parse: frame_1.json: empty people list"
 
 
 def test_best_person_is_selected_when_it_comes_second(tmp_path):

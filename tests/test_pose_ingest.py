@@ -34,9 +34,28 @@ def flat_pose(x0: float = 10.0, confidence: float = 0.9) -> list[float]:
 # -- frame parsing ---------------------------------------------------------
 
 
+def load_frame(tmp_path, raw: bytes, policy: str = pi.POLICY_BEST) -> np.ndarray:
+    """The (25, 3) array of one frame document, loaded as a one-file series."""
+    path = tmp_path / "frame.json"
+    path.write_bytes(raw)
+    series = pi.load_series(path, pi.SAGITTAL, policy)
+    assert series.frame_index.tolist() == [0]  # no digits in the name: its position
+    return series.keypoints[0]
+
+
+def frame_error(tmp_path, raw: bytes, policy: str = pi.POLICY_BEST) -> Exception:
+    """The error of one failing frame document, named once in its SeriesParseError."""
+    with pytest.raises(SeriesParseError) as exc_info:
+        load_frame(tmp_path, raw, policy)
+    [(name, error)] = exc_info.value.failures
+    assert name == "frame.json"
+    assert str(exc_info.value).count("frame.json") == 1
+    return error
+
+
 def test_parse_single_person_roundtrip(tmp_path):
     flat = flat_pose()
-    assert np.array_equal(pi.parse_openpose_frame(person_doc(flat)).ravel(), np.array(flat))
+    assert np.array_equal(load_frame(tmp_path, person_doc(flat)).ravel(), np.array(flat))
     path = tmp_path / "frame_000000000007_keypoints.json"
     path.write_bytes(person_doc(flat))
     series = pi.load_series(path, pi.SAGITTAL)
@@ -50,40 +69,36 @@ def test_parse_marks_zero_triples_missing(tmp_path):
     flat = flat_pose()
     flat[3 * 4:3 * 4 + 3] = [0.0, 0.0, 0.0]
     flat[3 * 6:3 * 6 + 3] = [5.0, 6.0, 0.0]  # confidence 0 alone is not "undetected"
-    path = tmp_path / "frame_0.json"
-    path.write_bytes(person_doc(flat))
-    missing = pi.undetected(pi.load_series(path, pi.SAGITTAL).keypoints[0])
+    missing = pi.undetected(load_frame(tmp_path, person_doc(flat)))
     assert missing[4]
     assert missing.sum() == 1
 
 
-def test_parse_empty_people_raises():
-    with pytest.raises(NoPersonDetected):
-        pi.parse_openpose_frame(person_doc())
+def test_parse_empty_people_raises(tmp_path):
+    assert isinstance(frame_error(tmp_path, person_doc()), NoPersonDetected)
 
 
-def test_parse_two_people_best_policy_picks_higher_confidence():
+def test_parse_two_people_best_policy_picks_higher_confidence(tmp_path):
     low = flat_pose(x0=10.0, confidence=0.5)
     high = flat_pose(x0=500.0, confidence=0.9)
-    kp = pi.parse_openpose_frame(person_doc(low, high), policy=pi.POLICY_BEST)
+    kp = load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)
     assert kp[0, 0] == 500.0
 
 
-def test_best_policy_means_over_detected_keypoints_only():
+def test_best_policy_means_over_detected_keypoints_only(tmp_path):
     # A: all 25 keypoints at 0.6; B: 10 detected at 0.9, rest missing.
     # B's mean over detected keypoints wins even though its total is lower.
     full = flat_pose(x0=10.0, confidence=0.6)
     partial = flat_pose(x0=500.0, confidence=0.9)
     for i in range(10, 25):
         partial[3 * i:3 * i + 3] = [0.0, 0.0, 0.0]
-    kp = pi.parse_openpose_frame(person_doc(full, partial))
+    kp = load_frame(tmp_path, person_doc(full, partial))
     assert kp[0, 0] == 500.0
 
 
-def test_parse_two_people_strict_policy_raises():
-    with pytest.raises(AmbiguousPerson):
-        pi.parse_openpose_frame(person_doc(flat_pose(), flat_pose()),
-                                policy=pi.POLICY_STRICT)
+def test_parse_two_people_strict_policy_raises(tmp_path):
+    error = frame_error(tmp_path, person_doc(flat_pose(), flat_pose()), policy=pi.POLICY_STRICT)
+    assert isinstance(error, AmbiguousPerson)
 
 
 @pytest.mark.parametrize("raw", [
@@ -93,16 +108,16 @@ def test_parse_two_people_strict_policy_raises():
     json.dumps({"people": [{"pose_keypoints_2d": [1.0, 2.0]}]}).encode(),
     json.dumps({"people": [{}]}).encode(),
 ])
-def test_parse_malformed_documents(raw):
-    with pytest.raises(MalformedDocument):
-        pi.parse_openpose_frame(raw)
+def test_parse_malformed_documents(tmp_path, raw):
+    assert isinstance(frame_error(tmp_path, raw), MalformedDocument)
 
 
-def test_parse_rejects_confidence_outside_unit_interval():
+def test_parse_rejects_confidence_outside_unit_interval(tmp_path):
     flat = flat_pose()
     flat[2] = 1.5
-    with pytest.raises(MalformedDocument):
-        pi.parse_openpose_frame(person_doc(flat))
+    error = frame_error(tmp_path, person_doc(flat))
+    assert isinstance(error, MalformedDocument)
+    assert str(error) == "confidence values must lie in [0, 1]"
 
 
 # -- series loading --------------------------------------------------------
