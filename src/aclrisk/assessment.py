@@ -14,8 +14,12 @@ stage name ("config", "ingest", "preprocess", "window", "extract",
 from __future__ import annotations
 
 import json
+import os
+import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -116,11 +120,14 @@ def assess_trial(
     frontal_source: str | Path,
     config: RunConfig | None = None,
     number: int = 1,
+    *,
+    weighting: tuple[np.ndarray, dict | None] | None = None,
 ) -> AssessmentReport:
     """Run the full pipeline on one two-view trial.
 
     The views run one after the other, sagittal first, so when both are
-    bad the error reported is the sagittal view's.
+    bad the error reported is the sagittal view's. ``weighting`` is the
+    ``resolve_weights(config)`` result, when the caller already has it.
     """
     cfg = config or RunConfig()
     with _stage("config"):
@@ -132,7 +139,7 @@ def assess_trial(
         grades = grade_all(sag, fro, cfg.thresholds)
 
     with _stage("weights"):
-        weights, consistency = resolve_weights(cfg)
+        weights, consistency = weighting if weighting is not None else resolve_weights(cfg)
 
     with _stage("aggregate"):
         total = ahp.aggregate(list(grades), weights)
@@ -149,7 +156,7 @@ def assess_trial(
         grades={k: int(v) for k, v in zip(GradeVector._fields, grades)},
         labels={k: grade_label(v) for k, v in zip(GradeVector._fields, grades)},
         weights={"source": cfg.weight_source, "values": [float(w) for w in weights]},
-        consistency=consistency,
+        consistency=dict(consistency) if consistency else None,
         total=float(total),
         config=config_snapshot,
         preprocessing={"sagittal": asdict(sag_stats), "frontal": asdict(fro_stats)},
@@ -234,26 +241,65 @@ class BatchResult:
         return summary_csv(rows)
 
 
+def _assess_one(trial: Trial, cfg: RunConfig, weighting) -> AssessmentReport | dict:
+    """One batch trial: its report, or its failure record if a pipeline error stopped it."""
+    try:
+        return assess_trial(trial.sagittal, trial.frontal, cfg, number=trial.number,
+                            weighting=weighting)
+    except AclRiskError as exc:
+        return {
+            "number": trial.number,
+            "stage": exc.stage or "unknown",
+            "error": type(exc).__name__,
+            "message": str(exc),
+        }
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_context(workers: int):
+    """The fork context for a pool of ``workers`` processes, or None to run in-process.
+
+    Fork is unsafe on macOS and in a process running other threads (a
+    child gets a copy of every lock, but only the calling thread), and a
+    daemonic multiprocessing worker may not have children.
+    """
+    if workers < 2 or sys.platform == "darwin" or threading.active_count() > 1:
+        return None
+    import multiprocessing
+    if ("fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
+        return None
+    return multiprocessing.get_context("fork")
+
+
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
-    """Assess trials; a bad config or weighting fails the batch, a bad trial only itself."""
+    """Assess trials; a bad config or weighting fails the batch, a bad trial only itself.
+
+    The trials are spread over one forked process per usable CPU, or run
+    in-process when a pool cannot help or cannot be had. Reports and
+    failures come back in trial order either way.
+    """
     cfg = config or RunConfig()
     with _stage("config"):
         cfg.validate()
     with _stage("weights"):
-        resolve_weights(cfg)
+        weighting = resolve_weights(cfg)
     if not trials:
         raise EmptySource("batch contains no trials")
-    reports: list[AssessmentReport] = []
-    failures: list[dict] = []
-    for trial in trials:
-        try:
-            reports.append(assess_trial(trial.sagittal, trial.frontal, cfg,
-                                         number=trial.number))
-        except AclRiskError as exc:
-            failures.append({
-                "number": trial.number,
-                "stage": exc.stage or "unknown",
-                "error": type(exc).__name__,
-                "message": str(exc),
-            })
-    return BatchResult(reports=reports, failures=failures)
+    workers = min(len(trials), _usable_cpus())
+    context = _fork_context(workers)
+    args = (trials, repeat(cfg), repeat(weighting))
+    if context is None:
+        outcomes = list(map(_assess_one, *args))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(workers, mp_context=context) as pool:
+            outcomes = list(pool.map(_assess_one, *args))
+    return BatchResult(
+        reports=[o for o in outcomes if isinstance(o, AssessmentReport)],
+        failures=[o for o in outcomes if isinstance(o, dict)])

@@ -364,7 +364,7 @@ def _load_frames(directory: Path, names: list[str], view: str, policy: str) -> K
         positions.append(pos)
     keypoints, errors = _select_rows(candidates)
     _raise_failures(failures, errors, positions, names.__getitem__)
-    return _series(view, keypoints, indices, directory.name, names.__getitem__)
+    return _series(view, keypoints, indices, str(directory), names.__getitem__)
 
 
 def read_series_csv(path: str | Path, view: str) -> KeypointSeries:

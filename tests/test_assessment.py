@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -454,6 +458,131 @@ def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path):
     result = assessment.assess_batch(trials, RunConfig(judgment_matrix=matrix, force=True))
     assert [r.number for r in result.reports] == [1, 2, 3]
     assert result.failures == []
+
+
+def test_a_batch_derives_its_weighting_once(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    calls = []
+    consistency = ahp.consistency
+    monkeypatch.setattr(ahp, "consistency",
+                        lambda *args: calls.append(args) or consistency(*args))
+    result = assessment.assess_batch([assessment.Trial(1, sag, fro)], RunConfig())
+    assert [r.number for r in result.reports] == [1]
+    assert len(calls) == 1
+
+
+def mixed_batch(tmp_path) -> list[assessment.Trial]:
+    """Good trials between a long gap, a broken frame and a missing source."""
+    good = [write_trial(tmp_path, script, name)[:2] for script, name in
+            ((excellent_script(), "good1"), (poor_script(), "good2"),
+             (excellent_script(), "good3"))]
+    sag_broken, fro_broken, _ = write_trial(tmp_path, poor_script(), "broken")
+    (Path(sag_broken) / sorted(os.listdir(sag_broken))[5]).write_text("broken{")
+    return [
+        assessment.Trial(1, *good[0]),
+        assessment.Trial(2, occluded_sagittal_csv(tmp_path), good[1][1]),
+        assessment.Trial(3, *good[1]),
+        assessment.Trial(4, sag_broken, fro_broken),
+        assessment.Trial(5, good[2][0], str(tmp_path / "missing.csv")),
+        assessment.Trial(6, *good[2]),
+    ]
+
+
+def serial_outcome(trials, cfg) -> tuple[list[bytes], list[dict]]:
+    """Reports and failure records of assess_trial called on one trial at a time."""
+    reports, failures = [], []
+    for t in trials:
+        try:
+            report = assessment.assess_trial(t.sagittal, t.frontal, cfg, number=t.number)
+        except AclRiskError as exc:
+            failures.append({"number": t.number, "stage": exc.stage,
+                             "error": type(exc).__name__, "message": str(exc)})
+        else:
+            reports.append(assessment.report_to_json(report))
+    return reports, failures
+
+
+def batch_outcome(trials, cfg) -> tuple[list[bytes], list[dict]]:
+    result = assessment.assess_batch(trials, cfg)
+    return [assessment.report_to_json(r) for r in result.reports], result.failures
+
+
+def test_a_mixed_batch_matches_one_trial_at_a_time(tmp_path):
+    trials = mixed_batch(tmp_path)
+    reports, failures = batch_outcome(trials, RunConfig())
+    assert (reports, failures) == serial_outcome(trials, RunConfig())
+    assert [json.loads(r)["number"] for r in reports] == [1, 3, 6]
+    assert [(f["number"], f["stage"], f["error"]) for f in failures] == [
+        (2, "preprocess", "GapTooLong"),
+        (4, "ingest", "SeriesParseError"),
+        (5, "ingest", "EmptySource"),
+    ]
+    assert sorted(os.listdir(trials[3].sagittal))[5] in failures[1]["message"]
+
+
+def recording_pids(monkeypatch, directory: Path) -> None:
+    """Make every assess_trial call leave a file named by its process id in ``directory``."""
+    directory.mkdir()
+    assess_trial = assessment.assess_trial
+
+    def recorded(*args, **kwargs):
+        (directory / str(os.getpid())).touch()
+        time.sleep(0.05)  # let every worker take a trial
+        return assess_trial(*args, **kwargs)
+
+    monkeypatch.setattr(assessment, "assess_trial", recorded)
+
+
+@pytest.mark.skipif(assessment._usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_a_batch_runs_in_more_than_one_process(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    recording_pids(monkeypatch, tmp_path / "pids")
+    result = assessment.assess_batch(
+        [assessment.Trial(n, sag, fro) for n in range(1, 7)], RunConfig())
+    assert [r.number for r in result.reports] == [1, 2, 3, 4, 5, 6]
+    pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
+    assert len(pids) > 1 and os.getpid() not in pids
+
+
+def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    recording_pids(monkeypatch, tmp_path / "pids")
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait, args=(60,))
+    thread.start()
+    try:
+        result = assessment.assess_batch(
+            [assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+    finally:
+        stop.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert [r.number for r in result.reports] == [1, 2, 3]
+    assert result.reports[0].consistency is not result.reports[1].consistency
+    assert [p.name for p in (tmp_path / "pids").iterdir()] == [str(os.getpid())]
+
+
+def test_an_error_outside_the_pipeline_ends_the_batch_with_its_type(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    assess_trial = assessment.assess_trial
+
+    def failing(sagittal, frontal, config, number, **kwargs):
+        if number == 2:
+            raise KeyError("not a pipeline error")
+        return assess_trial(sagittal, frontal, config, number, **kwargs)
+
+    monkeypatch.setattr(assessment, "assess_trial", failing)
+    with pytest.raises(KeyError, match="not a pipeline error"):
+        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_a_batch_inside_a_pool_worker_runs_in_process(tmp_path):
+    trials = mixed_batch(tmp_path)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        outcome = pool.apply_async(batch_outcome, (trials, RunConfig())).get(timeout=120)
+    assert outcome == serial_outcome(trials, RunConfig())
 
 
 def test_batch_empty_list_raises():

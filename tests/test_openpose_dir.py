@@ -116,7 +116,7 @@ def reference_load(path: Path, policy: str) -> tuple[list[int], np.ndarray]:
     for (a, name_a, _), (b, name_b, _) in zip(frames, frames[1:]):
         if a == b:
             raise MalformedDocument(
-                f"{path.name}: frame {a} appears twice ({name_a} and {name_b})")
+                f"{path}: frame {a} appears twice ({name_a} and {name_b})")
     return [index for index, _, _ in frames], np.stack([arr for _, _, arr in frames])
 
 

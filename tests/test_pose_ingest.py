@@ -144,6 +144,15 @@ def test_duplicate_frame_files_are_malformed(tmp_path):
     assert "frame_000000000003_keypoints.json" in message and "take2_frame_3.json" in message
 
 
+def test_duplicate_frames_name_the_current_directory(tmp_path, monkeypatch):
+    (tmp_path / "frame_3.json").write_bytes(person_doc(flat_pose()))
+    (tmp_path / "take_3.json").write_bytes(person_doc(flat_pose()))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(MalformedDocument) as exc_info:
+        pi.load_series(".", pi.SAGITTAL)
+    assert str(exc_info.value) == ".: frame 3 appears twice (frame_3.json and take_3.json)"
+
+
 def test_duplicate_frame_rows_are_malformed(tmp_path):
     path = tmp_path / "s.csv"
     pi.write_series_csv(make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3,
