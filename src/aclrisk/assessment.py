@@ -251,7 +251,7 @@ def _assess_one(trial: Trial, cfg: RunConfig, weighting) -> AssessmentReport | d
             "number": trial.number,
             "stage": exc.stage or "unknown",
             "error": type(exc).__name__,
-            "message": str(exc),
+            "message": exc.message,
         }
 
 

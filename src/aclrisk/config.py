@@ -68,6 +68,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0")
+        if not math.isfinite(self.window_duration_s * self.default_fps):
+            raise ConfigError("window_duration_s * default_fps must be finite")
         if self.weights is not None and not all(math.isfinite(w) for w in self.weights):
             raise ConfigError("weights must be finite")
         if self.weight_source == "explicit":

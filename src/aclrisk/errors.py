@@ -15,11 +15,15 @@ class AclRiskError(Exception):
         super().__init__(message)
         self.stage = stage
 
+    @property
+    def message(self) -> str:
+        """The message without its stage label."""
+        return super().__str__()
+
     def __str__(self) -> str:
-        base = super().__str__()
         if self.stage:
-            return f"[{self.stage}] {base}"
-        return base
+            return f"[{self.stage}] {self.message}"
+        return self.message
 
 
 # -- pose ingestion ------------------------------------------------------

@@ -118,27 +118,44 @@ class PreprocessStats:
 
 # -- frame parsing --------------------------------------------------------
 #
-# A frame document is checked in two steps. The structure check is plain
-# Python and runs once per file; it yields the candidate persons' 75 raw
-# values. The numeric check converts the candidates of a whole series in
-# one numpy call and checks them at once; the best person of each frame is
-# picked after it.
+# Every input, a frame document or a CSV data line, gives one row of 75
+# values. The loaders check the rows of a whole series in one numeric check
+# (one numpy call), so row i of that check is input i. A frame with several
+# people checks them where it is read and gives the row of its best person.
 
 _N_VALUES = 3 * N_KEYPOINTS
+# The row of an input that failed: it passes the numeric check, and the
+# series is never built from it.
+_STAND_IN = [0.0] * _N_VALUES
 
 
-def _keypoint_values(person) -> list:
-    """A person's ``pose_keypoints_2d`` list, checked for shape but not content."""
-    if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-        raise MalformedDocument("person object missing 'pose_keypoints_2d'")
-    flat = person["pose_keypoints_2d"]
-    if not isinstance(flat, list) or len(flat) != _N_VALUES:
-        raise MalformedDocument(f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
-    return flat
+def _keypoint_lists(people: list) -> tuple[list[list], MalformedDocument | None]:
+    """The people's ``pose_keypoints_2d`` lists, checked for shape but not content.
+
+    Stops at the first person that fails; returns the lists before it and
+    its error, or all lists and None.
+    """
+    lists: list[list] = []
+    for person in people:
+        if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
+            return lists, MalformedDocument("person object missing 'pose_keypoints_2d'")
+        flat = person["pose_keypoints_2d"]
+        if not isinstance(flat, list) or len(flat) != _N_VALUES:
+            return lists, MalformedDocument(
+                f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
+        lists.append(flat)
+    return lists, None
 
 
-def _frame_values(raw: bytes, policy: str) -> list[list]:
-    """The structure check: the candidate persons' 75 values of one frame document."""
+def _frame_values(raw: bytes, policy: str) -> list:
+    """The 75 values of one frame document's person.
+
+    Under the best policy, each person of a frame with several is checked
+    in full, in document order, and the first failure is the frame's
+    error; of good persons, the one with the highest mean confidence over
+    detected keypoints is picked, the first on a tie. A single person's
+    values get their numeric check with the rest of the series.
+    """
     try:
         doc = json.loads(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
@@ -150,22 +167,22 @@ def _frame_values(raw: bytes, policy: str) -> list[list]:
         raise MalformedDocument("'people' must be a list")
     if not people:
         raise NoPersonDetected("empty people list")
-    if len(people) == 1:
-        return [_keypoint_values(people[0])]
-    if policy == POLICY_STRICT:
+    if len(people) > 1 and policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{len(people)} people present under strict policy")
-    rows: list[list] = []
-    for person in people:
-        try:
-            rows.append(_keypoint_values(person))
-        except MalformedDocument:
-            # each person is checked in full before the next one, so a
-            # numeric error of an earlier person is the one reported
-            _, errors = _keypoint_array(rows)
-            if errors:
-                raise errors[min(errors)] from None
-            raise
-    return rows
+    rows, failure = _keypoint_lists(people)
+    if len(people) > 1:
+        values, errors = _keypoint_array(rows)
+        if errors:  # a numeric error of an earlier person comes before a structure error
+            raise errors[min(errors)]
+    if failure is not None:
+        raise failure
+    if len(rows) == 1:
+        return rows[0]
+    scores = []
+    for person in values:
+        detected = ~undetected(person)
+        scores.append(float(person[detected, 2].mean()) if detected.any() else 0.0)
+    return rows[scores.index(max(scores))]
 
 
 def _keypoint_array(rows: list[list]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
@@ -201,40 +218,6 @@ def _keypoint_array(rows: list[list]) -> tuple[np.ndarray, dict[int, MalformedDo
         else:
             errors[i] = MalformedDocument("confidence values must lie in [0, 1]")
     return values, errors
-
-
-def _select_rows(candidates: list[list[list]]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
-    """The numeric check and person selection for the frames of a series.
-
-    ``candidates[i]`` holds the candidate rows of frame i, in document
-    order. All rows are checked by one ``_keypoint_array`` call; a frame
-    fails with the error of its first failing row. Of several candidates,
-    the one with the highest mean confidence over detected (non-zero-triple)
-    keypoints is selected, the first on a tie. Returns the (n, 25, 3) array
-    of the selected rows and the error of each failing frame by its
-    position.
-    """
-    rows = [row for frame in candidates for row in frame]
-    frame_of = [i for i, frame in enumerate(candidates) for _ in frame]
-    values, row_errors = _keypoint_array(rows)
-    errors: dict[int, MalformedDocument] = {}
-    for r in sorted(row_errors):
-        errors.setdefault(frame_of[r], row_errors[r])
-    selected: list[int] = []
-    start = 0
-    for i, frame in enumerate(candidates):
-        best = start
-        if len(frame) > 1 and i not in errors:
-            best_score = -1.0
-            for r in range(start, start + len(frame)):
-                arr = values[r]
-                detected = ~undetected(arr)
-                score = float(arr[detected, 2].mean()) if detected.any() else 0.0
-                if score > best_score:
-                    best, best_score = r, score
-        selected.append(best)
-        start += len(frame)
-    return values[selected], errors
 
 
 _DIGITS = re.compile(r"(\d+)")
@@ -298,16 +281,10 @@ def _series(view: str, keypoints: np.ndarray, frame_index,
     return KeypointSeries(view=view, keypoints=keypoints, frame_index=frame_index)
 
 
-def _raise_failures(failures: dict[int, Exception], errors: dict[int, MalformedDocument],
-                    positions: list[int], name: Callable[[int], str]) -> None:
-    """One SeriesParseError for the failing inputs, if any, in input order.
-
-    ``failures`` are keyed by input, the numeric check's ``errors`` by row;
-    row i came from input ``positions[i]``.
-    """
-    failures.update((positions[i], exc) for i, exc in errors.items())
+def _raise_failures(failures: dict[int, Exception], name: Callable[[int], str]) -> None:
+    """One SeriesParseError for the failing inputs, if any, in input order."""
     if failures:
-        raise SeriesParseError([(name(pos), failures[pos]) for pos in sorted(failures)])
+        raise SeriesParseError([(name(i), failures[i]) for i in sorted(failures)])
 
 
 # pathlib orders the paths of one directory by name, case-insensitively on Windows
@@ -349,21 +326,20 @@ def _load_frames(directory: Path, names: list[str], view: str, policy: str) -> K
     A name without digits takes its position as its frame index.
     """
     prefix = str(directory / "_")[:-1]  # file paths spelled as str(directory / name)
-    candidates: list[list[list]] = []
+    rows: list[list] = []
     indices: list[int] = []
-    positions: list[int] = []
     failures: dict[int, Exception] = {}
     for pos, name in enumerate(names):
         try:
             index = _checked_frame_index(frame_index_from_name(name, pos))
-            candidates.append(_frame_values(_read_file(prefix + name), policy))
+            row = _frame_values(_read_file(prefix + name), policy)
         except Exception as exc:  # aggregated below with the frame identifier
             failures[pos] = exc
-            continue
+            index, row = pos, _STAND_IN
         indices.append(index)
-        positions.append(pos)
-    keypoints, errors = _select_rows(candidates)
-    _raise_failures(failures, errors, positions, names.__getitem__)
+        rows.append(row)
+    keypoints, errors = _keypoint_array(rows)
+    _raise_failures(failures | errors, names.__getitem__)
     return _series(view, keypoints, indices, str(directory), names.__getitem__)
 
 
@@ -434,22 +410,21 @@ def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
             raise MalformedDocument(f"{path.name}: {exc}") from exc
         if header != _CSV_HEADER:
             raise MalformedDocument(f"{path.name}: unexpected CSV header")
-        indices, rows, linenos = [], [], []
+        indices, rows = [], []
         failures: dict[int, Exception] = {}
         try:
-            for lineno, row in enumerate(reader, start=2):
+            for i, row in enumerate(reader):
                 try:
                     index, values = _csv_row(row)
                 except MalformedDocument as exc:
-                    failures[lineno] = exc
-                    continue
+                    failures[i] = exc
+                    index, values = i, _STAND_IN
                 indices.append(index)
                 rows.append(values)
-                linenos.append(lineno)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
     keypoints, errors = _keypoint_array(rows)
-    _raise_failures(failures, errors, linenos, lambda n: f"{path.name}:{n}")
+    _raise_failures(failures | errors, lambda i: f"{path.name}:{i + 2}")
     if not rows:
         raise EmptySource(f"{path.name}: no data rows")
     return np.array(indices, dtype=np.int64), keypoints

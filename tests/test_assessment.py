@@ -160,6 +160,8 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"weight_source": "explicit", "weights": [True, 0, 0, 0, 0]},
     {"thresholds": {"distance_lo": True}},
     {**HIERARCHY, "criterion_groups": [[0.9, 1], [2, 3, 4]]},
+    # the landing window's frame count is window_duration_s * default_fps
+    {"window_mode": "landing", "window_duration_s": 1e308, "default_fps": 30},
 ])
 def test_bad_config_values_are_config_errors(data):
     from aclrisk.config import config_from_dict
@@ -496,7 +498,7 @@ def serial_outcome(trials, cfg) -> tuple[list[bytes], list[dict]]:
             report = assessment.assess_trial(t.sagittal, t.frontal, cfg, number=t.number)
         except AclRiskError as exc:
             failures.append({"number": t.number, "stage": exc.stage,
-                             "error": type(exc).__name__, "message": str(exc)})
+                             "error": type(exc).__name__, "message": exc.message})
         else:
             reports.append(assessment.report_to_json(report))
     return reports, failures
@@ -583,6 +585,14 @@ def test_a_batch_inside_a_pool_worker_runs_in_process(tmp_path):
     with multiprocessing.get_context("fork").Pool(1) as pool:
         outcome = pool.apply_async(batch_outcome, (trials, RunConfig())).get(timeout=120)
     assert outcome == serial_outcome(trials, RunConfig())
+
+
+def test_a_batch_failure_names_its_stage_once(tmp_path):
+    _, fro, _ = write_trial(tmp_path, excellent_script())
+    missing = tmp_path / "missing"
+    result = assessment.assess_batch([assessment.Trial(1, str(missing), fro)], RunConfig())
+    assert result.failures == [{"number": 1, "stage": "ingest", "error": "EmptySource",
+                                "message": f"source not found: {missing}"}]
 
 
 def test_batch_empty_list_raises():

@@ -155,8 +155,10 @@ def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path,
     json.dumps({"thresholds": {"cosine_lo": -5, "cosine_hi": 3}}).encode(),
     json.dumps({"criterion_matrix": [[1, math.inf], [1, 1]]}).encode(),
     json.dumps({"weights": [math.nan, 1, 1, 1, 1]}).encode(),
+    json.dumps({"window_mode": "landing", "window_duration_s": 1e308, "default_fps": 30}).encode(),
 ], ids=["nan-window", "non-numeric-weights", "bad-encoding", "infinite-threshold",
-        "cosine-out-of-range", "infinite-criterion-matrix", "nan-weights"])
+        "cosine-out-of-range", "infinite-criterion-matrix", "nan-weights",
+        "overflowing-window"])
 def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, config):
     sag, fro = trial
     path = tmp_path / "cfg.json"

@@ -168,3 +168,17 @@ def test_a_short_line_is_named_once(tmp_path):
         pi.load_series(path, pi.SAGITTAL)
     message = "1 frame(s) failed to parse: t.csv:3: expected 76 columns, got 2"
     assert str(exc_info.value) == message
+
+
+def test_failing_lines_are_named_by_their_line_numbers(tmp_path):
+    rows = [[str(i)] + ["0.5"] * 75 for i in range(5)]
+    rows[1] = ["1", "2"]
+    rows[3][3] = "1.5"  # kp0_c
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(",".join(row) for row in [HEADER, *rows]) + "\n")
+    with pytest.raises(SeriesParseError) as exc_info:
+        pi.load_series(path, pi.SAGITTAL)
+    assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
+        ("t.csv:3", "expected 76 columns, got 2"),
+        ("t.csv:5", "confidence values must lie in [0, 1]"),
+    ]

@@ -350,7 +350,7 @@ def test_frame_index_from_name_matches_path_stem(name, index):
     assert index == (int(groups[-1]) if groups else 7)
 
 
-# -- person selection after the series-level numeric check ----------------------
+# -- failing frames and person selection ----------------------------------------
 
 
 def flat_person(x: float, conf: float) -> list[float]:
@@ -421,3 +421,18 @@ def test_exact_tie_keeps_the_first_person(tmp_path):
     selected = selected_person(tmp_path, [{"pose_keypoints_2d": first},
                                           {"pose_keypoints_2d": second}])
     assert np.array_equal(selected, np.reshape(first, (25, 3)))
+
+
+def test_failing_frames_are_named_in_order_after_a_two_person_frame(tmp_path):
+    directory = tmp_path / "frames"
+    directory.mkdir()
+    people = {i: [{"pose_keypoints_2d": flat_person(10.0 * i, 0.9)}] for i in range(6)}
+    people[1].append({"pose_keypoints_2d": flat_person(200.0, 0.5)})
+    people[2] = [{"pose_keypoints_2d": flat_person(20.0, 0.9)[:74]}]
+    people[4][0]["pose_keypoints_2d"][5] = 1.5
+    for i, frame in people.items():
+        (directory / f"frame_{i}.json").write_text(json.dumps({"people": frame}))
+    assert failures(directory) == [
+        ("frame_2.json", MalformedDocument, "pose_keypoints_2d must hold exactly 75 numbers"),
+        ("frame_4.json", MalformedDocument, "confidence values must lie in [0, 1]"),
+    ]
