@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple
 
@@ -261,28 +261,104 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_context(workers: int):
-    """The fork context for a pool of ``workers`` processes, or None to run in-process.
+def _worker_count(n_trials: int) -> int:
+    """How many processes assess a batch of ``n_trials``: the caller and its forked children.
 
     Fork is unsafe on macOS and in a process running other threads (a
     child gets a copy of every lock, but only the calling thread), and a
-    daemonic multiprocessing worker may not have children.
+    daemonic multiprocessing worker already shares the CPUs with its pool,
+    so these run every trial in-process.
     """
-    if workers < 2 or sys.platform == "darwin" or threading.active_count() > 1:
-        return None
-    import multiprocessing
-    if ("fork" not in multiprocessing.get_all_start_methods()
-            or multiprocessing.current_process().daemon):
-        return None
-    return multiprocessing.get_context("fork")
+    workers = min(n_trials, _usable_cpus())
+    if (workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return 1
+    # a process that never imported multiprocessing is none of its workers
+    multiprocessing = sys.modules.get("multiprocessing")
+    if multiprocessing is not None and multiprocessing.current_process().daemon:
+        return 1
+    return workers
+
+
+def _share_result(share: list[Trial], cfg: RunConfig, weighting) -> bytes:
+    """A forked share's pickled ``("ok", outcomes)``, or ``("error", exc)`` for an
+    error outside the pipeline."""
+    try:
+        return pickle.dumps(("ok", [_assess_one(t, cfg, weighting) for t in share]))
+    except Exception as exc:
+        error = exc
+    try:
+        data = pickle.dumps(("error", error))
+        pickle.loads(data)  # an exception can pickle and still fail to rebuild
+        return data
+    except Exception:
+        return pickle.dumps(("error", RuntimeError(
+            f"a batch trial raised {type(error).__name__}: {error} (the error cannot be pickled)")))
+
+
+class _Child:
+    """A forked process assessing one share of a batch, and the read end of its pipe."""
+
+    def __init__(self, pid: int, read_fd: int):
+        self.pid = pid
+        self.pipe = open(read_fd, "rb")
+        self.status = None  # wait status, once reaped
+
+    def outcomes(self) -> list:
+        """The share's outcomes; an error outside the pipeline is raised with its type."""
+        # read to the end before reaping: a long trial's report outgrows the pipe buffer
+        data = self.pipe.read()
+        self.pipe.close()
+        _, self.status = os.waitpid(self.pid, 0)
+        if self.status != 0 or not data:
+            raise RuntimeError(f"batch worker {self.pid} ended without a result "
+                               f"(wait status {self.status})")
+        kind, value = pickle.loads(data)
+        if kind == "error":
+            raise value
+        return value
+
+    def end(self) -> None:
+        """Kill and reap the child, unless it was reaped already."""
+        self.pipe.close()
+        if self.status is None:
+            from signal import SIGKILL  # numpy does not import signal: only this path pays
+            os.kill(self.pid, SIGKILL)
+            _, self.status = os.waitpid(self.pid, 0)
+
+
+def _fork_share(share: list[Trial], cfg: RunConfig, weighting) -> _Child:
+    """Fork a child that assesses ``share`` and writes its pickled result to a pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # never return into the caller's stack, flush its stdio buffers or run atexit
+        code = 1
+        try:
+            os.close(read_fd)
+            data = _share_result(share, cfg, weighting)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return _Child(pid, read_fd)
 
 
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
     """Assess trials; a bad config or weighting fails the batch, a bad trial only itself.
 
-    The trials are spread over one forked process per usable CPU, or run
-    in-process when a pool cannot help or cannot be had. Reports and
-    failures come back in trial order either way.
+    With ``workers`` processes, trial i is assessed by share ``i % workers``:
+    share 0 by the calling process, every other share by a child forked
+    for it. One usable CPU, one trial, or a process where fork is unsafe
+    gives one worker, and no fork. Reports and failures come back in
+    trial order either way.
     """
     cfg = config or RunConfig()
     with _stage("config"):
@@ -291,15 +367,18 @@ def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchR
         weighting = resolve_weights(cfg)
     if not trials:
         raise EmptySource("batch contains no trials")
-    workers = min(len(trials), _usable_cpus())
-    context = _fork_context(workers)
-    args = (trials, repeat(cfg), repeat(weighting))
-    if context is None:
-        outcomes = list(map(_assess_one, *args))
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(workers, mp_context=context) as pool:
-            outcomes = list(pool.map(_assess_one, *args))
+    workers = _worker_count(len(trials))
+    outcomes = [None] * len(trials)
+    children = []
+    try:
+        for k in range(1, workers):
+            children.append(_fork_share(trials[k::workers], cfg, weighting))
+        outcomes[0::workers] = [_assess_one(t, cfg, weighting) for t in trials[0::workers]]
+        for k, child in enumerate(children, 1):
+            outcomes[k::workers] = child.outcomes()
+    finally:
+        for child in children:
+            child.end()
     return BatchResult(
         reports=[o for o in outcomes if isinstance(o, AssessmentReport)],
         failures=[o for o in outcomes if isinstance(o, dict)])

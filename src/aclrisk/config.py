@@ -66,11 +66,11 @@ class RunConfig:
             raise ConfigError("max_gap must be nonnegative")
         for name in ("window_duration_s", "default_fps"):
             value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
+            if not (_finite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0")
-        if not math.isfinite(self.window_duration_s * self.default_fps):
+        if not _finite(self.window_duration_s * self.default_fps):
             raise ConfigError("window_duration_s * default_fps must be finite")
-        if self.weights is not None and not all(math.isfinite(w) for w in self.weights):
+        if self.weights is not None and not all(map(_finite, self.weights)):
             raise ConfigError("weights must be finite")
         if self.weight_source == "explicit":
             if self.weights is None or len(self.weights) != N_INDICES:
@@ -100,6 +100,14 @@ class RunConfig:
             if f.type.startswith("np.ndarray") and out[f.name] is not None:
                 out[f.name] = np.asarray(out[f.name], dtype=float).tolist()
         return out
+
+
+def _finite(value) -> bool:
+    """Whether a number is finite; an int too large for a float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _parse_bool(value) -> bool:

@@ -82,7 +82,8 @@ def required_keypoints(view: str, side: str = "right") -> frozenset[int]:
 
 def undetected(keypoints: np.ndarray) -> np.ndarray:
     """Mask of the undetected keypoints: those stored as the triple (0, 0, 0)."""
-    return np.all(keypoints == 0.0, axis=-1)
+    k = keypoints
+    return (k[..., 0] == 0.0) & (k[..., 1] == 0.0) & (k[..., 2] == 0.0)
 
 
 @dataclass

@@ -4,8 +4,11 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
+import signal
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +113,17 @@ def test_report_json_refuses_non_finite_numbers(tmp_path):
     with pytest.raises(IoFailure) as exc_info:
         assessment.report_to_json(report)
     assert exc_info.value.stage == "emit"
+
+
+@pytest.mark.parametrize("fields", [
+    {"window_duration_s": 10**400},
+    {"default_fps": 10**400},
+    {"window_duration_s": 10**200, "default_fps": 10**200},  # each fits a float, not the product
+    {"weights": [10**400, 1, 1, 1, 1]},
+], ids=["window_duration_s", "default_fps", "product", "weights"])
+def test_an_int_too_large_for_a_float_is_a_config_error(fields):
+    with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**fields).validate()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -535,7 +549,27 @@ def recording_pids(monkeypatch, directory: Path) -> None:
     monkeypatch.setattr(assessment, "assess_trial", recorded)
 
 
-@pytest.mark.skipif(assessment._usable_cpus() < 2, reason="needs 2 usable CPUs")
+# the batch forks: one trial goes to a child whenever there are two
+forks = pytest.mark.skipif(assessment._worker_count(2) < 2,
+                           reason="needs fork and 2 usable CPUs")
+
+
+@contextmanager
+def time_limit(seconds: int):
+    """Raise TimeoutError in the block once ``seconds`` have passed."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@forks
 def test_a_batch_runs_in_more_than_one_process(tmp_path, monkeypatch):
     sag, fro, _ = write_trial(tmp_path, excellent_script())
     recording_pids(monkeypatch, tmp_path / "pids")
@@ -543,7 +577,85 @@ def test_a_batch_runs_in_more_than_one_process(tmp_path, monkeypatch):
         [assessment.Trial(n, sag, fro) for n in range(1, 7)], RunConfig())
     assert [r.number for r in result.reports] == [1, 2, 3, 4, 5, 6]
     pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
-    assert len(pids) > 1 and os.getpid() not in pids
+    # the caller assesses a share of its own
+    assert os.getpid() in pids and len(pids) == min(6, assessment._usable_cpus())
+
+
+def in_a_child(monkeypatch, trial: int, act) -> None:
+    """Make assess_trial call ``act()`` in place of trial number ``trial`` in a forked child."""
+    caller, assess_trial = os.getpid(), assessment.assess_trial
+
+    def acting(sagittal, frontal, config, number, **kwargs):
+        if number == trial and os.getpid() != caller:
+            act()
+        return assess_trial(sagittal, frontal, config, number, **kwargs)
+
+    monkeypatch.setattr(assessment, "assess_trial", acting)
+
+
+@forks
+def test_a_child_that_ends_without_a_result_ends_the_batch(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    in_a_child(monkeypatch, 2, lambda: os._exit(3))
+    with time_limit(60), pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
+        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+
+
+class HoldsALock(Exception):
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+@forks
+def test_an_error_that_cannot_be_pickled_reaches_the_caller_with_its_type(tmp_path,
+                                                                          monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+
+    def unpicklable():
+        raise HoldsALock("not a pipeline error")
+
+    in_a_child(monkeypatch, 2, unpicklable)
+    with time_limit(60), pytest.raises(RuntimeError,
+                                       match="HoldsALock: not a pipeline error"):
+        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+
+
+@forks
+def test_when_the_callers_share_fails_every_child_is_reaped(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    caller, assess_trial = os.getpid(), assessment.assess_trial
+
+    def failing(sagittal, frontal, config, number, **kwargs):
+        if os.getpid() == caller:
+            raise KeyError("not a pipeline error")
+        time.sleep(60)  # still running when the caller fails
+        return assess_trial(sagittal, frontal, config, number, **kwargs)
+
+    monkeypatch.setattr(assessment, "assess_trial", failing)
+    with time_limit(30), pytest.raises(KeyError):
+        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3, 4)],
+                                RunConfig())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_a_long_trial_in_a_batch_matches_assess_trial(tmp_path):
+    # trial 2 is assessed in a child, and its pickled report outgrows a 64 KiB pipe buffer
+    long = motion_synth.MotionScript(n_frames=3000, touchdown_frame=1000,
+                                     peak_knee_flexion_deg=70.0, peak_hip_flexion_deg=70.0)
+    sagittal, frontal, _ = motion_synth.generate(long)
+    trial = [str(tmp_path / "sagittal.csv"), str(tmp_path / "frontal.csv")]
+    pi.write_series_csv(sagittal, trial[0])
+    pi.write_series_csv(frontal, trial[1])
+    short = write_trial(tmp_path, excellent_script())[:2]
+    with time_limit(60):
+        result = assessment.assess_batch(
+            [assessment.Trial(1, *short), assessment.Trial(2, *trial)], RunConfig())
+    report = assessment.assess_trial(*trial, RunConfig(), number=2)
+    assert len(pickle.dumps(report)) > 1 << 16
+    assert assessment.report_to_json(result.reports[1]) == assessment.report_to_json(report)
 
 
 def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):

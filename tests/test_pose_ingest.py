@@ -74,6 +74,13 @@ def test_parse_marks_zero_triples_missing(tmp_path):
     assert missing.sum() == 1
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_undetected_matches_all_three_values_zero(seed):
+    rng = np.random.default_rng(seed)
+    keypoints = rng.choice([0.0, -0.0, np.nan, 1.0], size=(200, pi.N_KEYPOINTS, 3))
+    assert np.array_equal(pi.undetected(keypoints), np.all(keypoints == 0.0, axis=-1))
+
+
 def test_parse_empty_people_raises(tmp_path):
     assert isinstance(frame_error(tmp_path, person_doc()), NoPersonDetected)
 
