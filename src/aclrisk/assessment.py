@@ -101,11 +101,11 @@ def _assess_view(source: str | Path, view: str, cfg: RunConfig):
     and its PreprocessStats.
     """
     with _stage("ingest"):
-        series = pi.load_series(source, view, cfg.person_policy)
+        series = pi.load_series(source, cfg.person_policy)
     with _stage("preprocess"):
         series, stats = pi.preprocess_report(
-            series, cfg.confidence_threshold, cfg.max_gap,
-            pi.required_keypoints(view, cfg.sagittal_side))
+            series, pi.required_keypoints(view, cfg.sagittal_side),
+            cfg.confidence_threshold, cfg.max_gap)
     with _stage("window"):
         window = kin.analysis_window(series, cfg.window_mode, cfg.window_duration_s,
                                      cfg.default_fps)

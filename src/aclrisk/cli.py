@@ -24,11 +24,6 @@ from .config import load_config
 from .errors import AclRiskError, InvalidScript, MalformedDocument
 
 
-def _fail(exc: Exception) -> int:
-    sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
-    return 1
-
-
 def _read_json(path: str):
     """The JSON document in a file; one that cannot be decoded is MalformedDocument."""
     try:
@@ -61,94 +56,81 @@ def _trials(entries) -> list[assessment.Trial]:
 
 
 def cmd_assess(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        if args.window:
-            cfg.window_mode = args.window
-        if args.force:
-            cfg.force = True
-        report = assessment.assess_trial(args.sagittal, args.frontal, cfg,
-                                         number=args.number)
-        if args.traces:
-            assessment.emit_traces(report, args.traces)
-        payload = assessment.emit_report(report, args.format)
-        if args.report:
-            Path(args.report).write_bytes(payload)
-        else:
-            sys.stdout.buffer.write(payload)
-    except (AclRiskError, OSError) as exc:
-        return _fail(exc)
+    cfg = load_config(args.config)
+    if args.window:
+        cfg.window_mode = args.window
+    if args.force:
+        cfg.force = True
+    report = assessment.assess_trial(args.sagittal, args.frontal, cfg, number=args.number)
+    if args.traces:
+        assessment.emit_traces(report, args.traces)
+    payload = assessment.emit_report(report, args.format)
+    if args.report:
+        Path(args.report).write_bytes(payload)
+    else:
+        sys.stdout.buffer.write(payload)
     return 0
 
 
 def cmd_ahp(args: argparse.Namespace) -> int:
-    try:
-        matrix = ahp.parse_matrix(_read_json(args.matrix))
-        violations = ahp.validate(matrix)
-        if violations:
-            for v in violations:
-                sys.stderr.write(f"invalid matrix: {v}\n")
-            return 1
-        if args.method == "geometric":
-            weights = ahp.weights_geometric(matrix)
-        else:
-            weights = ahp.weights_sum_method(matrix)
-        report = ahp.consistency(matrix, weights)
-        print("weights:", " ".join(f"{w:.6f}" for w in weights))
-        print(f"lambda_max: {report.lambda_max:.6f}")
-        print(f"CI: {report.ci:.6f}")
-        print(f"RI: {report.ri:.2f}")
-        print(f"CR: {report.cr:.6f}")
-        print("consistency:", "PASS" if report.passed else "FAIL")
-        return 0
-    except (AclRiskError, OSError) as exc:
-        return _fail(exc)
+    matrix = ahp.parse_matrix(_read_json(args.matrix))
+    violations = ahp.validate(matrix)
+    if violations:
+        for v in violations:
+            sys.stderr.write(f"invalid matrix: {v}\n")
+        return 1
+    if args.method == "geometric":
+        weights = ahp.weights_geometric(matrix)
+    else:
+        weights = ahp.weights_sum_method(matrix)
+    report = ahp.consistency(matrix, weights)
+    print("weights:", " ".join(f"{w:.6f}" for w in weights))
+    print(f"lambda_max: {report.lambda_max:.6f}")
+    print(f"CI: {report.ci:.6f}")
+    print(f"RI: {report.ri:.2f}")
+    print(f"CR: {report.cr:.6f}")
+    print("consistency:", "PASS" if report.passed else "FAIL")
+    return 0
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    try:
-        data = _read_json(args.script)
-        if not isinstance(data, dict):
-            raise InvalidScript("script file must hold a JSON object")
-        script = motion_synth.MotionScript.from_dict(data)
-        sagittal, frontal, truth = motion_synth.generate(script)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.format == "csv":
-            pi.write_series_csv(sagittal, out / "sagittal.csv")
-            pi.write_series_csv(frontal, out / "frontal.csv")
-        else:
-            pi.write_series_openpose(sagittal, out / "sagittal")
-            pi.write_series_openpose(frontal, out / "frontal")
-        motion_synth.write_ground_truth(truth, out / "ground_truth.json")
-        print(f"wrote trial to {out}")
-        return 0
-    except (AclRiskError, OSError) as exc:
-        return _fail(exc)
+    data = _read_json(args.script)
+    if not isinstance(data, dict):
+        raise InvalidScript("script file must hold a JSON object")
+    script = motion_synth.MotionScript.from_dict(data)
+    sagittal, frontal, truth = motion_synth.generate(script)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    if args.format == "csv":
+        pi.write_series_csv(sagittal, out / "sagittal.csv")
+        pi.write_series_csv(frontal, out / "frontal.csv")
+    else:
+        pi.write_series_openpose(sagittal, out / "sagittal")
+        pi.write_series_openpose(frontal, out / "frontal")
+    motion_synth.write_ground_truth(truth, out / "ground_truth.json")
+    print(f"wrote trial to {out}")
+    return 0
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
-    try:
-        cfg = load_config(args.config)
-        result = assessment.assess_batch(_trials(_read_json(args.trials)), cfg)
-        if args.out:
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            for report in result.reports:
-                (out / f"report_{report.number}.json").write_bytes(
-                    assessment.report_to_json(report))
-        summary = result.summary()
-        if args.summary:
-            Path(args.summary).write_text(summary)
-        else:
-            sys.stdout.write(summary)
-        for failure in result.failures:
-            sys.stderr.write(
-                f"trial {failure['number']} failed at {failure['stage']}: "
-                f"{failure['error']}: {failure['message']}\n")
-        return 1 if result.failures else 0
-    except (AclRiskError, OSError) as exc:
-        return _fail(exc)
+    cfg = load_config(args.config)
+    result = assessment.assess_batch(_trials(_read_json(args.trials)), cfg)
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for report in result.reports:
+            (out / f"report_{report.number}.json").write_bytes(
+                assessment.report_to_json(report))
+    summary = result.summary()
+    if args.summary:
+        Path(args.summary).write_text(summary)
+    else:
+        sys.stdout.write(summary)
+    for failure in result.failures:
+        sys.stderr.write(
+            f"trial {failure['number']} failed at {failure['stage']}: "
+            f"{failure['error']}: {failure['message']}\n")
+    return 1 if result.failures else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -195,7 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (AclRiskError, OSError) as exc:
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -52,6 +54,12 @@ class RunConfig:
     force: bool = False
 
     def validate(self) -> None:
+        for name in ("confidence_threshold", "max_gap", "window_duration_s", "default_fps"):
+            if not _is_number(getattr(self, name)):
+                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
+        if self.weights is not None and not (
+                isinstance(self.weights, Iterable) and all(map(_is_number, self.weights))):
+            raise ConfigError(f"weights must be a list of numbers, got {self.weights!r}")
         if self.weight_source not in WEIGHT_SOURCES:
             raise ConfigError(f"weight_source must be one of {WEIGHT_SOURCES}")
         if self.person_policy not in ("best", "strict"):
@@ -100,6 +108,11 @@ class RunConfig:
             if f.type.startswith("np.ndarray") and out[f.name] is not None:
                 out[f.name] = np.asarray(out[f.name], dtype=float).tolist()
         return out
+
+
+def _is_number(value) -> bool:
+    """Whether a value is a real number; a boolean is not one."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _finite(value) -> bool:

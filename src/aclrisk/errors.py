@@ -32,10 +32,6 @@ class MalformedDocument(AclRiskError):
     """Keypoint document violates the expected schema."""
 
 
-class NoPersonDetected(AclRiskError):
-    """Frame document contains an empty people list."""
-
-
 class AmbiguousPerson(AclRiskError):
     """Strict person policy hit a frame with more than one person."""
 

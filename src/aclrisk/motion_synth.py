@@ -225,8 +225,8 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
         _put(frame, pi.L_ANKLE, ankle_l)
 
     # every keypoint not placed above stays (0, 0, 0): undetected
-    sagittal = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=sag_kp, frame_index=np.arange(n))
-    frontal = pi.KeypointSeries(view=pi.FRONTAL, keypoints=fro_kp, frame_index=np.arange(n))
+    sagittal = pi.KeypointSeries(sag_kp, np.arange(n))
+    frontal = pi.KeypointSeries(fro_kp, np.arange(n))
 
     knee_rad = np.radians(knee)
     hip_rad = np.radians(hip)
@@ -259,8 +259,7 @@ def perturb(series: pi.KeypointSeries, sigma_px: float, seed: int) -> pi.Keypoin
         present = ~pi.undetected(keypoints)
         rng = np.random.default_rng(seed)
         keypoints[present, :2] += rng.normal(0.0, sigma_px, size=(int(present.sum()), 2))
-    return pi.KeypointSeries(view=series.view, keypoints=keypoints,
-                             frame_index=series.frame_index.copy())
+    return pi.KeypointSeries(keypoints, series.frame_index.copy())
 
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:

@@ -10,9 +10,10 @@ Two on-disk formats are supported:
   ``frame,kp0_x,kp0_y,kp0_c,...,kp24_x,kp24_y,kp24_c`` (76 columns).
 
 A keypoint stored as the triple (0, 0, 0), and only that, means "not
-detected" (``undetected``). Both loaders check a series' values in one
-numeric check and return them in frame order; a frame index given twice
-is rejected. Preprocessing zeroes keypoints under a confidence gate
+detected" (``undetected``); a frame document with an empty ``people``
+list has every keypoint undetected. Both loaders check a series' values
+in one numeric check and return them in frame order; a frame index given
+twice is rejected. Preprocessing zeroes keypoints under a confidence gate
 (default 0.4), repairs short interior gaps on the required keypoints by
 linear interpolation, and drops leading/trailing frames where a required
 keypoint is undetected.
@@ -36,7 +37,6 @@ from .errors import (
     EmptySource,
     GapTooLong,
     MalformedDocument,
-    NoPersonDetected,
     SeriesParseError,
 )
 
@@ -95,7 +95,6 @@ class KeypointSeries:
     source frame numbers, strictly increasing.
     """
 
-    view: str
     keypoints: np.ndarray
     frame_index: np.ndarray
 
@@ -125,32 +124,15 @@ class PreprocessStats:
 # people checks them where it is read and gives the row of its best person.
 
 _N_VALUES = 3 * N_KEYPOINTS
-# The row of an input that failed: it passes the numeric check, and the
-# series is never built from it.
+# The row of a frame with nobody in it, and of an input that failed: it
+# passes the numeric check, and no series is built from a failed input.
 _STAND_IN = [0.0] * _N_VALUES
-
-
-def _keypoint_lists(people: list) -> tuple[list[list], MalformedDocument | None]:
-    """The people's ``pose_keypoints_2d`` lists, checked for shape but not content.
-
-    Stops at the first person that fails; returns the lists before it and
-    its error, or all lists and None.
-    """
-    lists: list[list] = []
-    for person in people:
-        if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-            return lists, MalformedDocument("person object missing 'pose_keypoints_2d'")
-        flat = person["pose_keypoints_2d"]
-        if not isinstance(flat, list) or len(flat) != _N_VALUES:
-            return lists, MalformedDocument(
-                f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
-        lists.append(flat)
-    return lists, None
 
 
 def _frame_values(raw: bytes, policy: str) -> list:
     """The 75 values of one frame document's person.
 
+    A frame with nobody in it gives the row of an undetected skeleton.
     Under the best policy, each person of a frame with several is checked
     in full, in document order, and the first failure is the frame's
     error; of good persons, the one with the highest mean confidence over
@@ -167,10 +149,21 @@ def _frame_values(raw: bytes, policy: str) -> list:
     if not isinstance(people, list):
         raise MalformedDocument("'people' must be a list")
     if not people:
-        raise NoPersonDetected("empty people list")
+        return _STAND_IN
     if len(people) > 1 and policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{len(people)} people present under strict policy")
-    rows, failure = _keypoint_lists(people)
+    rows: list[list] = []
+    failure = None
+    for person in people:  # shape only; stops at the first person that fails
+        if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
+            failure = MalformedDocument("person object missing 'pose_keypoints_2d'")
+            break
+        flat = person["pose_keypoints_2d"]
+        if not isinstance(flat, list) or len(flat) != _N_VALUES:
+            failure = MalformedDocument(
+                f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
+            break
+        rows.append(flat)
     if len(people) > 1:
         values, errors = _keypoint_array(rows)
         if errors:  # a numeric error of an earlier person comes before a structure error
@@ -245,24 +238,22 @@ def _checked_frame_index(index: int) -> int:
 # -- series loading -------------------------------------------------------
 
 
-def load_series(source: str | Path, view: str, policy: str = POLICY_BEST) -> KeypointSeries:
+def load_series(source: str | Path, policy: str = POLICY_BEST) -> KeypointSeries:
     """Load a keypoint series from a directory of frame JSONs, one frame JSON or one CSV file."""
-    if view not in VIEWS:
-        raise ValueError(f"unknown view: {view!r}")
     path = Path(source)
     if path.is_dir():
         names = sorted(filter(_is_frame_document, os.listdir(path)), key=_NAME_ORDER)
         if not names:
             raise EmptySource(f"no frame documents in {path}")
-        return _load_frames(path, names, view, policy)
+        return _load_frames(path, names, policy)
     if path.is_file():
         if path.suffix.lower() == ".csv":
-            return read_series_csv(path, view)
-        return _load_frames(path.parent, [path.name], view, policy)
+            return read_series_csv(path)
+        return _load_frames(path.parent, [path.name], policy)
     raise EmptySource(f"source not found: {path}")
 
 
-def _series(view: str, keypoints: np.ndarray, frame_index,
+def _series(keypoints: np.ndarray, frame_index,
             where: str, row_name: Callable[[int], str]) -> KeypointSeries:
     """Series of the parsed rows in frame order.
 
@@ -279,7 +270,7 @@ def _series(view: str, keypoints: np.ndarray, frame_index,
             raise MalformedDocument(
                 f"{where}: frame {frame_index[dup[0]]} appears twice "
                 f"({row_name(first)} and {row_name(second)})")
-    return KeypointSeries(view=view, keypoints=keypoints, frame_index=frame_index)
+    return KeypointSeries(keypoints, frame_index)
 
 
 def _raise_failures(failures: dict[int, Exception], name: Callable[[int], str]) -> None:
@@ -321,7 +312,7 @@ def _is_frame_document(name: str) -> bool:
     return len(name) > 5 and name[-5:].lower() == ".json"
 
 
-def _load_frames(directory: Path, names: list[str], view: str, policy: str) -> KeypointSeries:
+def _load_frames(directory: Path, names: list[str], policy: str) -> KeypointSeries:
     """Series of the frame documents ``names`` (in name order) in ``directory``.
 
     A name without digits takes its position as its frame index.
@@ -341,10 +332,10 @@ def _load_frames(directory: Path, names: list[str], view: str, policy: str) -> K
         rows.append(row)
     keypoints, errors = _keypoint_array(rows)
     _raise_failures(failures | errors, names.__getitem__)
-    return _series(view, keypoints, indices, str(directory), names.__getitem__)
+    return _series(keypoints, indices, str(directory), names.__getitem__)
 
 
-def read_series_csv(path: str | Path, view: str) -> KeypointSeries:
+def read_series_csv(path: str | Path) -> KeypointSeries:
     """Read the 76-column CSV format; rows may come in any frame order."""
     path = Path(path)
     try:
@@ -355,7 +346,7 @@ def read_series_csv(path: str | Path, view: str) -> KeypointSeries:
     if parsed is None:
         parsed = _parse_csv_rows(path)
     frame_index, values = parsed
-    return _series(view, values.reshape(-1, N_KEYPOINTS, 3), frame_index,
+    return _series(values.reshape(-1, N_KEYPOINTS, 3), frame_index,
                    path.name, lambda i: f"line {i + 2}")
 
 
@@ -472,9 +463,9 @@ def write_series_openpose(series: KeypointSeries, directory: str | Path) -> list
 
 def preprocess_report(
     series: KeypointSeries,
+    required: Iterable[int],
     confidence_threshold: float = DEFAULT_CONFIDENCE_THRESHOLD,
     max_gap: int = DEFAULT_MAX_GAP,
-    required: Iterable[int] | None = None,
 ) -> tuple[KeypointSeries, PreprocessStats]:
     """Preprocess a series and report what was changed.
 
@@ -495,7 +486,7 @@ def preprocess_report(
     stats = PreprocessStats(frames_in=len(series))
     if not len(series):
         raise AllFramesInvalid("input series is empty")
-    req = sorted(required_keypoints(series.view) if required is None else set(required))
+    req = sorted(set(required))
 
     keypoints = series.keypoints.copy()
     missing = undetected(keypoints)
@@ -543,4 +534,4 @@ def preprocess_report(
         stats.values_interpolated += len(rows)
 
     stats.frames_out = len(frame_index)
-    return KeypointSeries(view=series.view, keypoints=keypoints, frame_index=frame_index), stats
+    return KeypointSeries(keypoints, frame_index), stats

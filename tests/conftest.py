@@ -8,7 +8,7 @@ import pytest
 from aclrisk import pose_ingest as pi
 
 
-def make_series(view: str, frames: list[dict[int, tuple[float, float]]],
+def make_series(frames: list[dict[int, tuple[float, float]]],
                 frame_index=None) -> pi.KeypointSeries:
     """Series whose frame t holds the keypoints listed in ``frames[t]``.
 
@@ -20,7 +20,7 @@ def make_series(view: str, frames: list[dict[int, tuple[float, float]]],
         for i, (x, y) in points.items():
             kp[t, i] = (x, y, 1.0)
     index = np.arange(len(frames)) if frame_index is None else np.asarray(frame_index)
-    return pi.KeypointSeries(view=view, keypoints=kp, frame_index=index)
+    return pi.KeypointSeries(keypoints=kp, frame_index=index)
 
 
 def upright_sagittal_points(x: float = 300.0) -> dict[int, tuple[float, float]]:
@@ -64,16 +64,14 @@ def transform_series(series: pi.KeypointSeries, scale: float = 1.0,
     kp = series.keypoints.copy()
     present = ~pi.undetected(kp)
     kp[present, :2] = (scale * kp[present, :2]) @ rot.T + np.asarray(offset)
-    return pi.KeypointSeries(view=series.view, keypoints=kp,
-                             frame_index=series.frame_index.copy())
+    return pi.KeypointSeries(keypoints=kp, frame_index=series.frame_index.copy())
 
 
 def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
-    return (a.view == b.view
-            and np.array_equal(a.frame_index, b.frame_index)
+    return (np.array_equal(a.frame_index, b.frame_index)
             and np.array_equal(a.keypoints, b.keypoints))
 
 
 @pytest.fixture
 def frontal_standing_series() -> pi.KeypointSeries:
-    return make_series(pi.FRONTAL, [upright_frontal_points()] * 5)
+    return make_series([upright_frontal_points()] * 5)

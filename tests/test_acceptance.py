@@ -21,7 +21,7 @@ from aclrisk.config import RunConfig
 from aclrisk.errors import GapTooLong
 
 from conftest import series_equal, transform_series
-from test_pose_ingest import random_series, sagittal_gap_series
+from test_pose_ingest import SAGITTAL_REQUIRED, random_series, sagittal_gap_series
 
 SQRT3_2 = math.sqrt(3) / 2
 
@@ -221,22 +221,23 @@ def test_criterion_7_qualitative_trace_shape():
 
 def test_criterion_8_preprocessing_repair_and_idempotence():
     with criterion(8, "gap repair, gap limit, idempotence on 100 random series"):
-        out = pi.preprocess_report(sagittal_gap_series([3]))[0]
+        out = pi.preprocess_report(sagittal_gap_series([3]), SAGITTAL_REQUIRED)[0]
         knee = out.keypoints[3, pi.R_KNEE]
         assert knee[0] == 103.0 and knee[1] == 206.0  # exact linear midpoint
 
         with pytest.raises(GapTooLong):
-            pi.preprocess_report(sagittal_gap_series([1, 2, 3], n=8), max_gap=2)[0]
+            pi.preprocess_report(sagittal_gap_series([1, 2, 3], n=8), SAGITTAL_REQUIRED,
+                                 max_gap=2)[0]
 
         rng = np.random.default_rng(777)
         done = 0
         while done < 100:
             series = random_series(rng)
             try:
-                once = pi.preprocess_report(series)[0]
+                once = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
             except GapTooLong:
                 continue
-            assert series_equal(pi.preprocess_report(once)[0], once)
+            assert series_equal(pi.preprocess_report(once, SAGITTAL_REQUIRED)[0], once)
             done += 1
 
 

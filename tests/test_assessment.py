@@ -19,6 +19,7 @@ from aclrisk import pose_ingest as pi
 from aclrisk.config import ConfigError, RunConfig
 from aclrisk.errors import (
     AclRiskError,
+    AllFramesInvalid,
     ConsistencyFailure,
     EmptySource,
     GapTooLong,
@@ -123,6 +124,19 @@ def test_report_json_refuses_non_finite_numbers(tmp_path):
 ], ids=["window_duration_s", "default_fps", "product", "weights"])
 def test_an_int_too_large_for_a_float_is_a_config_error(fields):
     with pytest.raises(ConfigError, match="finite"):
+        RunConfig(**fields).validate()
+
+
+@pytest.mark.parametrize("fields", [
+    {"weights": ["a", 1, 1, 1, 1]},
+    {"confidence_threshold": "x"},
+    {"max_gap": "3"},
+    {"window_duration_s": None},
+    {"default_fps": "30"},
+], ids=["weights", "confidence_threshold", "max_gap", "window_duration_s", "default_fps"])
+def test_a_value_that_is_not_a_number_is_a_config_error(fields):
+    [name] = fields
+    with pytest.raises(ConfigError, match=f"^{name} must be"):
         RunConfig(**fields).validate()
 
 
@@ -385,6 +399,62 @@ def test_trace_peak_for_65_degree_knee(tmp_path):
     assert -0.5 < peak < 0.0
 
 
+def test_the_sagittal_side_chooses_the_required_keypoints(tmp_path):
+    script = motion_synth.MotionScript(n_frames=120, touchdown_frame=40, noise_sigma_px=0.5)
+    sag, fro, _ = write_trial(tmp_path, script)
+    left = RunConfig(sagittal_side="left")
+    expected = assessment.assess_trial(sag, fro, left)
+    sagittal, _, _ = motion_synth.generate(script)
+    sagittal.keypoints[:, [pi.R_HIP, pi.R_KNEE, pi.R_ANKLE]] = 0.0
+    right_lost = tmp_path / "right_lost.csv"
+    pi.write_series_csv(sagittal, right_lost)
+    report = assessment.assess_trial(right_lost, fro, left)
+    assert (report.grades, report.total) == (expected.grades, expected.total)
+    with pytest.raises(AllFramesInvalid) as exc_info:
+        assessment.assess_trial(right_lost, fro)
+    assert exc_info.value.stage == "preprocess"
+
+
+# -- frames in which nobody was detected ---------------------------------------
+
+
+def trial_with_empty_frames(tmp_path, frames) -> tuple[str, str]:
+    """A 60-frame trial (touchdown 20) whose listed sagittal frames list no people."""
+    script = motion_synth.MotionScript(n_frames=60, touchdown_frame=20)
+    sag, fro, _ = write_trial(tmp_path, script)
+    names = sorted(os.listdir(sag))
+    for t in frames:
+        Path(sag, names[t]).write_text('{"people": []}')
+    return sag, fro
+
+
+def test_leading_empty_frames_are_dropped(tmp_path):
+    clean = assessment.assess_trial(*trial_with_empty_frames(tmp_path / "clean", []))
+    report = assessment.assess_trial(*trial_with_empty_frames(tmp_path / "empty", range(3)))
+    assert (report.grades, report.total) == (clean.grades, clean.total)
+    assert report.preprocessing["sagittal"]["frames_dropped_leading"] == 3
+
+
+def test_short_run_of_empty_frames_is_interpolated(tmp_path):
+    report = assessment.assess_trial(*trial_with_empty_frames(tmp_path, range(30, 33)))
+    # 3 frames of each of the 5 required sagittal keypoints
+    assert report.preprocessing["sagittal"]["values_interpolated"] == 15
+
+
+def test_long_run_of_empty_frames_is_gap_too_long(tmp_path):
+    with pytest.raises(GapTooLong) as exc_info:
+        assessment.assess_trial(*trial_with_empty_frames(tmp_path, range(30, 37)))
+    assert exc_info.value.stage == "preprocess"
+    assert exc_info.value.message.startswith(
+        "keypoint 1 missing for 7 consecutive frames (frames 30..36)")
+
+
+def test_a_view_of_empty_frames_is_all_frames_invalid(tmp_path):
+    with pytest.raises(AllFramesInvalid) as exc_info:
+        assessment.assess_trial(*trial_with_empty_frames(tmp_path, range(60)))
+    assert exc_info.value.stage == "preprocess"
+
+
 # -- batch ---------------------------------------------------------------------
 
 
@@ -448,6 +518,14 @@ def test_bad_config_fails_at_stage_config(tmp_path):
     # one error for the whole batch, not one "unknown" failure per trial
     with pytest.raises(ConfigError) as exc_info:
         assessment.assess_batch([assessment.Trial(1, sag, fro), assessment.Trial(2, sag, fro)], bad)
+    assert exc_info.value.stage == "config"
+
+
+def test_batch_with_a_value_that_is_not_a_number_fails_once_at_config(tmp_path):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
+    with pytest.raises(ConfigError) as exc_info:
+        assessment.assess_batch(trials, RunConfig(confidence_threshold="x"))
     assert exc_info.value.stage == "config"
 
 

@@ -97,7 +97,7 @@ def test_assess_duplicate_frames_exit_one_without_traceback(tmp_path, trial, cap
 
 REJECTED_DOCUMENTS = [(label, content) for label, content in
                       mutated_documents(np.random.default_rng(3))
-                      if label not in ("numeric-string", "true")]
+                      if label not in ("numeric-string", "true", "empty-people")]
 
 
 def assess_exit(args, capsys) -> tuple[int, str]:
@@ -117,6 +117,17 @@ def test_assess_corrupt_openpose_frame_exits_one_without_traceback(tmp_path, tri
     assert rc == 1
     assert err.startswith("error: SeriesParseError: [ingest]") and frame.name in err
     assert "Traceback" not in err
+
+
+def test_assess_an_empty_first_openpose_frame_exits_zero(tmp_path, trial, capsys):
+    sag, fro = trial
+    sorted(Path(sag).iterdir())[0].write_text('{"people": []}')
+    report = tmp_path / "r.json"
+    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--report", str(report)],
+                          capsys)
+    assert (rc, err) == (0, "")
+    assert json.loads(report.read_text())["preprocessing"]["sagittal"][
+        "frames_dropped_leading"] == 1
 
 
 def second_person(frame: Path) -> None:
@@ -286,7 +297,7 @@ def test_synth_csv_format(tmp_path):
     out = tmp_path / "trial"
     assert cli.main(["synth", "--script", script, "--out", str(out),
                      "--format", "csv"]) == 0
-    assert len(pi.read_series_csv(out / "sagittal.csv", pi.SAGITTAL)) == 12
+    assert len(pi.read_series_csv(out / "sagittal.csv")) == 12
 
 
 def test_synth_invalid_script_exits_one(tmp_path, capsys):

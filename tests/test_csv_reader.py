@@ -76,7 +76,7 @@ def outcome(read):
 
 
 def package_read(path: Path):
-    series = pi.read_series_csv(path, pi.SAGITTAL)
+    series = pi.read_series_csv(path)
     return series.frame_index.tolist(), series.keypoints
 
 
@@ -152,7 +152,7 @@ def test_reference_agrees_on_written_series(tmp_path):
     kp = rng.uniform(0.0, 700.0, size=(50, 25, 3))
     kp[:, :, 2] = rng.uniform(0.0, 1.0, size=(50, 25))
     kp[::7, 3] = 0.0
-    series = pi.KeypointSeries(view=pi.SAGITTAL, keypoints=kp, frame_index=np.arange(50) * 2)
+    series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(50) * 2)
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
     with path.open(newline="") as fh:
@@ -165,7 +165,7 @@ def test_a_short_line_is_named_once(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(",".join(HEADER) + "\n0," + ",".join(["0.5"] * 75) + "\n1,2\n")
     with pytest.raises(SeriesParseError) as exc_info:
-        pi.load_series(path, pi.SAGITTAL)
+        pi.load_series(path)
     message = "1 frame(s) failed to parse: t.csv:3: expected 76 columns, got 2"
     assert str(exc_info.value) == message
 
@@ -177,7 +177,7 @@ def test_failing_lines_are_named_by_their_line_numbers(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("\n".join(",".join(row) for row in [HEADER, *rows]) + "\n")
     with pytest.raises(SeriesParseError) as exc_info:
-        pi.load_series(path, pi.SAGITTAL)
+        pi.load_series(path)
     assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
         ("t.csv:3", "expected 76 columns, got 2"),
         ("t.csv:5", "confidence values must lie in [0, 1]"),

@@ -57,7 +57,7 @@ def test_cosine_between_stays_clamped():
 
 
 def test_straight_leg_gives_minus_one():
-    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 4)
+    series = make_series([upright_sagittal_points()] * 4)
     feats = kin.extract_sagittal(series)
     assert feats.p1 == pytest.approx(-1.0, abs=1e-12)
     assert feats.p2 == pytest.approx(-1.0, abs=1e-12)
@@ -86,7 +86,7 @@ def test_sagittal_trace_matches_scripted_angles_within_1e6():
 
 def test_degenerate_vector_reports_frame_index():
     points = upright_sagittal_points()
-    series = make_series(pi.SAGITTAL, [points, points], frame_index=[0, 5])
+    series = make_series([points, points], frame_index=[0, 5])
     series.keypoints[1, pi.R_HIP, :2] = series.keypoints[1, pi.R_KNEE, :2]
     with pytest.raises(DegenerateVector) as exc_info:
         kin.extract_sagittal(series)
@@ -101,7 +101,7 @@ def test_mirrored_left_side_extraction():
         pi.L_KNEE: (300.0, 450.0),
         pi.L_ANKLE: (300.0, 600.0),
     }
-    series = make_series(pi.SAGITTAL, [points])
+    series = make_series([points])
     feats = kin.extract_sagittal(series, side="left")
     assert feats.p1 == pytest.approx(-1.0)
 
@@ -112,7 +112,7 @@ def test_mirrored_left_side_extraction():
 def test_frontal_width_differences_on_constant_frame():
     points = upright_frontal_points(ankle_width=110.0, knee_width=100.0,
                                     shoulder_width=110.0)
-    series = make_series(pi.FRONTAL, [points] * 3)
+    series = make_series([points] * 3)
     feats = kin.extract_frontal(series)
     assert feats.d1 == pytest.approx(10.0, abs=1e-9)
     assert feats.d2 == pytest.approx(0.0, abs=1e-9)
@@ -200,7 +200,7 @@ def test_uniform_scaling_behaviour(scale):
 
 
 def test_full_window_covers_series():
-    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 100)
+    series = make_series([upright_sagittal_points()] * 100)
     assert kin.analysis_window(series, kin.WINDOW_FULL) == (0, 99)
 
 
@@ -242,7 +242,7 @@ def test_touchdown_matches_frame_by_frame_reference():
         n = int(rng.integers(1, 40))
         # coarse steps make ties and zero velocities common
         y = np.cumsum(rng.integers(-2, 3, size=n)).astype(float) * 0.5
-        series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * n)
+        series = make_series([upright_sagittal_points()] * n)
         series.keypoints[:, pi.R_ANKLE, 1] = y
         series.keypoints[:, pi.L_ANKLE] = (310.0, 0.0, 1.0)
         series.keypoints[:, pi.L_ANKLE, 1] = y + rng.integers(0, 2, size=n)
@@ -266,12 +266,12 @@ def test_ascending_trajectory_has_no_touchdown():
         points = upright_sagittal_points()
         points = {k: (x, y - 3.0 * i) for k, (x, y) in points.items()}  # moving up
         frames.append(points)
-    series = make_series(pi.SAGITTAL, frames)
+    series = make_series(frames)
     with pytest.raises(WindowEmpty):
         kin.analysis_window(series, kin.WINDOW_LANDING)
 
 
 def test_empty_window_slice_raises():
-    series = make_series(pi.SAGITTAL, [upright_sagittal_points()])
+    series = make_series([upright_sagittal_points()])
     with pytest.raises(WindowEmpty):
         kin.extract_sagittal(series, window=(3, 2))

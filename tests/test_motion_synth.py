@@ -181,11 +181,11 @@ def test_emitted_series_reingest_identically(tmp_path):
     sagittal, frontal, _ = motion_synth.generate(script)
 
     pi.write_series_openpose(sagittal, tmp_path / "sag")
-    back = pi.load_series(tmp_path / "sag", pi.SAGITTAL)
+    back = pi.load_series(tmp_path / "sag")
     assert series_equal(sagittal, back)
 
     pi.write_series_csv(frontal, tmp_path / "fro.csv")
-    back = pi.read_series_csv(tmp_path / "fro.csv", pi.FRONTAL)
+    back = pi.read_series_csv(tmp_path / "fro.csv")
     assert series_equal(frontal, back)
 
 

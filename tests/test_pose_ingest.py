@@ -12,7 +12,6 @@ from aclrisk.errors import (
     EmptySource,
     GapTooLong,
     MalformedDocument,
-    NoPersonDetected,
     SeriesParseError,
 )
 
@@ -38,7 +37,7 @@ def load_frame(tmp_path, raw: bytes, policy: str = pi.POLICY_BEST) -> np.ndarray
     """The (25, 3) array of one frame document, loaded as a one-file series."""
     path = tmp_path / "frame.json"
     path.write_bytes(raw)
-    series = pi.load_series(path, pi.SAGITTAL, policy)
+    series = pi.load_series(path, policy)
     assert series.frame_index.tolist() == [0]  # no digits in the name: its position
     return series.keypoints[0]
 
@@ -58,7 +57,7 @@ def test_parse_single_person_roundtrip(tmp_path):
     assert np.array_equal(load_frame(tmp_path, person_doc(flat)).ravel(), np.array(flat))
     path = tmp_path / "frame_000000000007_keypoints.json"
     path.write_bytes(person_doc(flat))
-    series = pi.load_series(path, pi.SAGITTAL)
+    series = pi.load_series(path)
     assert series.frame_index.tolist() == [7]
     assert series.keypoints.shape == (1, 25, 3)
     assert not pi.undetected(series.keypoints).any()
@@ -81,8 +80,9 @@ def test_undetected_matches_all_three_values_zero(seed):
     assert np.array_equal(pi.undetected(keypoints), np.all(keypoints == 0.0, axis=-1))
 
 
-def test_parse_empty_people_raises(tmp_path):
-    assert isinstance(frame_error(tmp_path, person_doc()), NoPersonDetected)
+def test_parse_empty_people_is_undetected(tmp_path):
+    for policy in (pi.POLICY_BEST, pi.POLICY_STRICT):
+        assert pi.undetected(load_frame(tmp_path, person_doc(), policy)).all()
 
 
 def test_parse_two_people_best_policy_picks_higher_confidence(tmp_path):
@@ -134,7 +134,7 @@ def test_load_series_directory_ordered_by_filename_suffix(tmp_path):
     for i in (2, 0, 1):
         (tmp_path / f"trial_{i:012d}_keypoints.json").write_bytes(
             person_doc(flat_pose(x0=float(i))))
-    series = pi.load_series(tmp_path, pi.SAGITTAL)
+    series = pi.load_series(tmp_path)
     assert len(series) == 3
     assert series.frame_index.tolist() == [0, 1, 2]
     assert series.keypoints[:, 0, 0].tolist() == [0.0, 1.0, 2.0]
@@ -145,7 +145,7 @@ def test_duplicate_frame_files_are_malformed(tmp_path):
     (tmp_path / "frame_000000000003_keypoints.json").write_bytes(person_doc(flat_pose()))
     (tmp_path / "take2_frame_3.json").write_bytes(person_doc(flat_pose()))
     with pytest.raises(MalformedDocument) as exc_info:
-        pi.load_series(tmp_path, pi.SAGITTAL)
+        pi.load_series(tmp_path)
     message = str(exc_info.value)
     assert "frame 3 appears twice" in message
     assert "frame_000000000003_keypoints.json" in message and "take2_frame_3.json" in message
@@ -156,28 +156,28 @@ def test_duplicate_frames_name_the_current_directory(tmp_path, monkeypatch):
     (tmp_path / "take_3.json").write_bytes(person_doc(flat_pose()))
     monkeypatch.chdir(tmp_path)
     with pytest.raises(MalformedDocument) as exc_info:
-        pi.load_series(".", pi.SAGITTAL)
+        pi.load_series(".")
     assert str(exc_info.value) == ".: frame 3 appears twice (frame_3.json and take_3.json)"
 
 
 def test_duplicate_frame_rows_are_malformed(tmp_path):
     path = tmp_path / "s.csv"
-    pi.write_series_csv(make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3,
-                                    frame_index=[4, 5, 6]), path)
+    pi.write_series_csv(make_series([upright_sagittal_points()] * 3,
+                                frame_index=[4, 5, 6]), path)
     lines = path.read_text().splitlines()
     lines[3] = "4" + lines[3][1:]  # line 4 repeats the frame of line 2
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(MalformedDocument, match=r"frame 4 appears twice \(line 2 and line 4\)"):
-        pi.read_series_csv(path, pi.SAGITTAL)
+        pi.read_series_csv(path)
 
 
 def test_csv_rows_in_any_order_are_sorted(tmp_path):
     path = tmp_path / "s.csv"
-    pi.write_series_csv(make_series(pi.SAGITTAL, [upright_sagittal_points(x) for x in (1.0, 2.0, 3.0)],
-                                    frame_index=[4, 5, 6]), path)
+    pi.write_series_csv(make_series([upright_sagittal_points(x) for x in (1.0, 2.0, 3.0)],
+                                frame_index=[4, 5, 6]), path)
     header, *rows = path.read_text().splitlines()
     path.write_text("\n".join([header, rows[2], rows[0], rows[1]]) + "\n")
-    series = pi.read_series_csv(path, pi.SAGITTAL)
+    series = pi.read_series_csv(path)
     assert series.frame_index.tolist() == [4, 5, 6]
     assert series.keypoints[:, pi.NECK, 0].tolist() == [1.0, 2.0, 3.0]
 
@@ -187,19 +187,19 @@ def test_load_series_reports_offending_frame(tmp_path):
     (tmp_path / "f_001.json").write_bytes(b"broken{")
     (tmp_path / "f_002.json").write_bytes(person_doc(flat_pose()))
     with pytest.raises(SeriesParseError) as exc_info:
-        pi.load_series(tmp_path, pi.SAGITTAL)
+        pi.load_series(tmp_path)
     assert "f_001.json" in str(exc_info.value)
     assert len(exc_info.value.failures) == 1
 
 
 def test_load_series_empty_directory(tmp_path):
     with pytest.raises(EmptySource):
-        pi.load_series(tmp_path, pi.FRONTAL)
+        pi.load_series(tmp_path)
 
 
 def test_load_series_missing_path(tmp_path):
     with pytest.raises(EmptySource):
-        pi.load_series(tmp_path / "nowhere", pi.FRONTAL)
+        pi.load_series(tmp_path / "nowhere")
 
 
 def test_csv_roundtrip_is_exact(tmp_path):
@@ -211,25 +211,25 @@ def test_csv_roundtrip_is_exact(tmp_path):
         kp[3] = 0.0  # one missing keypoint survives the round trip as missing
         frames.append(kp)
     kp = np.stack(frames)
-    series = pi.KeypointSeries(view=pi.FRONTAL, keypoints=kp, frame_index=np.arange(4))
+    series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(4))
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    back = pi.read_series_csv(path, pi.FRONTAL)
+    back = pi.read_series_csv(path)
     assert series_equal(series, back)
 
 
 def test_csv_two_rows(tmp_path):
-    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 2)
+    series = make_series([upright_sagittal_points()] * 2)
     path = tmp_path / "s.csv"
     pi.write_series_csv(series, path)
-    assert len(pi.read_series_csv(path, pi.SAGITTAL)) == 2
+    assert len(pi.read_series_csv(path)) == 2
 
 
 def test_csv_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("frame,x,y\n1,2,3\n")
     with pytest.raises(MalformedDocument):
-        pi.read_series_csv(path, pi.SAGITTAL)
+        pi.read_series_csv(path)
 
 
 @pytest.mark.parametrize("body", [
@@ -240,17 +240,20 @@ def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
     with pytest.raises(MalformedDocument):
-        pi.read_series_csv(path, pi.SAGITTAL)
+        pi.read_series_csv(path)
 
 
 def test_openpose_emission_roundtrip(tmp_path):
-    series = make_series(pi.SAGITTAL, [upright_sagittal_points()] * 3)
+    series = make_series([upright_sagittal_points()] * 3)
     pi.write_series_openpose(series, tmp_path)
-    back = pi.load_series(tmp_path, pi.SAGITTAL)
+    back = pi.load_series(tmp_path)
     assert series_equal(series, back)
 
 
 # -- preprocessing ---------------------------------------------------------
+
+
+SAGITTAL_REQUIRED = pi.required_keypoints(pi.SAGITTAL)
 
 
 def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
@@ -260,14 +263,14 @@ def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
         points = upright_sagittal_points()
         points[pi.R_KNEE] = (100.0 + 1.0 * i, 200.0 + 2.0 * i)
         frames.append(points)
-    series = make_series(pi.SAGITTAL, frames)
+    series = make_series(frames)
     series.keypoints[gap_frames, pi.R_KNEE] = 0.0
     return series
 
 
 def test_interior_gap_filled_with_linear_midpoint():
     series = sagittal_gap_series([1])
-    out = pi.preprocess_report(series)[0]
+    out = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
     knee = out.keypoints[1, pi.R_KNEE]
     assert knee[0] == pytest.approx(101.0, abs=1e-12)
     assert knee[1] == pytest.approx(202.0, abs=1e-12)
@@ -277,7 +280,7 @@ def test_interior_gap_filled_with_linear_midpoint():
 def test_low_confidence_treated_as_missing_then_interpolated():
     series = sagittal_gap_series([])
     series.keypoints[2, pi.R_KNEE, 2] = 0.3
-    out, stats = pi.preprocess_report(series, confidence_threshold=0.4)
+    out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.4)
     assert stats.values_gated == 1
     assert stats.values_interpolated == 1
     knee = out.keypoints[2, pi.R_KNEE]
@@ -287,22 +290,22 @@ def test_low_confidence_treated_as_missing_then_interpolated():
 def test_confidence_equal_to_threshold_is_kept():
     series = sagittal_gap_series([])
     series.keypoints[2, pi.R_KNEE, 2] = 0.4
-    out, stats = pi.preprocess_report(series, confidence_threshold=0.4)
+    out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.4)
     assert stats.values_gated == 0
 
 
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():
     ok = sagittal_gap_series([2, 3], n=8)
-    out = pi.preprocess_report(ok, max_gap=2)[0]
+    out = pi.preprocess_report(ok, SAGITTAL_REQUIRED, max_gap=2)[0]
     assert not pi.undetected(out.keypoints[:, pi.R_KNEE]).any()
     too_long = sagittal_gap_series([2, 3, 4], n=8)
     with pytest.raises(GapTooLong):
-        pi.preprocess_report(too_long, max_gap=2)[0]
+        pi.preprocess_report(too_long, SAGITTAL_REQUIRED, max_gap=2)[0]
 
 
 def test_leading_and_trailing_missing_frames_dropped():
     series = sagittal_gap_series([0, 1, 6], n=7)
-    out, stats = pi.preprocess_report(series)
+    out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED)
     assert stats.frames_dropped_leading == 2
     assert stats.frames_dropped_trailing == 1
     assert out.frame_index.tolist() == [2, 3, 4, 5]
@@ -311,14 +314,14 @@ def test_leading_and_trailing_missing_frames_dropped():
 def test_all_frames_invalid():
     series = sagittal_gap_series(list(range(7)))
     with pytest.raises(AllFramesInvalid):
-        pi.preprocess_report(series)[0]
+        pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
 
 
 def test_preprocess_empty_series():
     with pytest.raises(AllFramesInvalid):
         pi.preprocess_report(pi.KeypointSeries(
-            view=pi.SAGITTAL, keypoints=np.zeros((0, 25, 3)),
-            frame_index=np.zeros(0, dtype=np.int64)))[0]
+            keypoints=np.zeros((0, 25, 3)),
+            frame_index=np.zeros(0, dtype=np.int64)), SAGITTAL_REQUIRED)[0]
 
 
 def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
@@ -331,8 +334,7 @@ def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
         if i in (0, n - 1):
             kp[:, 2] = 1.0
         frames.append(kp)
-    return pi.KeypointSeries(view=pi.SAGITTAL, keypoints=np.stack(frames),
-                             frame_index=np.arange(n))
+    return pi.KeypointSeries(keypoints=np.stack(frames), frame_index=np.arange(n))
 
 
 def test_preprocess_idempotent_on_random_series():
@@ -341,10 +343,10 @@ def test_preprocess_idempotent_on_random_series():
     while done < 25:
         series = random_series(rng)
         try:
-            once = pi.preprocess_report(series)[0]
+            once = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
         except GapTooLong:
             continue
-        twice = pi.preprocess_report(once)[0]
+        twice = pi.preprocess_report(once, SAGITTAL_REQUIRED)[0]
         assert series_equal(once, twice)
         done += 1
 
@@ -356,7 +358,7 @@ def test_interpolated_coordinates_lie_between_neighbours():
         lo_x, hi_x = 100.0 + 2, 100.0 + 4
         jitter = rng.uniform(-1, 1)
         series.keypoints[2, pi.R_KNEE, 0] += jitter
-        out = pi.preprocess_report(series)[0]
+        out = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
         x = out.keypoints[3, pi.R_KNEE, 0]
         lo = min(lo_x + jitter, hi_x)
         hi = max(lo_x + jitter, hi_x)
@@ -368,7 +370,7 @@ def test_output_has_no_missing_required_keypoints():
     for _ in range(10):
         series = random_series(rng)
         try:
-            out = pi.preprocess_report(series)[0]
+            out = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
         except GapTooLong:
             continue
         required = sorted(pi.required_keypoints(pi.SAGITTAL))
@@ -384,7 +386,7 @@ def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_
         gated += int(gate.sum())
         kp[t][gate] = 0.0
         missing[t] |= gate
-    req = sorted(pi.required_keypoints(series.view))
+    req = sorted(SAGITTAL_REQUIRED)
     ok = [not any(missing[t, k] for k in req) for t in range(len(kp))]
     first, last = ok.index(True), len(ok) - 1 - ok[::-1].index(True)
     kp, missing = kp[first:last + 1], missing[first:last + 1]
@@ -422,9 +424,9 @@ def test_preprocess_matches_frame_by_frame_reference():
         except GapTooLong as exc:
             rejected += 1
             with pytest.raises(GapTooLong, match=str(exc)):
-                pi.preprocess_report(series)
+                pi.preprocess_report(series, SAGITTAL_REQUIRED)
             continue
-        out, stats = pi.preprocess_report(series)
+        out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED)
         assert out.keypoints.tobytes() == kp.tobytes()
         assert np.array_equal(pi.undetected(out.keypoints), missing)
         assert np.array_equal(out.frame_index, frame_index)
