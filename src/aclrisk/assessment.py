@@ -125,15 +125,17 @@ def assess_trial(
 ) -> AssessmentReport:
     """Run the full pipeline on one two-view trial.
 
-    The views run one after the other, sagittal first, so when both are
-    bad the error reported is the sagittal view's. ``weighting`` is the
+    The sagittal view runs in the calling process and, where fork is safe
+    (see ``_map``), the frontal view at the same time in a forked child;
+    otherwise the frontal view runs after it. When both views are bad the
+    error reported is the sagittal view's. ``weighting`` is the
     ``resolve_weights(config)`` result, when the caller already has it.
     """
     cfg = config or RunConfig()
     with _stage("config"):
         cfg.validate()
-    sag, sag_stats = _assess_view(sagittal_source, pi.SAGITTAL, cfg)
-    fro, fro_stats = _assess_view(frontal_source, pi.FRONTAL, cfg)
+    (sag, sag_stats), (fro, fro_stats) = _map(
+        _assess_view, [(sagittal_source, pi.SAGITTAL, cfg), (frontal_source, pi.FRONTAL, cfg)])
 
     with _stage("grade"):
         grades = grade_all(sag, fro, cfg.thresholds)
@@ -261,16 +263,21 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(n_trials: int) -> int:
-    """How many processes assess a batch of ``n_trials``: the caller and its forked children.
+# set while a map's children run; each child inherits it
+_mapping = False
+
+
+def _worker_count(n_items: int) -> int:
+    """How many processes share ``n_items``: the caller and its forked children.
 
     Fork is unsafe on macOS and in a process running other threads (a
-    child gets a copy of every lock, but only the calling thread), and a
+    child gets a copy of every lock, but only the calling thread), a
     daemonic multiprocessing worker already shares the CPUs with its pool,
-    so these run every trial in-process.
+    and a map's caller and children already share them with each other,
+    so these run every item in-process.
     """
-    workers = min(n_trials, _usable_cpus())
-    if (workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork")
+    workers = min(n_items, _usable_cpus())
+    if (_mapping or workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork")
             or threading.active_count() > 1):
         return 1
     # a process that never imported multiprocessing is none of its workers
@@ -280,11 +287,11 @@ def _worker_count(n_trials: int) -> int:
     return workers
 
 
-def _share_result(share: list[Trial], cfg: RunConfig, weighting) -> bytes:
-    """A forked share's pickled ``("ok", outcomes)``, or ``("error", exc)`` for an
-    error outside the pipeline."""
+def _share_result(fn, share: list[tuple]) -> bytes:
+    """A forked share's pickled ``("ok", outcomes)``, or ``("error", exc)`` for the
+    error that stopped it."""
     try:
-        return pickle.dumps(("ok", [_assess_one(t, cfg, weighting) for t in share]))
+        return pickle.dumps(("ok", [fn(*args) for args in share]))
     except Exception as exc:
         error = exc
     try:
@@ -293,72 +300,82 @@ def _share_result(share: list[Trial], cfg: RunConfig, weighting) -> bytes:
         return data
     except Exception:
         return pickle.dumps(("error", RuntimeError(
-            f"a batch trial raised {type(error).__name__}: {error} (the error cannot be pickled)")))
+            f"a forked share raised {type(error).__name__}: {error} "
+            "(the error cannot be pickled)")))
 
 
-class _Child:
-    """A forked process assessing one share of a batch, and the read end of its pipe."""
+def _map(fn, calls: list[tuple]) -> list:
+    """``[fn(*args) for args in calls]``, spread over the caller and forked children.
 
-    def __init__(self, pid: int, read_fd: int):
-        self.pid = pid
-        self.pipe = open(read_fd, "rb")
-        self.status = None  # wait status, once reaped
-
-    def outcomes(self) -> list:
-        """The share's outcomes; an error outside the pipeline is raised with its type."""
-        # read to the end before reaping: a long trial's report outgrows the pipe buffer
-        data = self.pipe.read()
-        self.pipe.close()
-        _, self.status = os.waitpid(self.pid, 0)
-        if self.status != 0 or not data:
-            raise RuntimeError(f"batch worker {self.pid} ended without a result "
-                               f"(wait status {self.status})")
-        kind, value = pickle.loads(data)
-        if kind == "error":
-            raise value
-        return value
-
-    def end(self) -> None:
-        """Kill and reap the child, unless it was reaped already."""
-        self.pipe.close()
-        if self.status is None:
-            from signal import SIGKILL  # numpy does not import signal: only this path pays
-            os.kill(self.pid, SIGKILL)
-            _, self.status = os.waitpid(self.pid, 0)
-
-
-def _fork_share(share: list[Trial], cfg: RunConfig, weighting) -> _Child:
-    """Fork a child that assesses ``share`` and writes its pickled result to a pipe."""
-    read_fd, write_fd = os.pipe()
+    With ``workers`` processes, call i runs in share ``i % workers``:
+    share 0 in the calling process, every other share in a child forked
+    for it, which writes its pickled outcomes down a pipe and leaves by
+    ``os._exit``. Outcomes come back in call order. If the caller's share
+    raises, every child is killed and reaped; otherwise the first child's
+    error is raised with its type, and a child that ends without a result
+    is a ``RuntimeError`` naming its wait status. While the children run,
+    a map called in the caller or in a child runs in-process.
+    """
+    global _mapping
+    workers = _worker_count(len(calls))
+    if workers == 1:
+        return [fn(*args) for args in calls]
+    outcomes = [None] * len(calls)
+    children = {}  # pid -> read end of its pipe, for each child not yet reaped
+    _mapping = True
     try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        # never return into the caller's stack, flush its stdio buffers or run atexit
-        code = 1
-        try:
-            os.close(read_fd)
-            data = _share_result(share, cfg, weighting)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write_fd)
-    return _Child(pid, read_fd)
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # never return into the caller's stack, flush its stdio buffers or run atexit
+                code = 1
+                try:
+                    os.close(read_fd)
+                    data = _share_result(fn, calls[k::workers])
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(data)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children[pid] = open(read_fd, "rb")
+        outcomes[0::workers] = [fn(*args) for args in calls[0::workers]]
+        for k, (pid, pipe) in enumerate(list(children.items()), 1):
+            # read to the end before reaping: a long result outgrows the pipe buffer
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[pid]
+            if status != 0 or not data:
+                raise RuntimeError(f"forked worker {pid} ended without a result "
+                                   f"(wait status {status})")
+            kind, value = pickle.loads(data)
+            if kind == "error":
+                raise value
+            outcomes[k::workers] = value
+    finally:
+        _mapping = False
+        for pid, pipe in children.items():
+            from signal import SIGKILL  # numpy does not import signal: only this path pays
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+    return outcomes
 
 
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
     """Assess trials; a bad config or weighting fails the batch, a bad trial only itself.
 
-    With ``workers`` processes, trial i is assessed by share ``i % workers``:
-    share 0 by the calling process, every other share by a child forked
-    for it. One usable CPU, one trial, or a process where fork is unsafe
-    gives one worker, and no fork. Reports and failures come back in
-    trial order either way.
+    The trials are shared among the calling process and forked children
+    as ``_map`` describes. A batch that forks runs each trial's two views
+    one after the other in the process that has the trial. Reports and
+    failures come back in trial order.
     """
     cfg = config or RunConfig()
     with _stage("config"):
@@ -367,18 +384,7 @@ def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchR
         weighting = resolve_weights(cfg)
     if not trials:
         raise EmptySource("batch contains no trials")
-    workers = _worker_count(len(trials))
-    outcomes = [None] * len(trials)
-    children = []
-    try:
-        for k in range(1, workers):
-            children.append(_fork_share(trials[k::workers], cfg, weighting))
-        outcomes[0::workers] = [_assess_one(t, cfg, weighting) for t in trials[0::workers]]
-        for k, child in enumerate(children, 1):
-            outcomes[k::workers] = child.outcomes()
-    finally:
-        for child in children:
-            child.end()
+    outcomes = _map(_assess_one, [(t, cfg, weighting) for t in trials])
     return BatchResult(
         reports=[o for o in outcomes if isinstance(o, AssessmentReport)],
         failures=[o for o in outcomes if isinstance(o, dict)])

@@ -7,6 +7,8 @@ tell which step failed without parsing messages.
 
 from __future__ import annotations
 
+import copyreg
+
 
 class AclRiskError(Exception):
     """Base class for all package errors."""
@@ -24,6 +26,11 @@ class AclRiskError(Exception):
         if self.stage:
             return f"[{self.stage}] {self.message}"
         return self.message
+
+    def __reduce__(self):
+        # rebuild from the message and attributes: a subclass's __init__ may
+        # take other arguments (``failures``, ``violations``) than the message
+        return copyreg.__newobj__, (type(self), self.message), self.__dict__
 
 
 # -- pose ingestion ------------------------------------------------------

@@ -25,7 +25,9 @@ from aclrisk.errors import (
     GapTooLong,
     InvalidMatrix,
     IoFailure,
+    MalformedDocument,
     OrderMismatch,
+    SeriesParseError,
 )
 from aclrisk.scoring import GradeVector
 
@@ -498,7 +500,7 @@ def occluded_sagittal_csv(tmp_path) -> str:
 
 def test_two_bad_views_report_the_sagittal_view_first(tmp_path):
     # the frontal file is missing (ingest), the sagittal view has a long gap
-    # (preprocess): the views run in turn, so the sagittal error wins
+    # (preprocess): the sagittal view runs in the caller, and its error wins
     sag, missing_fro = occluded_sagittal_csv(tmp_path), str(tmp_path / "gone.csv")
     with pytest.raises(GapTooLong) as exc_info:
         assessment.assess_trial(sag, missing_fro, compat_config())
@@ -627,7 +629,7 @@ def recording_pids(monkeypatch, directory: Path) -> None:
     monkeypatch.setattr(assessment, "assess_trial", recorded)
 
 
-# the batch forks: one trial goes to a child whenever there are two
+# a map forks: of two items, one goes to a child
 forks = pytest.mark.skipif(assessment._worker_count(2) < 2,
                            reason="needs fork and 2 usable CPUs")
 
@@ -734,6 +736,119 @@ def test_a_long_trial_in_a_batch_matches_assess_trial(tmp_path):
     report = assessment.assess_trial(*trial, RunConfig(), number=2)
     assert len(pickle.dumps(report)) > 1 << 16
     assert assessment.report_to_json(result.reports[1]) == assessment.report_to_json(report)
+
+
+def counting_forks(monkeypatch, log: Path):
+    """Make every os.fork, here or in a forked child, append the forking pid to ``log``.
+
+    Returns a function that lists those pids.
+    """
+    fork = os.fork
+
+    def logged():
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", logged)
+    return lambda: [int(pid) for pid in log.read_text().split()] if log.exists() else []
+
+
+@forks
+def test_a_batch_forks_once_per_child_and_never_for_views(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3, 4)]
+    workers = assessment._worker_count(len(trials))
+    with time_limit(60):
+        result = assessment.assess_batch(trials, RunConfig())
+    assert [r.number for r in result.reports] == [1, 2, 3, 4]
+    assert forked() == [os.getpid()] * (workers - 1)
+
+
+def one_format_trial(tmp_path, fmt: str) -> tuple[str, str]:
+    """A noisy trial with both views as CSV files or as OpenPose directories."""
+    script = motion_synth.MotionScript(n_frames=120, touchdown_frame=40,
+                                       noise_sigma_px=0.5, seed=7)
+    sagittal, frontal, _ = motion_synth.generate(script)
+    write = pi.write_series_csv if fmt == "csv" else pi.write_series_openpose
+    suffix = ".csv" if fmt == "csv" else ""
+    paths = []
+    for view, series in ((pi.SAGITTAL, sagittal), (pi.FRONTAL, frontal)):
+        paths.append(str(tmp_path / (view + suffix)))
+        write(series, paths[-1])
+    return paths[0], paths[1]
+
+
+@forks
+@pytest.mark.parametrize("mode", ["full", "landing"])
+@pytest.mark.parametrize("fmt", ["csv", "openpose"])
+def test_forked_views_give_the_bytes_of_in_process_views(tmp_path, monkeypatch, fmt, mode):
+    sag, fro = one_format_trial(tmp_path, fmt)
+    cfg = RunConfig(window_mode=mode)
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    with time_limit(60):
+        report = assessment.assess_trial(sag, fro, cfg)
+    assert forked() == [os.getpid()]
+    monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
+    in_process = assessment.assess_trial(sag, fro, cfg)
+    assert forked() == [os.getpid()]
+    assert assessment.report_to_json(report) == assessment.report_to_json(in_process)
+    assert report.trace_data.keys() == in_process.trace_data.keys()
+    for name, (frames, values) in report.trace_data.items():
+        for got, want in zip((frames, values), in_process.trace_data[name]):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def break_frame(directory: str, position: int) -> str:
+    """Overwrite the frame file at ``position`` in name order with invalid JSON; its name."""
+    name = sorted(os.listdir(directory))[position]
+    (Path(directory) / name).write_text("broken{")
+    return name
+
+
+@forks
+def test_two_broken_views_report_the_sagittal_frame_and_leave_no_child(tmp_path):
+    sag, fro = one_format_trial(tmp_path, "openpose")
+    sag_frame, fro_frame = break_frame(sag, 5), break_frame(fro, 10)
+    with time_limit(60), pytest.raises(SeriesParseError) as exc_info:
+        assessment.assess_trial(sag, fro, RunConfig())
+    assert exc_info.value.stage == "ingest"
+    assert [fid for fid, _ in exc_info.value.failures] == [sag_frame]
+    assert fro_frame not in str(exc_info.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_a_broken_frontal_view_reaches_the_caller_whole(tmp_path):
+    sag, fro = one_format_trial(tmp_path, "openpose")
+    frame = break_frame(fro, 10)
+    with time_limit(60), pytest.raises(SeriesParseError) as exc_info:
+        assessment.assess_trial(sag, fro, RunConfig())
+    error = exc_info.value
+    assert error.stage == "ingest"
+    assert [fid for fid, _ in error.failures] == [frame]
+    assert isinstance(error.failures[0][1], MalformedDocument)
+    assert str(error).count(frame) == 1
+
+
+@forks
+def test_a_frontal_child_that_ends_without_a_result_names_its_wait_status(tmp_path,
+                                                                          monkeypatch):
+    sag, fro = one_format_trial(tmp_path, "csv")
+    caller, assess_view = os.getpid(), assessment._assess_view
+
+    def exiting(source, view, cfg):
+        if view == pi.FRONTAL and os.getpid() != caller:
+            os._exit(3)
+        return assess_view(source, view, cfg)
+
+    monkeypatch.setattr(assessment, "_assess_view", exiting)
+    with time_limit(60), pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
+        assessment.assess_trial(sag, fro, RunConfig())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
