@@ -202,26 +202,48 @@ def emit_report(report: AssessmentReport, fmt: str = "json") -> bytes:
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
+def _write_trace(path: Path, frames: np.ndarray, values: np.ndarray) -> None:
+    """Write one trace as a `frame,value` CSV file.
+
+    The file is closed before this returns: a forked child leaves by
+    ``os._exit``, which flushes nothing.
+    """
+    lines = ["frame,value"]
+    lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
+    path.write_text("\n".join(lines) + "\n")
+
+
+# Six traces holding fewer values than this are written in-process: forking
+# and reaping a child costs about 3 ms. In 60 interleaved calls per size on
+# a 2-vCPU VM, one process and two broke even at about 1000 frames per trace.
+_MAP_TRACE_VALUES = 6 * 1000
+
+
 def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, str]:
     """Write the six per-frame traces as `frame,value` CSV files.
 
-    Updates ``report.traces`` with the written file references and
-    returns them.
+    Where fork is safe (see ``_map``) and the traces together hold at
+    least ``_MAP_TRACE_VALUES`` values, the files are shared out as
+    ``_map`` shares its items, in ``trace_data`` order: on 2 CPUs the
+    calling process writes p1, s1 and s3 and one forked child writes p2,
+    s2 and s4. Shorter traces, such as a landing window's, are all written
+    in the calling process. Updates ``report.traces`` with the written
+    file references and returns them; on an error it is left as it was.
     """
     if report.trace_data is None:
         raise IoFailure("report carries no trace data", stage="emit")
     directory = Path(directory)
+    calls = [(directory / f"{name}.csv", frames, values)
+             for name, (frames, values) in report.trace_data.items()]
     with _stage("emit"):
         directory.mkdir(parents=True, exist_ok=True)
-        refs = {}
-        for name, (frames, values) in report.trace_data.items():
-            path = directory / f"{name}.csv"
-            lines = ["frame,value"]
-            lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
-            path.write_text("\n".join(lines) + "\n")
-            refs[name] = str(path)
-    report.traces = refs
-    return refs
+        if sum(len(values) for _, _, values in calls) >= _MAP_TRACE_VALUES:
+            _map(_write_trace, calls)
+        else:
+            for call in calls:
+                _write_trace(*call)
+    report.traces = {name: str(path) for name, (path, _, _) in zip(report.trace_data, calls)}
+    return report.traces
 
 
 # -- batch ------------------------------------------------------------------
@@ -270,11 +292,12 @@ _mapping = False
 def _worker_count(n_items: int) -> int:
     """How many processes share ``n_items``: the caller and its forked children.
 
-    Fork is unsafe on macOS and in a process running other threads (a
-    child gets a copy of every lock, but only the calling thread), a
-    daemonic multiprocessing worker already shares the CPUs with its pool,
-    and a map's caller and children already share them with each other,
-    so these run every item in-process.
+    The items are a trial's two views, a batch's trials or a report's six
+    trace files. Fork is unsafe on macOS and in a process running other
+    threads (a child gets a copy of every lock, but only the calling
+    thread), a daemonic multiprocessing worker already shares the CPUs with
+    its pool, and a map's caller and children already share them with each
+    other, so these run every item in-process.
     """
     workers = min(n_items, _usable_cpus())
     if (_mapping or workers < 2 or sys.platform == "darwin" or not hasattr(os, "fork")
@@ -307,14 +330,16 @@ def _share_result(fn, share: list[tuple]) -> bytes:
 def _map(fn, calls: list[tuple]) -> list:
     """``[fn(*args) for args in calls]``, spread over the caller and forked children.
 
-    With ``workers`` processes, call i runs in share ``i % workers``:
-    share 0 in the calling process, every other share in a child forked
-    for it, which writes its pickled outcomes down a pipe and leaves by
-    ``os._exit``. Outcomes come back in call order. If the caller's share
-    raises, every child is killed and reaped; otherwise the first child's
-    error is raised with its type, and a child that ends without a result
-    is a ``RuntimeError`` naming its wait status. While the children run,
-    a map called in the caller or in a child runs in-process.
+    Each call is one item: a view of a trial, a trial of a batch or a
+    trace file of a report. With ``workers`` processes, call i runs in
+    share ``i % workers``: share 0 in the calling process, every other
+    share in a child forked for it, which writes its pickled outcomes down
+    a pipe and leaves by ``os._exit``. Outcomes come back in call order.
+    If the caller's share raises, every child is killed and reaped;
+    otherwise the first child's error is raised with its type, and a child
+    that ends without a result is a ``RuntimeError`` naming its wait
+    status. While the children run, a map called in the caller or in a
+    child runs in-process.
     """
     global _mapping
     workers = _worker_count(len(calls))

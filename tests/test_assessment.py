@@ -851,6 +851,63 @@ def test_a_frontal_child_that_ends_without_a_result_names_its_wait_status(tmp_pa
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.fixture(scope="module")
+def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
+    """Noisy CSV trials of 300 and 3000 frames, by frame count."""
+    trials = {}
+    for n_frames in (300, 3000):
+        directory = tmp_path_factory.mktemp(f"frames_{n_frames}")
+        script = motion_synth.MotionScript(n_frames=n_frames, touchdown_frame=40,
+                                           noise_sigma_px=0.5, seed=7)
+        sagittal, frontal, _ = motion_synth.generate(script)
+        trials[n_frames] = (str(directory / "sagittal.csv"), str(directory / "frontal.csv"))
+        pi.write_series_csv(sagittal, trials[n_frames][0])
+        pi.write_series_csv(frontal, trials[n_frames][1])
+    return trials
+
+
+@forks
+def test_long_traces_are_written_from_forked_children_with_in_process_bytes(
+        tmp_path, monkeypatch, csv_trials):
+    report = assessment.assess_trial(*csv_trials[3000], RunConfig())
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    children = [os.getpid()] * (assessment._worker_count(6) - 1)
+    with time_limit(60):
+        refs = assessment.emit_traces(report, tmp_path / "forked")
+    assert forked() == children
+    monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
+    in_process = assessment.emit_traces(report, tmp_path / "in_process")
+    assert forked() == children
+    assert refs.keys() == in_process.keys() == {"p1", "p2", "s1", "s2", "s3", "s4"}
+    for name, ref in refs.items():
+        assert Path(ref).read_bytes() == Path(in_process[name]).read_bytes()
+
+
+@forks
+@pytest.mark.parametrize("n_frames, mode", [(300, "full"), (3000, "landing")])
+def test_short_traces_are_written_in_process(tmp_path, monkeypatch, csv_trials, n_frames, mode):
+    report = assessment.assess_trial(*csv_trials[n_frames], RunConfig(window_mode=mode))
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    assessment.emit_traces(report, tmp_path / "traces")
+    assert forked() == []
+
+
+@pytest.mark.parametrize("name", ["p2", "p1"])
+def test_a_trace_that_cannot_be_written_fails_at_emit_and_leaves_no_child(
+        tmp_path, csv_trials, name):
+    # on 2 CPUs a forked child writes p2 and the caller writes p1
+    report = assessment.assess_trial(*csv_trials[3000], RunConfig())
+    earlier = assessment.emit_traces(report, tmp_path / "earlier")
+    (tmp_path / "traces" / f"{name}.csv").mkdir(parents=True)
+    with time_limit(60), pytest.raises(IoFailure) as exc_info:
+        assessment.emit_traces(report, tmp_path / "traces")
+    assert exc_info.value.stage == "emit"
+    assert str(tmp_path / "traces" / f"{name}.csv") in exc_info.value.message
+    assert report.traces == earlier
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
     sag, fro, _ = write_trial(tmp_path, excellent_script())
     recording_pids(monkeypatch, tmp_path / "pids")
