@@ -205,30 +205,28 @@ def emit_report(report: AssessmentReport, fmt: str = "json") -> bytes:
 def _write_trace(path: Path, frames: np.ndarray, values: np.ndarray) -> None:
     """Write one trace as a `frame,value` CSV file.
 
-    The file is closed before this returns: a forked child leaves by
+    The text goes to ``<path>.part`` and is renamed over ``path``, so a
+    process killed mid-write leaves the trace file whole or as it was. The
+    part file is closed before the rename: a forked child leaves by
     ``os._exit``, which flushes nothing.
     """
     lines = ["frame,value"]
     lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
-    path.write_text("\n".join(lines) + "\n")
-
-
-# Six traces holding fewer values than this are written in-process: forking
-# and reaping a child costs about 3 ms. In 60 interleaved calls per size on
-# a 2-vCPU VM, one process and two broke even at about 1000 frames per trace.
-_MAP_TRACE_VALUES = 6 * 1000
+    part = Path(f"{path}.part")
+    part.write_text("\n".join(lines) + "\n")
+    os.replace(part, path)
 
 
 def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, str]:
     """Write the six per-frame traces as `frame,value` CSV files.
 
-    Where fork is safe (see ``_map``) and the traces together hold at
-    least ``_MAP_TRACE_VALUES`` values, the files are shared out as
-    ``_map`` shares its items, in ``trace_data`` order: on 2 CPUs the
-    calling process writes p1, s1 and s3 and one forked child writes p2,
-    s2 and s4. Shorter traces, such as a landing window's, are all written
-    in the calling process. Updates ``report.traces`` with the written
-    file references and returns them; on an error it is left as it was.
+    The files are shared out as ``_map`` shares its items, in
+    ``trace_data`` order: on 2 CPUs the calling process writes p1, s1 and
+    s3 and one forked child writes p2, s2 and s4. Where fork is unsafe or
+    only one CPU is usable (see ``_worker_count``), all six are written in
+    the calling process. Either way the bytes are the same. Updates
+    ``report.traces`` with the written file references and returns them;
+    on an error it is left as it was, and no ``.part`` file is left behind.
     """
     if report.trace_data is None:
         raise IoFailure("report carries no trace data", stage="emit")
@@ -237,11 +235,12 @@ def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, st
              for name, (frames, values) in report.trace_data.items()]
     with _stage("emit"):
         directory.mkdir(parents=True, exist_ok=True)
-        if sum(len(values) for _, _, values in calls) >= _MAP_TRACE_VALUES:
+        try:
             _map(_write_trace, calls)
-        else:
-            for call in calls:
-                _write_trace(*call)
+        finally:
+            # a share that failed, or a child killed mid-write, leaves its part file
+            for path, _, _ in calls:
+                Path(f"{path}.part").unlink(missing_ok=True)
     report.traces = {name: str(path) for name, (path, _, _) in zip(report.trace_data, calls)}
     return report.traces
 

@@ -867,9 +867,10 @@ def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
 
 
 @forks
-def test_long_traces_are_written_from_forked_children_with_in_process_bytes(
-        tmp_path, monkeypatch, csv_trials):
-    report = assessment.assess_trial(*csv_trials[3000], RunConfig())
+@pytest.mark.parametrize("n_frames, mode", [(3000, "full"), (300, "full"), (3000, "landing")])
+def test_traces_are_written_from_forked_children_with_in_process_bytes(
+        tmp_path, monkeypatch, csv_trials, n_frames, mode):
+    report = assessment.assess_trial(*csv_trials[n_frames], RunConfig(window_mode=mode))
     forked = counting_forks(monkeypatch, tmp_path / "forks")
     children = [os.getpid()] * (assessment._worker_count(6) - 1)
     with time_limit(60):
@@ -881,15 +882,8 @@ def test_long_traces_are_written_from_forked_children_with_in_process_bytes(
     assert refs.keys() == in_process.keys() == {"p1", "p2", "s1", "s2", "s3", "s4"}
     for name, ref in refs.items():
         assert Path(ref).read_bytes() == Path(in_process[name]).read_bytes()
-
-
-@forks
-@pytest.mark.parametrize("n_frames, mode", [(300, "full"), (3000, "landing")])
-def test_short_traces_are_written_in_process(tmp_path, monkeypatch, csv_trials, n_frames, mode):
-    report = assessment.assess_trial(*csv_trials[n_frames], RunConfig(window_mode=mode))
-    forked = counting_forks(monkeypatch, tmp_path / "forks")
-    assessment.emit_traces(report, tmp_path / "traces")
-    assert forked() == []
+    assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == [
+        f"{name}.csv" for name in sorted(refs)]
 
 
 @pytest.mark.parametrize("name", ["p2", "p1"])
@@ -906,6 +900,11 @@ def test_a_trace_that_cannot_be_written_fails_at_emit_and_leaves_no_child(
     assert report.traces == earlier
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # whatever else was written before the failure is whole, and no part file is left
+    for path in (tmp_path / "traces").iterdir():
+        assert path.suffix == ".csv" and path.stem in earlier
+        if path.stem != name:
+            assert path.read_bytes() == Path(earlier[path.stem]).read_bytes()
 
 
 def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
