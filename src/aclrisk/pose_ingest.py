@@ -350,32 +350,35 @@ def read_series_csv(path: str | Path) -> KeypointSeries:
                    path.name, lambda i: f"line {i + 2}")
 
 
-# Data lines of plain decimal numbers: an integer frame cell short enough to
-# be exact as a float64, then digits, signs, points, exponents and commas,
-# ending in LF or CRLF. On such cells numpy's float parser and float()
-# agree bit for bit.
-_PLAIN_ROWS = re.compile(
-    r"(?:[+-]?[0-9]{1,15},[0-9+\-.eE,]*\r?\n)*(?:[+-]?[0-9]{1,15},[0-9+\-.eE,]*)?")
+# numpy reads a number cell as float() does: it strips what str.isspace()
+# calls whitespace and hands the rest, if ASCII, to the C routine float() uses
+# (PyOS_string_to_double); any other cell is a ValueError. Two differences
+# are checked first. float() refuses the separators \x1c-\x1f around a
+# number, which numpy strips. And numpy reads the frame cell as a float, so
+# it must be an integer int() reads, short enough to be exact as a float64.
+_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+_FRAME_CELL = re.compile(r"[+-]?[0-9]{1,15},")
 
 
 def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Frame indices and (n, 75) values of a plainly written CSV, in one parse.
+    """Frame indices and (n, 75) values of a CSV, in one np.loadtxt call.
 
     Returns None for anything the bulk parse cannot vouch for: a bad
-    header, quotes, other characters or line endings, blank lines, a frame
-    cell that is not a short integer, a wrong column count, non-finite
-    values or confidence outside [0, 1]. The row-by-row reader then
-    decides, and names every bad line.
+    header, any of \\x1c-\\x1f, a data line not starting with a frame cell
+    of at most 15 digits, a cell numpy refuses (quotes, NUL, a line break
+    inside a line, ...), a wrong column count, non-finite values or
+    confidence outside [0, 1]. The row-by-row reader then decides, and
+    names every bad line.
     """
     end = text.find("\n")
     if (end < 0 or text[:end].removesuffix("\r").split(",") != _CSV_HEADER
-            or not _PLAIN_ROWS.fullmatch(text, end + 1)):
+            or any(c in text for c in _NUMPY_ONLY_SPACE)):
         return None
     lines = text.split("\n")
     del text  # only the lines and the parsed table coexist: a lower memory peak
     if lines[-1] == "":
         lines.pop()
-    if len(lines) < 2:
+    if len(lines) < 2 or not all(map(_FRAME_CELL.match, lines[1:])):
         return None
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)

@@ -11,6 +11,7 @@ for bit.
 from __future__ import annotations
 
 import csv
+import sys
 import tempfile
 from pathlib import Path
 
@@ -44,18 +45,21 @@ def reference_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
 def reference_read(path: Path) -> tuple[list[int], np.ndarray]:
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise EmptySource("empty CSV")
-        if header != HEADER:
-            raise MalformedDocument("header")
-        rows, failures = [], []
-        for lineno, row in enumerate(reader, start=2):
-            where = f"{path.name}:{lineno}"
-            try:
-                rows.append(reference_row(row, where))
-            except MalformedDocument as exc:
-                failures.append((where, exc))
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise EmptySource("empty CSV")
+            if header != HEADER:
+                raise MalformedDocument("header")
+            rows, failures = [], []
+            for lineno, row in enumerate(reader, start=2):
+                where = f"{path.name}:{lineno}"
+                try:
+                    rows.append(reference_row(row, where))
+                except MalformedDocument as exc:
+                    failures.append((where, exc))
+        except csv.Error as exc:  # e.g. a NUL before Python 3.11
+            raise MalformedDocument(str(exc)) from exc
     if failures:
         raise SeriesParseError(failures)
     if not rows:
@@ -94,12 +98,14 @@ def data_row(draw, frame: int) -> list[str]:
     return [str(frame)] + [repr(v) for v in kp.ravel().tolist()]
 
 
+PADDING = [" ", "\t", "\x0b", "\x0c", "\xa0", "\u2028"]
 BAD_VALUES = ["nan", "inf", "-inf", "1_0", " 5", "1e2", "+3", "", "x", "1.5", "-0.25",
               "1e999", ".5", "5.", "-0", "1e", "٣", "0x1"]
 
 
 @st.composite
 def mutated_csv(draw) -> str:
+    newline = draw(st.sampled_from(["\r\n", "\n"]))
     n = draw(st.integers(1, 5))
     frames = draw(st.lists(st.integers(-3, 40), min_size=n, max_size=n, unique=True))
     rows = [draw(data_row(frame)) for frame in frames]
@@ -112,7 +118,8 @@ def mutated_csv(draw) -> str:
         col = draw(st.integers(0, len(cells) - 1))
         kind = draw(st.sampled_from([
             "blank", "quote", "float-frame", "bad-value", "bad-confidence",
-            "too-few", "too-many", "duplicate-frame", "big-frame"]))
+            "too-few", "too-many", "duplicate-frame", "big-frame",
+            "padded", "separator", "nul", "lone-cr", "cr-cr-lf"]))
         if kind == "blank":
             lines.insert(line, "")
             continue
@@ -133,8 +140,20 @@ def mutated_csv(draw) -> str:
             cells[0] = lines[line - 1].split(",")[0]
         elif kind == "big-frame":
             cells[0] = draw(st.sampled_from(["9" * 16, "9" * 19, "-" + "9" * 20, "0" * 17 + "7"]))
+        elif kind == "padded":  # numpy strips these around a number, and so does float()
+            col = draw(st.sampled_from([0, col]))
+            pad = draw(st.sampled_from(PADDING))
+            cells[col] = draw(st.sampled_from([pad + cells[col], cells[col] + pad,
+                                               pad + cells[col] + pad]))
+        elif kind == "separator":  # numpy strips these around a number, float() refuses them
+            sep = draw(st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]))
+            cells[col] = draw(st.sampled_from([sep + cells[col], cells[col] + sep]))
+        elif kind in ("nul", "lone-cr"):
+            at = draw(st.integers(0, len(cells[col])))
+            cells[col] = cells[col][:at] + ("\x00" if kind == "nul" else "\r") + cells[col][at:]
+        elif kind == "cr-cr-lf":  # the line ends in \r\r\n
+            cells[-1] += "\r" if newline == "\r\n" else "\r\r"
         lines[line] = ",".join(cells)
-    newline = draw(st.sampled_from(["\r\n", "\n"]))
     return newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
@@ -182,3 +201,69 @@ def test_failing_lines_are_named_by_their_line_numbers(tmp_path):
         ("t.csv:3", "expected 76 columns, got 2"),
         ("t.csv:5", "confidence values must lie in [0, 1]"),
     ]
+
+
+def test_bulk_parse_reads_a_cell_as_float_does_or_declines_it():
+    # every ASCII character, and every other one that str.isspace() or
+    # str.isdecimal() accepts: what numpy might strip or read around a number
+    chars = [chr(i) for i in range(sys.maxunicode + 1)
+             if i < 128 or chr(i).isspace() or chr(i).isdecimal()]
+    wrong = []
+    for c in chars:
+        for cell in (c + "5", "5" + c, "5" + c + "5"):
+            text = ",".join(HEADER) + "\n0," + ",".join([cell] + ["0.5"] * 74) + "\n"
+            parsed = pi._parse_csv_plain(text)
+            if parsed is None:
+                continue
+            try:
+                same = parsed[1][0, 0].tobytes() == np.float64(float(cell)).tobytes()
+            except ValueError:
+                same = False
+            if not same or c in "\x1c\x1d\x1e\x1f":
+                wrong.append(cell)
+    assert wrong == []
+
+
+def csv_text(rows: list[list[str]], newline: str = "\n") -> str:
+    return newline.join(",".join(row) for row in [HEADER, *rows]) + newline
+
+
+def with_frame_cell(cell: str):
+    def text(rows):
+        rows[1][0] = cell
+        return csv_text(rows)
+    return text
+
+
+# name: (text of three data rows, whether the bulk parse takes it, accepted
+# frame numbers or failing lines)
+VARIANTS = {
+    "crlf": (lambda rows: csv_text(rows, "\r\n"), True, [0, 1, 2]),
+    "no final newline": (lambda rows: csv_text(rows)[:-1], True, [0, 1, 2]),
+    "padded values": (lambda rows: csv_text([[row[0]] + [f" {v}\t" for v in row[1:]]
+                                             for row in rows]), True, [0, 1, 2]),
+    "frame 1.0": (with_frame_cell("1.0"), False, ["t.csv:3"]),
+    "frame 1e3": (with_frame_cell("1e3"), False, ["t.csv:3"]),
+    "frame ' 5'": (with_frame_cell(" 5"), False, [0, 2, 5]),
+    "16-digit frame": (with_frame_cell("9007199254740993"), False, [0, 2, 9007199254740993]),
+}
+
+
+@pytest.mark.parametrize("name", VARIANTS)
+def test_which_files_the_bulk_parse_takes(tmp_path, name):
+    text_of, bulk, expected = VARIANTS[name]
+    rng = np.random.default_rng(7)
+    kp = rng.uniform(0.0, 700.0, size=(3, 75))
+    kp[:, 2::3] = rng.uniform(0.0, 1.0, size=(3, 25))
+    rows = [[str(i)] + [repr(v) for v in row] for i, row in enumerate(kp.tolist())]
+    text = text_of(rows)
+    assert (pi._parse_csv_plain(text) is not None) == bulk
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    got = outcome(lambda: package_read(path))
+    assert got == outcome(lambda: reference_read(path))
+    if got[0] == "accepted":
+        order = np.argsort([int(row[0]) for row in rows])
+        assert got[1:] == (expected, kp[order].tobytes())
+    else:
+        assert got[1:] == (SeriesParseError, expected)
