@@ -407,7 +407,8 @@ def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchR
     with _stage("weights"):
         weighting = resolve_weights(cfg)
     if not trials:
-        raise EmptySource("batch contains no trials")
+        with _stage("ingest"):
+            raise EmptySource("batch contains no trials")
     outcomes = _map(_assess_one, [(t, cfg, weighting) for t in trials])
     return BatchResult(
         reports=[o for o in outcomes if isinstance(o, AssessmentReport)],

@@ -11,12 +11,13 @@ Two on-disk formats are supported:
 
 A keypoint stored as the triple (0, 0, 0), and only that, means "not
 detected" (``undetected``); a frame document with an empty ``people``
-list has every keypoint undetected. Both loaders check a series' values
-in one numeric check and return them in frame order; a frame index given
-twice is rejected. Preprocessing zeroes keypoints under a confidence gate
-(default 0.4), repairs short interior gaps on the required keypoints by
-linear interpolation, and drops leading/trailing frames where a required
-keypoint is undetected.
+list has every keypoint undetected. Every loader ends in one numeric check
+of the series (finite, confidence in [0, 1], x and y within ±1e6 px) and
+returns it in frame order; a frame index given twice is rejected.
+Preprocessing zeroes keypoints under a confidence gate (default 0.4),
+repairs short interior gaps on the required keypoints by linear
+interpolation, and drops leading/trailing frames where a required keypoint
+is undetected.
 """
 
 from __future__ import annotations
@@ -124,6 +125,11 @@ class PreprocessStats:
 # people checks them where it is read and gives the row of its best person.
 
 _N_VALUES = 3 * N_KEYPOINTS
+# The largest |x| or |y| in px: past any camera frame, far from overflow
+_MAX_COORDINATE = 1e6
+# The bounds of a row's values, (x, y, confidence) per keypoint
+_ROW_LOW = np.tile([-_MAX_COORDINATE, -_MAX_COORDINATE, 0.0], N_KEYPOINTS)
+_ROW_HIGH = np.tile([_MAX_COORDINATE, _MAX_COORDINATE, 1.0], N_KEYPOINTS)
 # The row of a frame with nobody in it, and of an input that failed: it
 # passes the numeric check, and no series is built from a failed input.
 _STAND_IN = [0.0] * _N_VALUES
@@ -179,17 +185,19 @@ def _frame_values(raw: bytes, policy: str) -> list:
     return rows[scores.index(max(scores))]
 
 
-def _keypoint_array(rows: list[list]) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
+def _keypoint_array(rows) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     """The numeric check: rows of 75 values as one (n, 25, 3) array.
 
-    Converts all rows in one call, then checks that every value is finite
-    and every confidence lies in [0, 1]. Returns the array and the error of
-    each failing row by its position. Rows are converted one by one only
-    after the bulk conversion has failed; a non-numeric row stays zero in
-    the array.
+    Converts all rows (a list, or an (n, 75) float array read without a
+    copy) in one call. A row fails unless its values are finite, its
+    confidences in [0, 1] and its x and y within ±_MAX_COORDINATE; its
+    error names the first of these it breaks. Returns the array and the
+    error of each failing row by its position. Rows are converted one by
+    one only after the bulk conversion has failed; a non-numeric row stays
+    zero in the array.
     """
     try:
-        values = np.array(rows, dtype=float)
+        values = np.asarray(rows, dtype=float)
         converted = values.shape == (len(rows), _N_VALUES)
     except (TypeError, ValueError, OverflowError):
         converted = False
@@ -203,14 +211,17 @@ def _keypoint_array(rows: list[list]) -> tuple[np.ndarray, dict[int, MalformedDo
                 values[i] = np.array(row, dtype=float).reshape(N_KEYPOINTS, 3)
             except (TypeError, ValueError, OverflowError) as exc:
                 errors[i] = MalformedDocument(f"non-numeric keypoint entry ({exc})")
-    finite = np.isfinite(values).all(axis=(1, 2))
-    conf = values[:, :, 2]
-    in_unit = ((conf >= 0.0) & (conf <= 1.0)).all(axis=1)
-    for i in np.flatnonzero(~(finite & in_unit)).tolist():
-        if not finite[i]:
+    # whole rows (a view), so numpy loops along 75 values; NaN fails both tests
+    flat = values.reshape(len(values), _N_VALUES)
+    inside = ((flat >= _ROW_LOW) & (flat <= _ROW_HIGH)).all(axis=1)
+    for i in np.flatnonzero(~inside).tolist():
+        conf = values[i, :, 2]
+        if not np.isfinite(values[i]).all():
             errors[i] = MalformedDocument("keypoint values must be finite")
-        else:
+        elif not ((conf >= 0.0) & (conf <= 1.0)).all():
             errors[i] = MalformedDocument("confidence values must lie in [0, 1]")
+        else:
+            errors[i] = MalformedDocument("keypoint coordinates must lie within ±1e6 px")
     return values, errors
 
 
@@ -253,13 +264,17 @@ def load_series(source: str | Path, policy: str = POLICY_BEST) -> KeypointSeries
     raise EmptySource(f"source not found: {path}")
 
 
-def _series(keypoints: np.ndarray, frame_index,
-            where: str, row_name: Callable[[int], str]) -> KeypointSeries:
-    """Series of the parsed rows in frame order.
+def _series(rows, frame_index, failures: dict[int, Exception], where: str,
+            name: Callable[[int], str], row_name: Callable[[int], str]) -> KeypointSeries:
+    """The tail of every loader: the rows' series in frame order.
 
-    A frame index given twice is a MalformedDocument; ``row_name(i)``
-    names input row i in its message.
+    One SeriesParseError names, by ``name(i)``, every input in
+    ``failures`` or failing the numeric check. A frame index given twice is
+    then a MalformedDocument naming ``where`` and both rows by ``row_name``.
     """
+    keypoints, errors = _keypoint_array(rows)
+    if failures := failures | errors:
+        raise SeriesParseError([(name(i), failures[i]) for i in sorted(failures)])
     frame_index = np.asarray(frame_index, dtype=np.int64)
     if np.any(np.diff(frame_index) <= 0):
         order = np.argsort(frame_index, kind="stable")
@@ -271,12 +286,6 @@ def _series(keypoints: np.ndarray, frame_index,
                 f"{where}: frame {frame_index[dup[0]]} appears twice "
                 f"({row_name(first)} and {row_name(second)})")
     return KeypointSeries(keypoints, frame_index)
-
-
-def _raise_failures(failures: dict[int, Exception], name: Callable[[int], str]) -> None:
-    """One SeriesParseError for the failing inputs, if any, in input order."""
-    if failures:
-        raise SeriesParseError([(name(i), failures[i]) for i in sorted(failures)])
 
 
 # pathlib orders the paths of one directory by name, case-insensitively on Windows
@@ -330,9 +339,7 @@ def _load_frames(directory: Path, names: list[str], policy: str) -> KeypointSeri
             index, row = pos, _STAND_IN
         indices.append(index)
         rows.append(row)
-    keypoints, errors = _keypoint_array(rows)
-    _raise_failures(failures | errors, names.__getitem__)
-    return _series(keypoints, indices, str(directory), names.__getitem__)
+    return _series(rows, indices, failures, str(directory), names.__getitem__, names.__getitem__)
 
 
 def read_series_csv(path: str | Path) -> KeypointSeries:
@@ -343,11 +350,9 @@ def read_series_csv(path: str | Path) -> KeypointSeries:
             parsed = _parse_csv_plain(fh.read())
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path.name}: not a text file ({exc})") from exc
-    if parsed is None:
-        parsed = _parse_csv_rows(path)
-    frame_index, values = parsed
-    return _series(values.reshape(-1, N_KEYPOINTS, 3), frame_index,
-                   path.name, lambda i: f"line {i + 2}")
+    frame_index, rows, failures = parsed or _parse_csv_rows(path)
+    return _series(rows, frame_index, failures, path.name,
+                   lambda i: f"{path.name}:{i + 2}", lambda i: f"line {i + 2}")
 
 
 # numpy reads a number cell as float() does: it strips what str.isspace()
@@ -360,15 +365,14 @@ _NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 _FRAME_CELL = re.compile(r"[+-]?[0-9]{1,15},")
 
 
-def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """Frame indices and (n, 75) values of a CSV, in one np.loadtxt call.
+def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray, dict] | None:
+    """Frame indices, (n, 75) values and failing lines (none) of a CSV, via np.loadtxt.
 
     Returns None for anything the bulk parse cannot vouch for: a bad
     header, any of \\x1c-\\x1f, a data line not starting with a frame cell
     of at most 15 digits, a cell numpy refuses (quotes, NUL, a line break
-    inside a line, ...), a wrong column count, non-finite values or
-    confidence outside [0, 1]. The row-by-row reader then decides, and
-    names every bad line.
+    inside a line, ...) or a wrong column count; the row-by-row reader then
+    decides. Values are checked, and bad lines named, by ``_series``.
     """
     end = text.find("\n")
     if (end < 0 or text[:end].removesuffix("\r").split(",") != _CSV_HEADER
@@ -386,15 +390,11 @@ def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray] | None:
         return None
     if table.shape != (len(lines) - 1, len(_CSV_HEADER)):
         return None
-    values = table[:, 1:]
-    conf = values[:, 2::3]
-    if not np.isfinite(values).all() or np.any(conf < 0.0) or np.any(conf > 1.0):
-        return None
-    return table[:, 0].astype(np.int64), values
+    return table[:, 0].astype(np.int64), table[:, 1:], {}
 
 
-def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """Row-by-row reader: the reference for every file the bulk parse declines."""
+def _parse_csv_rows(path: Path) -> tuple[list[int], list[list], dict[int, Exception]]:
+    """Row-by-row reader for every file the bulk parse declines; as ``_parse_csv_plain``."""
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -418,11 +418,9 @@ def _parse_csv_rows(path: Path) -> tuple[np.ndarray, np.ndarray]:
                 rows.append(values)
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
-    keypoints, errors = _keypoint_array(rows)
-    _raise_failures(failures | errors, lambda i: f"{path.name}:{i + 2}")
     if not rows:
         raise EmptySource(f"{path.name}: no data rows")
-    return np.array(indices, dtype=np.int64), keypoints
+    return indices, rows, failures
 
 
 def _csv_row(row: list[str]) -> tuple[int, list[float]]:

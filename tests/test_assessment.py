@@ -8,6 +8,7 @@ import pickle
 import signal
 import threading
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -489,6 +490,38 @@ def test_batch_collects_duplicate_frames_as_ingest_failure(tmp_path):
         (2, "ingest", "MalformedDocument")]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "openpose"])
+def test_an_out_of_bound_ankle_fails_the_trial_at_ingest(tmp_path, fmt):
+    # frame 30's frontal left-ankle x is finite but absurd: let through, it would
+    # overflow d1_px and d2_px to inf, and the report would fail to serialize at emit
+    sagittal, frontal, _ = motion_synth.generate(
+        motion_synth.MotionScript(n_frames=60, touchdown_frame=20))
+    frontal.keypoints[30, pi.L_ANKLE, 0] = 1e300
+    trial = tmp_path / "bad"
+    trial.mkdir()
+    sag = trial / "sagittal.csv"
+    pi.write_series_csv(sagittal, sag)
+    if fmt == "csv":
+        fro, failing = trial / "frontal.csv", "frontal.csv:32"
+        pi.write_series_csv(frontal, fro)
+    else:
+        fro, failing = trial / "frontal", "frame_000000000030_keypoints.json"
+        pi.write_series_openpose(frontal, fro)
+    good_sag, good_fro, _ = write_trial(tmp_path, excellent_script(), "good")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SeriesParseError) as exc_info:
+            assessment.assess_trial(sag, fro)
+        result = assessment.assess_batch([assessment.Trial(1, str(sag), str(fro)),
+                                          assessment.Trial(2, good_sag, good_fro)])
+    assert exc_info.value.stage == "ingest"
+    assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
+        (failing, "keypoint coordinates must lie within ±1e6 px")]
+    assert [r.number for r in result.reports] == [2]
+    assert [(f["number"], f["stage"], f["error"]) for f in result.failures] == [
+        (1, "ingest", "SeriesParseError")]
+
+
 def occluded_sagittal_csv(tmp_path) -> str:
     """A sagittal CSV whose right knee is lost for 10 interior frames (max_gap is 5)."""
     sagittal, _, _ = motion_synth.generate(excellent_script())
@@ -957,8 +990,9 @@ def test_a_batch_failure_names_its_stage_once(tmp_path):
 
 
 def test_batch_empty_list_raises():
-    with pytest.raises(EmptySource):
+    with pytest.raises(EmptySource) as exc:
         assessment.assess_batch([], RunConfig())
+    assert exc.value.stage == "ingest"
 
 
 def test_summary_csv_matches_reference_layout():

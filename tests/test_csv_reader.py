@@ -37,6 +37,8 @@ def reference_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
         raise MalformedDocument(f"{where}: non-finite value")
     if np.any(values[:, 2] < 0.0) or np.any(values[:, 2] > 1.0):
         raise MalformedDocument(f"{where}: confidence")
+    if np.any(np.abs(values[:, :2]) > 1e6):
+        raise MalformedDocument(f"{where}: coordinate bound")
     if not -2**63 <= index < 2**63:
         raise MalformedDocument(f"{where}: frame index range")
     return index, values
@@ -228,9 +230,9 @@ def csv_text(rows: list[list[str]], newline: str = "\n") -> str:
     return newline.join(",".join(row) for row in [HEADER, *rows]) + newline
 
 
-def with_frame_cell(cell: str):
+def with_cell(cell: str, col: int = 0):
     def text(rows):
-        rows[1][0] = cell
+        rows[1][col] = cell
         return csv_text(rows)
     return text
 
@@ -242,10 +244,13 @@ VARIANTS = {
     "no final newline": (lambda rows: csv_text(rows)[:-1], True, [0, 1, 2]),
     "padded values": (lambda rows: csv_text([[row[0]] + [f" {v}\t" for v in row[1:]]
                                              for row in rows]), True, [0, 1, 2]),
-    "frame 1.0": (with_frame_cell("1.0"), False, ["t.csv:3"]),
-    "frame 1e3": (with_frame_cell("1e3"), False, ["t.csv:3"]),
-    "frame ' 5'": (with_frame_cell(" 5"), False, [0, 2, 5]),
-    "16-digit frame": (with_frame_cell("9007199254740993"), False, [0, 2, 9007199254740993]),
+    "frame 1.0": (with_cell("1.0"), False, ["t.csv:3"]),
+    "frame 1e3": (with_cell("1e3"), False, ["t.csv:3"]),
+    "frame ' 5'": (with_cell(" 5"), False, [0, 2, 5]),
+    "16-digit frame": (with_cell("9007199254740993"), False, [0, 2, 9007199254740993]),
+    "confidence 1.5": (with_cell("1.5", 3), True, ["t.csv:3"]),
+    "value nan": (with_cell("nan", 5), True, ["t.csv:3"]),
+    "coordinate 1e300": (with_cell("1e300", 4), True, ["t.csv:3"]),
 }
 
 

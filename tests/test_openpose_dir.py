@@ -51,6 +51,8 @@ def reference_array(flat) -> np.ndarray:
     conf = arr[:, 2]
     if np.any(conf < 0.0) or np.any(conf > 1.0):
         raise MalformedDocument("confidence values must lie in [0, 1]")
+    if np.any(np.abs(arr[:, :2]) > 1e6):
+        raise MalformedDocument("keypoint coordinates must lie within ±1e6 px")
     return arr
 
 
@@ -164,6 +166,8 @@ VALUES = {
     "infinity": float("inf"),
     "-infinity": float("-inf"),
     "huge-int": 10**400,
+    "1e300": 1e300,
+    "-2e6": -2e6,
 }
 
 CONFIDENCES = (1.5, -0.25, 1.0000001)
