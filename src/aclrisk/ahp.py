@@ -44,12 +44,6 @@ DEFAULT_INDEX_MATRIX = np.array([
     [1 / 5, 1 / 4, 1 / 2, 1 / 2, 1],
 ], dtype=float)
 
-# Pairwise comparison of the two criterion groups (sagittal vs frontal).
-DEFAULT_CRITERION_MATRIX = np.array([
-    [1, 3],
-    [1 / 3, 1],
-], dtype=float)
-
 # Fixed five-index weight preset whose fourth component is 0.0860 instead
 # of the sum-method value 0.0886; reproduces the reference score sheet
 # this tool is validated against.
@@ -138,6 +132,13 @@ def weights_geometric(matrix: np.ndarray) -> np.ndarray:
     mat = check_matrix(matrix)
     m = mat.prod(axis=1) ** (1.0 / mat.shape[0])
     return m / m.sum()
+
+
+def derive_weights(matrix: np.ndarray,
+                   geometric: bool = False) -> tuple[np.ndarray, ConsistencyReport]:
+    """The matrix's weights, by the sum method or the geometric one, and their consistency."""
+    weights = weights_geometric(matrix) if geometric else weights_sum_method(matrix)
+    return weights, consistency(matrix, weights)
 
 
 def consistency(matrix: np.ndarray, weights: np.ndarray) -> ConsistencyReport:

@@ -7,8 +7,9 @@ per-view peak, so each view is windowed and reduced independently.
 
 Reports are deterministic: identical inputs and config produce
 byte-identical JSON. Every pipeline error is annotated with exactly one
-stage name ("config", "ingest", "preprocess", "window", "extract",
-"grade", "weights", "aggregate", "emit").
+stage name, in run order "config", "weights", "ingest", "preprocess",
+"window", "extract", "grade", "aggregate", "emit": the config and its
+weights are settled before any input is read.
 """
 
 from __future__ import annotations
@@ -71,27 +72,39 @@ class AssessmentReport:
 def resolve_weights(cfg: RunConfig):
     """Weight vector per the configured source.
 
-    Returns (weights, consistency dict or None). Raises
-    ConsistencyFailure when a derived matrix fails the CR < 0.1 check and
-    force is not set.
+    Returns (weights, the judgment matrix's consistency dict or None).
+    Raises ConsistencyFailure when a derived matrix (the judgment matrix,
+    or a hierarchy's criterion matrix) fails the CR < 0.1 check and force
+    is not set.
     """
     if cfg.weight_source == "table5-compat":
         return ahp.TABLE5_COMPAT_WEIGHTS.copy(), None
     if cfg.weight_source == "explicit":
         return np.asarray(cfg.weights, dtype=float), None
-    if cfg.weight_source == "geometric":
-        weights = ahp.weights_geometric(cfg.judgment_matrix)
-    else:
-        weights = ahp.weights_sum_method(cfg.judgment_matrix)
-    report = ahp.consistency(cfg.judgment_matrix, weights)
-    if not report.passed and not cfg.force:
-        raise ConsistencyFailure(
-            f"judgment matrix CR = {report.cr:.4f} >= {ahp.CONSISTENCY_THRESHOLD}; "
-            "re-elicit the matrix or pass --force")
+    weights, report = ahp.derive_weights(cfg.judgment_matrix, cfg.weight_source == "geometric")
+    reports = {"judgment": report}
     if cfg.hierarchical:
-        cw = ahp.weights_sum_method(cfg.criterion_matrix)
-        weights = ahp.hierarchical_weights(cw, cfg.criterion_groups, weights)
+        criterion_weights, reports["criterion"] = ahp.derive_weights(cfg.criterion_matrix)
+        weights = ahp.hierarchical_weights(criterion_weights, cfg.criterion_groups, weights)
+    for matrix, checked in reports.items():
+        if not checked.passed and not cfg.force:
+            raise ConsistencyFailure(
+                f"{matrix} matrix CR = {checked.cr:.4f} >= {ahp.CONSISTENCY_THRESHOLD}; "
+                "re-elicit the matrix or pass --force")
     return weights, asdict(report)
+
+
+def _settle(config: RunConfig | None):
+    """``(cfg, weights, consistency)``: the config, validated, and its weighting.
+
+    Both depend on the config alone: a trial or batch settles them before it reads or forks.
+    """
+    cfg = config or RunConfig()
+    with _stage("config"):
+        cfg.validate()
+    with _stage("weights"):
+        weights, consistency = resolve_weights(cfg)
+    return cfg, weights, consistency
 
 
 def _assess_view(source: str | Path, view: str, cfg: RunConfig):
@@ -121,27 +134,22 @@ def assess_trial(
     config: RunConfig | None = None,
     number: int = 1,
     *,
-    weighting: tuple[np.ndarray, dict | None] | None = None,
+    _settled: tuple | None = None,
 ) -> AssessmentReport:
     """Run the full pipeline on one two-view trial.
 
-    The sagittal view runs in the calling process and, where fork is safe
-    (see ``_map``), the frontal view at the same time in a forked child;
-    otherwise the frontal view runs after it. When both views are bad the
-    error reported is the sagittal view's. ``weighting`` is the
-    ``resolve_weights(config)`` result, when the caller already has it.
+    The config and its weights are settled first (``_settled`` is a
+    batch's ``_settle`` result). Then the sagittal view runs in the calling
+    process and, where fork is safe (see ``_map``), the frontal view at the
+    same time in a forked child; otherwise the frontal view runs after it.
+    When both views are bad the error reported is the sagittal view's.
     """
-    cfg = config or RunConfig()
-    with _stage("config"):
-        cfg.validate()
+    cfg, weights, consistency = _settled or _settle(config)
     (sag, sag_stats), (fro, fro_stats) = _map(
         _assess_view, [(sagittal_source, pi.SAGITTAL, cfg), (frontal_source, pi.FRONTAL, cfg)])
 
     with _stage("grade"):
         grades = grade_all(sag, fro, cfg.thresholds)
-
-    with _stage("weights"):
-        weights, consistency = weighting if weighting is not None else resolve_weights(cfg)
 
     with _stage("aggregate"):
         total = ahp.aggregate(list(grades), weights)
@@ -264,11 +272,11 @@ class BatchResult:
         return summary_csv(rows)
 
 
-def _assess_one(trial: Trial, cfg: RunConfig, weighting) -> AssessmentReport | dict:
+def _assess_one(trial: Trial, settled: tuple) -> AssessmentReport | dict:
     """One batch trial: its report, or its failure record if a pipeline error stopped it."""
     try:
-        return assess_trial(trial.sagittal, trial.frontal, cfg, number=trial.number,
-                            weighting=weighting)
+        return assess_trial(trial.sagittal, trial.frontal, settled[0], trial.number,
+                            _settled=settled)
     except AclRiskError as exc:
         return {
             "number": trial.number,
@@ -401,15 +409,11 @@ def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchR
     one after the other in the process that has the trial. Reports and
     failures come back in trial order.
     """
-    cfg = config or RunConfig()
-    with _stage("config"):
-        cfg.validate()
-    with _stage("weights"):
-        weighting = resolve_weights(cfg)
+    settled = _settle(config)
     if not trials:
         with _stage("ingest"):
             raise EmptySource("batch contains no trials")
-    outcomes = _map(_assess_one, [(t, cfg, weighting) for t in trials])
+    outcomes = _map(_assess_one, [(t, settled) for t in trials])
     return BatchResult(
         reports=[o for o in outcomes if isinstance(o, AssessmentReport)],
         failures=[o for o in outcomes if isinstance(o, dict)])

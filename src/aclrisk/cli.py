@@ -79,11 +79,7 @@ def cmd_ahp(args: argparse.Namespace) -> int:
         for v in violations:
             sys.stderr.write(f"invalid matrix: {v}\n")
         return 1
-    if args.method == "geometric":
-        weights = ahp.weights_geometric(matrix)
-    else:
-        weights = ahp.weights_sum_method(matrix)
-    report = ahp.consistency(matrix, weights)
+    weights, report = ahp.derive_weights(matrix, geometric=args.method == "geometric")
     print("weights:", " ".join(f"{w:.6f}" for w in weights))
     print(f"lambda_max: {report.lambda_max:.6f}")
     print(f"CI: {report.ci:.6f}")

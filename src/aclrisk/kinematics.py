@@ -89,10 +89,7 @@ def extract_sagittal(
 ) -> SagittalFeatures:
     """Per-frame knee/hip flexion cosines and their window maxima."""
     kp, frame_index = _window_slice(series, window)
-    if side == "left":
-        hip, knee, ankle = pi.L_HIP, pi.L_KNEE, pi.L_ANKLE
-    else:
-        hip, knee, ankle = pi.R_HIP, pi.R_KNEE, pi.R_ANKLE
+    hip, knee, ankle = pi.LEGS[side]
     thigh = kp[:, hip] - kp[:, knee]
     shank = kp[:, ankle] - kp[:, knee]
     trunk = kp[:, pi.MID_HIP] - kp[:, pi.NECK]

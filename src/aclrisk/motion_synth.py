@@ -188,11 +188,9 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
         _put(frame, 0, nose)
         _put(frame, pi.NECK, neck)
         _put(frame, pi.MID_HIP, hip_pt)
-        for h_i, k_i, a_i in ((pi.R_HIP, pi.R_KNEE, pi.R_ANKLE),
-                              (pi.L_HIP, pi.L_KNEE, pi.L_ANKLE)):
-            _put(frame, h_i, hip_pt)
-            _put(frame, k_i, knee_pt)
-            _put(frame, a_i, ankle)
+        for leg in pi.LEGS.values():
+            for i, point in zip(leg, (hip_pt, knee_pt, ankle)):
+                _put(frame, i, point)
 
         # frontal chain: vertical legs, trunk tilted by the lean angle
         frame = fro_kp[t]
@@ -217,12 +215,10 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
         _put(frame, pi.R_SHOULDER, shoulder_r)
         _put(frame, pi.L_SHOULDER, shoulder_l)
         _put(frame, pi.MID_HIP, mid_hip)
-        _put(frame, pi.R_HIP, hip_r)
-        _put(frame, pi.R_KNEE, knee_r)
-        _put(frame, pi.R_ANKLE, ankle_r)
-        _put(frame, pi.L_HIP, hip_l)
-        _put(frame, pi.L_KNEE, knee_l)
-        _put(frame, pi.L_ANKLE, ankle_l)
+        for side, points in (("right", (hip_r, knee_r, ankle_r)),
+                             ("left", (hip_l, knee_l, ankle_l))):
+            for i, point in zip(pi.LEGS[side], points):
+                _put(frame, i, point)
 
     # every keypoint not placed above stays (0, 0, 0): undetected
     sagittal = pi.KeypointSeries(sag_kp, np.arange(n))

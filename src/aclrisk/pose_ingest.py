@@ -50,6 +50,8 @@ L_SHOULDER = 5
 MID_HIP = 8
 R_HIP, R_KNEE, R_ANKLE = 9, 10, 11
 L_HIP, L_KNEE, L_ANKLE = 12, 13, 14
+# (hip, knee, ankle) of each side's leg
+LEGS = {"right": (R_HIP, R_KNEE, R_ANKLE), "left": (L_HIP, L_KNEE, L_ANKLE)}
 
 SAGITTAL = "sagittal"
 FRONTAL = "frontal"
@@ -70,14 +72,9 @@ _CSV_HEADER = ["frame"] + [
 def required_keypoints(view: str, side: str = "right") -> frozenset[int]:
     """Keypoint indices that must be present for the given view's features."""
     if view == SAGITTAL:
-        if side == "left":
-            return frozenset({NECK, MID_HIP, L_HIP, L_KNEE, L_ANKLE})
-        return frozenset({NECK, MID_HIP, R_HIP, R_KNEE, R_ANKLE})
+        return frozenset({NECK, MID_HIP, *LEGS[side]})
     if view == FRONTAL:
-        return frozenset({
-            NECK, R_SHOULDER, L_SHOULDER, MID_HIP,
-            R_HIP, R_KNEE, R_ANKLE, L_HIP, L_KNEE, L_ANKLE,
-        })
+        return frozenset({NECK, R_SHOULDER, L_SHOULDER, MID_HIP, *LEGS["right"], *LEGS["left"]})
     raise ValueError(f"unknown view: {view!r}")
 
 

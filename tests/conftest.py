@@ -7,6 +7,9 @@ import pytest
 
 from aclrisk import pose_ingest as pi
 
+# pairwise comparison of the two criterion groups (sagittal vs frontal)
+CRITERION_MATRIX = np.array([[1, 3], [1 / 3, 1]], dtype=float)
+
 
 def make_series(frames: list[dict[int, tuple[float, float]]],
                 frame_index=None) -> pi.KeypointSeries:

@@ -20,7 +20,7 @@ from aclrisk import pose_ingest as pi
 from aclrisk.config import RunConfig
 from aclrisk.errors import GapTooLong
 
-from conftest import series_equal, transform_series
+from conftest import CRITERION_MATRIX, series_equal, transform_series
 from test_pose_ingest import SAGITTAL_REQUIRED, random_series, sagittal_gap_series
 
 SQRT3_2 = math.sqrt(3) / 2
@@ -76,8 +76,8 @@ def test_criterion_1_ahp_weights_and_consistency():
 
 def test_criterion_2_ahp_two_by_two():
     with criterion(2, "2x2 AHP matrix"):
-        weights = ahp.weights_sum_method(ahp.DEFAULT_CRITERION_MATRIX)
-        report = ahp.consistency(ahp.DEFAULT_CRITERION_MATRIX, weights)
+        weights = ahp.weights_sum_method(CRITERION_MATRIX)
+        report = ahp.consistency(CRITERION_MATRIX, weights)
         assert abs(report.lambda_max - 2.0) <= 1e-9
         assert report.ci == 0.0
         assert report.cr == 0.0

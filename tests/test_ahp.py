@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 from aclrisk import ahp
 from aclrisk.errors import InvalidMatrix, OrderMismatch
 
-TWO_LEVEL_MATRIX = ahp.DEFAULT_CRITERION_MATRIX
+from conftest import CRITERION_MATRIX as TWO_LEVEL_MATRIX
+
 FIVE_INDEX_MATRIX = ahp.DEFAULT_INDEX_MATRIX
 
 # Weight vector the five-index matrix is documented to produce (sum method).

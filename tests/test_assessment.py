@@ -32,6 +32,8 @@ from aclrisk.errors import (
 )
 from aclrisk.scoring import GradeVector
 
+from conftest import CRITERION_MATRIX
+
 # matrix with a strong preference cycle; fails the CR < 0.1 check
 INCONSISTENT_MATRIX = [
     [1, 5, "1/5", 1, 1],
@@ -337,7 +339,7 @@ def test_hierarchical_weights_through_config(tmp_path):
     sag, fro, _ = write_trial(tmp_path, excellent_script())
     cfg = RunConfig(
         hierarchical=True,
-        criterion_matrix=ahp.DEFAULT_CRITERION_MATRIX.copy(),
+        criterion_matrix=CRITERION_MATRIX.copy(),
         criterion_groups=[[0, 1], [2, 3, 4]],
     )
     report = assessment.assess_trial(sag, fro, cfg)
@@ -566,7 +568,7 @@ def test_batch_with_a_value_that_is_not_a_number_fails_once_at_config(tmp_path):
 
 @pytest.mark.parametrize("bad", [
     RunConfig(judgment_matrix=np.ones((2, 2))),
-    RunConfig(hierarchical=True, criterion_matrix=ahp.DEFAULT_CRITERION_MATRIX.copy(),
+    RunConfig(hierarchical=True, criterion_matrix=CRITERION_MATRIX.copy(),
               criterion_groups=[[0, 1], [1, 2]]),
 ], ids=["order", "groups"])
 def test_batch_with_weighting_of_the_wrong_shape_fails_once_at_config(tmp_path, bad):
@@ -598,6 +600,61 @@ def test_a_batch_derives_its_weighting_once(tmp_path, monkeypatch):
     result = assessment.assess_batch([assessment.Trial(1, sag, fro)], RunConfig())
     assert [r.number for r in result.reports] == [1]
     assert len(calls) == 1
+
+
+def test_a_batch_validates_its_config_once(tmp_path, monkeypatch):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
+    calls = []
+    validate = RunConfig.validate
+    monkeypatch.setattr(RunConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
+    result = assessment.assess_batch(
+        [assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+    assert [r.number for r in result.reports] == [1, 2, 3]
+    assert len(calls) == 1
+
+
+def test_an_inconsistent_matrix_fails_a_trial_before_it_reads_or_forks(tmp_path, monkeypatch):
+    sag, _, _ = write_trial(tmp_path, excellent_script())
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    cfg = RunConfig(judgment_matrix=ahp.parse_matrix(INCONSISTENT_MATRIX))
+    with pytest.raises(ConsistencyFailure) as exc_info:
+        assessment.assess_trial(sag, str(tmp_path / "missing.csv"), cfg)
+    assert exc_info.value.stage == "weights"
+    assert forked() == []
+
+
+# a criterion matrix with a preference cycle (CR 6.13) over three criterion groups;
+# the default judgment matrix beneath it passes (CR 0.028)
+INCONSISTENT_HIERARCHY = {
+    "hierarchical": True,
+    "criterion_matrix": ahp.parse_matrix([[1, 9, "1/9"], ["1/9", 1, 9], [9, "1/9", 1]]),
+    "criterion_groups": [[0, 1], [2], [3, 4]],
+}
+
+
+def test_an_inconsistent_criterion_matrix_fails_a_trial_at_weights(tmp_path):
+    missing = str(tmp_path / "missing")
+    with pytest.raises(ConsistencyFailure, match=r"criterion matrix CR = 6\.1303") as exc_info:
+        assessment.assess_trial(missing, missing, RunConfig(**INCONSISTENT_HIERARCHY))
+    assert exc_info.value.stage == "weights"
+
+
+def test_a_batch_fails_once_on_an_inconsistent_criterion_matrix(tmp_path):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
+    with pytest.raises(ConsistencyFailure, match="criterion matrix") as exc_info:
+        assessment.assess_batch(trials, RunConfig(**INCONSISTENT_HIERARCHY))
+    assert exc_info.value.stage == "weights"
+
+
+def test_force_keeps_the_weights_of_an_inconsistent_criterion_matrix():
+    weights, consistency = assessment.resolve_weights(
+        RunConfig(**INCONSISTENT_HIERARCHY, force=True))
+    # the sum-method criterion weights spread over the sum-method index weights
+    assert weights.tolist() == [0.20791061607745803, 0.12542271725587525, 0.3333333333333333,
+                                0.18967846534844085, 0.14365486798489246]
+    assert consistency["cr"] == pytest.approx(0.028031488555362423, abs=1e-12)
 
 
 def mixed_batch(tmp_path) -> list[assessment.Trial]:

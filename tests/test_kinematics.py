@@ -106,6 +106,12 @@ def test_mirrored_left_side_extraction():
     assert feats.p1 == pytest.approx(-1.0)
 
 
+def test_an_unknown_side_is_refused():
+    series = make_series([upright_sagittal_points()])
+    with pytest.raises(KeyError):
+        kin.extract_sagittal(series, side="up")
+
+
 # -- frontal extraction -----------------------------------------------------
 
 

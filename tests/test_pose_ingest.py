@@ -439,3 +439,8 @@ def test_required_keypoints_match_views():
     assert pi.required_keypoints(pi.SAGITTAL) == frozenset({1, 8, 9, 10, 11})
     assert pi.required_keypoints(pi.SAGITTAL, side="left") == frozenset({1, 8, 12, 13, 14})
     assert pi.required_keypoints(pi.FRONTAL) == frozenset({1, 2, 5, 8, 9, 10, 11, 12, 13, 14})
+
+
+def test_required_keypoints_refuse_an_unknown_side():
+    with pytest.raises(KeyError):
+        pi.required_keypoints(pi.SAGITTAL, "up")
