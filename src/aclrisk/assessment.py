@@ -14,15 +14,16 @@ weights are settled before any input is read.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
 import pickle
 import sys
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -141,8 +142,9 @@ def assess_trial(
     The config and its weights are settled first (``_settled`` is a
     batch's ``_settle`` result). Then the sagittal view runs in the calling
     process and, where fork is safe (see ``_map``), the frontal view at the
-    same time in a forked child; otherwise the frontal view runs after it.
-    When both views are bad the error reported is the sagittal view's.
+    same time in a kept worker, which the process's first map forks and
+    later maps reuse; otherwise the frontal view runs after it. When both
+    views are bad the error reported is the sagittal view's.
     """
     cfg, weights, consistency = _settled or _settle(config)
     (sag, sag_stats), (fro, fro_stats) = _map(
@@ -230,9 +232,10 @@ def emit_traces(report: AssessmentReport, directory: str | Path) -> dict[str, st
 
     The files are shared out as ``_map`` shares its items, in
     ``trace_data`` order: on 2 CPUs the calling process writes p1, s1 and
-    s3 and one forked child writes p2, s2 and s4. Where fork is unsafe or
-    only one CPU is usable (see ``_worker_count``), all six are written in
-    the calling process. Either way the bytes are the same. Updates
+    s3 and the kept worker that took ``assess_trial``'s frontal view writes
+    p2, s2 and s4, so nothing is forked. Where fork is unsafe or only one
+    CPU is usable (see ``_worker_count``), all six are written in the
+    calling process. Either way the bytes are the same. Updates
     ``report.traces`` with the written file references and returns them;
     on an error it is left as it was, and no ``.part`` file is left behind.
     """
@@ -292,18 +295,18 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# set while a map's children run; each child inherits it
+# set while a map runs in its caller, and for good in a kept worker
 _mapping = False
 
 
 def _worker_count(n_items: int) -> int:
-    """How many processes share ``n_items``: the caller and its forked children.
+    """How many processes share ``n_items``: the caller and its kept workers.
 
     The items are a trial's two views, a batch's trials or a report's six
     trace files. Fork is unsafe on macOS and in a process running other
     threads (a child gets a copy of every lock, but only the calling
     thread), a daemonic multiprocessing worker already shares the CPUs with
-    its pool, and a map's caller and children already share them with each
+    its pool, and a map's caller and workers already share them with each
     other, so these run every item in-process.
     """
     workers = min(n_items, _usable_cpus())
@@ -317,10 +320,11 @@ def _worker_count(n_items: int) -> int:
     return workers
 
 
-def _share_result(fn, share: list[tuple]) -> bytes:
-    """A forked share's pickled ``("ok", outcomes)``, or ``("error", exc)`` for the
-    error that stopped it."""
+def _share_result(request: bytes) -> bytes:
+    """The pickled ``("ok", outcomes)`` of a pickled ``(fn, share)`` request, or
+    ``("error", exc)`` for the error that stopped it."""
     try:
+        fn, share = pickle.loads(request)
         return pickle.dumps(("ok", [fn(*args) for args in share]))
     except Exception as exc:
         error = exc
@@ -330,84 +334,218 @@ def _share_result(fn, share: list[tuple]) -> bytes:
         return data
     except Exception:
         return pickle.dumps(("error", RuntimeError(
-            f"a forked share raised {type(error).__name__}: {error} "
+            f"a worker's share raised {type(error).__name__}: {error} "
             "(the error cannot be pickled)")))
 
 
+class _Worker:
+    """A kept worker: its pid, the write end of the pipe it reads its
+    requests from, and the read end of the pipe it sends its results up."""
+
+    __slots__ = ("pid", "requests", "results")
+
+    def __init__(self, pid: int, requests: int, results: BinaryIO):
+        self.pid, self.requests, self.results = pid, requests, results
+
+
+# kept workers, each forked while the caller's ``_caller_state`` was ``_pool_state``
+_pool: list[_Worker] = []
+_pool_state = None
+
+
+def _caller_state() -> tuple | None:
+    """What a worker copies at fork and cannot follow: the caller's pid,
+    working directory (its device and inode) and umask.
+
+    None, which matches no pool, when the working directory cannot be
+    examined (a process may lack search permission on it).
+    """
+    umask = os.umask(0o022)
+    os.umask(umask)
+    try:
+        cwd = os.stat(".")
+    except OSError:
+        return None
+    return os.getpid(), cwd.st_dev, cwd.st_ino, umask
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write ``data`` to ``fd`` after its length, as 8 little-endian bytes."""
+    for part in (len(data).to_bytes(8, "little"), data):
+        view = memoryview(part)
+        while view:
+            view = view[os.write(fd, view):]
+
+
+def _receive(pipe: BinaryIO) -> bytes:
+    """The next message ``_send`` wrote to ``pipe``; ``b""`` where the pipe ends."""
+    size = int.from_bytes(pipe.read(8), "little")
+    data = pipe.read(size)
+    return data if len(data) == size else b""
+
+
+def _serve(requests: int, results: int) -> None:
+    """A worker's life: answer each request on ``requests`` with its
+    ``_share_result`` on ``results``, until the caller closes its end."""
+    global _mapping
+    import signal  # numpy does not import signal: only a worker pays
+
+    _mapping = True
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the caller's to handle
+    # hold no descriptor open that the caller may close later and expect to
+    # end, such as a pipe to another process
+    devnull = os.open(os.devnull, os.O_RDWR)
+    listing = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+    for fd in map(int, os.listdir(listing)):
+        if fd not in (requests, results, devnull):
+            os.dup2(devnull, fd)
+    os.close(devnull)
+    with open(requests, "rb") as pipe:
+        while request := _receive(pipe):
+            _send(results, _share_result(request))
+
+
+def _fork_worker() -> _Worker:
+    """Fork a worker; the caller keeps one end of each of its two pipes."""
+    requests_read, requests_write = os.pipe()
+    results_read, results_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (requests_read, requests_write, results_read, results_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        # never return into the caller's stack, flush its stdio buffers or run atexit
+        code = 1
+        try:
+            os.close(requests_write)
+            os.close(results_read)
+            _serve(requests_read, results_write)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(requests_read)
+    os.close(results_write)
+    return _Worker(pid, requests_write, open(results_read, "rb"))
+
+
+def _release(worker: _Worker) -> None:
+    """Forget a worker and close this process's ends of its pipes."""
+    _pool.remove(worker)
+    os.close(worker.requests)
+    worker.results.close()
+
+
+def _forget_pool() -> None:
+    """Release every worker without ending it; a forked child's hook, since
+    its parent's workers are not its own."""
+    for worker in list(_pool):
+        _release(worker)
+
+
+def _close_pool(kill: bool = False) -> None:
+    """End every kept worker: close its pipes, so that it exits, and reap it.
+
+    With ``kill``, a worker that may still be running a share is killed first.
+    """
+    workers = list(_pool)
+    if kill and workers:
+        from signal import SIGKILL
+        for worker in workers:
+            with suppress(ProcessLookupError):
+                os.kill(worker.pid, SIGKILL)
+    _forget_pool()
+    for worker in workers:
+        with suppress(ChildProcessError):  # reaped by someone else
+            os.waitpid(worker.pid, 0)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+atexit.register(_close_pool)
+
+
+def _workers(n: int) -> list[_Worker]:
+    """``n`` kept workers that behave as if forked now.
+
+    The pool is replaced when the caller's state has changed since it was
+    forked, a worker found dead is reaped and replaced, and the pool grows
+    as needed.
+    """
+    global _pool_state
+    state = _caller_state()
+    if state is None or state != _pool_state:
+        _close_pool()
+        _pool_state = state
+    for worker in list(_pool):
+        try:
+            alive = os.waitpid(worker.pid, os.WNOHANG)[0] == 0
+        except ChildProcessError:  # reaped by someone else
+            alive = False
+        if not alive:
+            _release(worker)
+    while len(_pool) < n:
+        _pool.append(_fork_worker())
+    return _pool[:n]
+
+
 def _map(fn, calls: list[tuple]) -> list:
-    """``[fn(*args) for args in calls]``, spread over the caller and forked children.
+    """``[fn(*args) for args in calls]``, spread over the caller and kept workers.
 
     Each call is one item: a view of a trial, a trial of a batch or a
     trace file of a report. With ``workers`` processes, call i runs in
-    share ``i % workers``: share 0 in the calling process, every other
-    share in a child forked for it, which writes its pickled outcomes down
-    a pipe and leaves by ``os._exit``. Outcomes come back in call order.
-    If the caller's share raises, every child is killed and reaped;
-    otherwise the first child's error is raised with its type, and a child
-    that ends without a result is a ``RuntimeError`` naming its wait
-    status. While the children run, a map called in the caller or in a
-    child runs in-process.
+    share ``i % workers``: share 0 in the calling process, share k in kept
+    worker k, which gets ``(fn, share)`` pickled down one pipe and sends its
+    pickled outcomes up another. Outcomes come back in call order. The
+    first map that needs a worker forks it, and later maps in the same
+    process reuse it (see ``_workers``); ``fn`` goes by reference, so a
+    worker runs the ``fn`` its module held when it was forked. A worker's
+    first error is raised with its type, and a worker that ends without a
+    result is a ``RuntimeError`` naming its wait status. Any error out of
+    a map kills and reaps every worker. While a map runs, a map called in
+    its caller or in a worker runs in-process.
     """
     global _mapping
     workers = _worker_count(len(calls))
     if workers == 1:
         return [fn(*args) for args in calls]
     outcomes = [None] * len(calls)
-    children = {}  # pid -> read end of its pipe, for each child not yet reaped
     _mapping = True
     try:
-        for k in range(1, workers):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                # never return into the caller's stack, flush its stdio buffers or run atexit
-                code = 1
-                try:
-                    os.close(read_fd)
-                    data = _share_result(fn, calls[k::workers])
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(data)
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(write_fd)
-            children[pid] = open(read_fd, "rb")
+        pool = _workers(workers - 1)
+        for k, worker in enumerate(pool, 1):
+            request = pickle.dumps((fn, calls[k::workers]))
+            with suppress(BrokenPipeError):  # a dead worker is named below
+                _send(worker.requests, request)
         outcomes[0::workers] = [fn(*args) for args in calls[0::workers]]
-        for k, (pid, pipe) in enumerate(list(children.items()), 1):
-            # read to the end before reaping: a long result outgrows the pipe buffer
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            del children[pid]
-            if status != 0 or not data:
-                raise RuntimeError(f"forked worker {pid} ended without a result "
+        for k, worker in enumerate(pool, 1):
+            data = _receive(worker.results)
+            if not data:
+                _release(worker)
+                status = os.waitpid(worker.pid, 0)[1]
+                raise RuntimeError(f"forked worker {worker.pid} ended without a result "
                                    f"(wait status {status})")
             kind, value = pickle.loads(data)
             if kind == "error":
                 raise value
             outcomes[k::workers] = value
+    except BaseException:
+        _close_pool(kill=True)
+        raise
     finally:
         _mapping = False
-        for pid, pipe in children.items():
-            from signal import SIGKILL  # numpy does not import signal: only this path pays
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
     return outcomes
 
 
 def assess_batch(trials: list[Trial], config: RunConfig | None = None) -> BatchResult:
     """Assess trials; a bad config or weighting fails the batch, a bad trial only itself.
 
-    The trials are shared among the calling process and forked children
-    as ``_map`` describes. A batch that forks runs each trial's two views
-    one after the other in the process that has the trial. Reports and
-    failures come back in trial order.
+    The trials are shared among the calling process and kept workers as
+    ``_map`` describes, each worker's trials and the settled config pickled
+    down to it. A batch spread over workers runs each trial's two views one
+    after the other in the process that has the trial. Reports and failures
+    come back in trial order.
     """
     settled = _settle(config)
     if not trials:

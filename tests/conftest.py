@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from aclrisk import assessment
 from aclrisk import pose_ingest as pi
 
 # pairwise comparison of the two criterion groups (sagittal vs frontal)
@@ -78,3 +79,15 @@ def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
 @pytest.fixture
 def frontal_standing_series() -> pi.KeypointSeries:
     return make_series([upright_frontal_points()] * 5)
+
+
+@pytest.fixture(autouse=True)
+def fresh_workers():
+    """Close the kept workers before and after each test.
+
+    A worker forked inside a test sees the test's monkeypatches, and none
+    outlives the test that forked it.
+    """
+    assessment._close_pool()
+    yield
+    assessment._close_pool()

@@ -5,7 +5,11 @@ import math
 import multiprocessing
 import os
 import pickle
+import shutil
 import signal
+import stat
+import subprocess
+import sys
 import threading
 import time
 import warnings
@@ -927,14 +931,15 @@ def test_a_broken_frontal_view_reaches_the_caller_whole(tmp_path):
 def test_a_frontal_child_that_ends_without_a_result_names_its_wait_status(tmp_path,
                                                                           monkeypatch):
     sag, fro = one_format_trial(tmp_path, "csv")
-    caller, assess_view = os.getpid(), assessment._assess_view
+    caller, load_series = os.getpid(), pi.load_series
 
-    def exiting(source, view, cfg):
-        if view == pi.FRONTAL and os.getpid() != caller:
+    def exiting(source, policy):
+        if source == fro and os.getpid() != caller:
             os._exit(3)
-        return assess_view(source, view, cfg)
+        return load_series(source, policy)
 
-    monkeypatch.setattr(assessment, "_assess_view", exiting)
+    # a map sends _assess_view by reference, and the worker's copy reads through this
+    monkeypatch.setattr(pi, "load_series", exiting)
     with time_limit(60), pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
         assessment.assess_trial(sag, fro, RunConfig())
     with pytest.raises(ChildProcessError):
@@ -960,20 +965,189 @@ def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
 @pytest.mark.parametrize("n_frames, mode", [(3000, "full"), (300, "full"), (3000, "landing")])
 def test_traces_are_written_from_forked_children_with_in_process_bytes(
         tmp_path, monkeypatch, csv_trials, n_frames, mode):
-    report = assessment.assess_trial(*csv_trials[n_frames], RunConfig(window_mode=mode))
+    # every trace file is renamed into place by the process that wrote it
+    writers, replace = tmp_path / "writers", os.replace
+
+    def recorded(source, target):
+        with open(writers, "a") as f:
+            f.write(f"{Path(target).stem} {os.getpid()}\n")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", recorded)
     forked = counting_forks(monkeypatch, tmp_path / "forks")
-    children = [os.getpid()] * (assessment._worker_count(6) - 1)
+    report = assessment.assess_trial(*csv_trials[n_frames], RunConfig(window_mode=mode))
+    assert forked() == [os.getpid()] * (assessment._worker_count(2) - 1)
     with time_limit(60):
         refs = assessment.emit_traces(report, tmp_path / "forked")
-    assert forked() == children
+    # the worker that took the frontal view takes its share of the traces: on 2 CPUs
+    # nothing more is forked, and the worker writes p2, s2 and s4
+    workers = assessment._worker_count(6)
+    assert forked() == [os.getpid()] * (workers - 1)
+    processes = [os.getpid()] + [worker.pid for worker in assessment._pool]
+    assert dict(line.split() for line in writers.read_text().splitlines()) == {
+        name: str(processes[i % workers]) for i, name in enumerate(report.trace_data)}
     monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
     in_process = assessment.emit_traces(report, tmp_path / "in_process")
-    assert forked() == children
+    assert forked() == [os.getpid()] * (workers - 1)
     assert refs.keys() == in_process.keys() == {"p1", "p2", "s1", "s2", "s3", "s4"}
     for name, ref in refs.items():
         assert Path(ref).read_bytes() == Path(in_process[name]).read_bytes()
     assert sorted(p.name for p in (tmp_path / "forked").iterdir()) == [
         f"{name}.csv" for name in sorted(refs)]
+
+
+@forks
+def test_trials_with_traces_in_a_row_fork_their_workers_once(tmp_path, monkeypatch,
+                                                             csv_trials):
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    with time_limit(60):
+        for run in ("first", "second"):
+            report = assessment.assess_trial(*csv_trials[300], RunConfig())
+            assessment.emit_traces(report, tmp_path / run)
+    # one worker for the views, which on 2 CPUs also takes the traces' second share
+    assert forked() == [os.getpid()] * (assessment._worker_count(6) - 1)
+
+
+@forks
+def test_a_umask_set_between_maps_gives_the_modes_of_an_in_process_run(tmp_path, monkeypatch,
+                                                                       csv_trials):
+    report = assessment.assess_trial(*csv_trials[300], RunConfig())
+    previous = os.umask(0o077)
+    try:
+        with time_limit(60):
+            refs = assessment.emit_traces(report, tmp_path / "kept")
+        monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
+        in_process = assessment.emit_traces(report, tmp_path / "in_process")
+    finally:
+        os.umask(previous)
+    modes = {name: stat.S_IMODE(os.stat(ref).st_mode) for name, ref in refs.items()}
+    assert modes == {name: stat.S_IMODE(os.stat(ref).st_mode)
+                     for name, ref in in_process.items()}
+    assert set(modes.values()) == {0o600}
+
+
+@forks
+@pytest.mark.skipif(shutil.which("cat") is None, reason="needs cat")
+def test_a_pipe_the_caller_closes_after_a_map_reaches_its_end(csv_trials):
+    # the worker forked by the map inherits the pipe to cat's stdin
+    cat = subprocess.Popen(["cat"], stdin=subprocess.PIPE, stdout=subprocess.DEVNULL)
+    try:
+        assessment.assess_trial(*csv_trials[300], RunConfig())
+        cat.stdin.close()
+        assert cat.wait(timeout=30) == 0
+    finally:
+        cat.kill()
+        cat.wait()
+    assert assessment._pool
+    for worker in assessment._pool:
+        assert os.waitpid(worker.pid, os.WNOHANG) == (0, 0)
+
+
+@forks
+def test_a_killed_worker_is_replaced(monkeypatch, csv_trials):
+    cfg = RunConfig()
+    assessment.assess_trial(*csv_trials[300], cfg)
+    killed = assessment._pool[0].pid
+    os.kill(killed, signal.SIGKILL)
+    os.waitid(os.P_PID, killed, os.WEXITED | os.WNOWAIT)  # dead, and not yet reaped
+    with time_limit(60):
+        report = assessment.assess_trial(*csv_trials[300], cfg)
+    assert assessment._pool and killed not in [worker.pid for worker in assessment._pool]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(killed, os.WNOHANG)
+    monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
+    in_process = assessment.assess_trial(*csv_trials[300], cfg)
+    assert assessment.report_to_json(report) == assessment.report_to_json(in_process)
+
+
+@forks
+def test_a_forked_child_of_the_caller_neither_uses_nor_blocks_its_workers(tmp_path, monkeypatch,
+                                                                          csv_trials):
+    fork = os.fork  # this test's own fork is not counted
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    cfg = RunConfig()
+    expected = assessment.report_to_json(assessment.assess_trial(*csv_trials[300], cfg))
+    workers = [worker.pid for worker in assessment._pool]
+    go_read, go_write = os.pipe()
+    done_read, done_write = os.pipe()
+    pid = fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(go_write)
+            os.close(done_read)
+            # holds what it inherited until the parent has ended its workers
+            if os.read(go_read, 1) == b"1":
+                report = assessment.assess_trial(*csv_trials[300], cfg)
+                own = [worker.pid for worker in assessment._pool]
+                same = (assessment.report_to_json(report) == expected
+                        and not set(own) & set(workers))
+                assessment._close_pool()
+                os.write(done_write, b"1" if same else b"0")
+                code = 0
+        finally:
+            os._exit(code)
+    os.close(go_read)
+    os.close(done_write)
+    try:
+        with time_limit(30):
+            report = assessment.assess_trial(*csv_trials[300], cfg)
+            assert [worker.pid for worker in assessment._pool] == workers
+            assessment._close_pool()  # the workers end while the child runs
+        os.write(go_write, b"1")
+        with time_limit(60):
+            assert os.read(done_read, 1) == b"1"
+    finally:
+        os.close(go_write)
+        os.close(done_read)
+        os.waitpid(pid, 0)
+    assert assessment.report_to_json(report) == expected
+    assert forked() == [os.getpid()] * len(workers) + [pid] * len(workers)
+
+
+@forks
+def test_a_chdir_between_maps_reads_relative_paths_from_the_new_directory(
+        tmp_path, monkeypatch, csv_trials):
+    cfg = RunConfig()
+    expected = assessment.assess_trial(*csv_trials[300], cfg)
+    directory = Path(csv_trials[300][0]).parent
+    monkeypatch.chdir(directory)
+    with time_limit(60):
+        report = assessment.assess_trial("sagittal.csv", "frontal.csv", cfg)
+    assert report.features == expected.features
+
+
+@forks
+def test_a_working_directory_that_cannot_be_examined_forks_workers_afresh(
+        tmp_path, monkeypatch, csv_trials):
+    forked = counting_forks(monkeypatch, tmp_path / "forks")
+    monkeypatch.setattr(assessment, "_caller_state", lambda: None)
+    cfg = RunConfig()
+    with time_limit(60):
+        reports = [assessment.assess_trial(*csv_trials[300], cfg) for _ in range(2)]
+    assert forked() == [os.getpid()] * 2 * (assessment._worker_count(2) - 1)
+    assert assessment.report_to_json(reports[0]) == assessment.report_to_json(reports[1])
+
+
+@forks
+def test_a_process_that_ran_maps_exits_and_leaves_no_worker(csv_trials):
+    code = ("import sys\n"
+            "from aclrisk import assessment\n"
+            "from aclrisk.config import RunConfig\n"
+            "for _ in range(2):\n"
+            "    assessment.assess_trial(sys.argv[1], sys.argv[2], RunConfig())\n"
+            "print(*[worker.pid for worker in assessment._pool])\n")
+    src = str(Path(assessment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code, *csv_trials[300]], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    workers = [int(pid) for pid in proc.stdout.split()]
+    assert len(workers) == assessment._worker_count(2) - 1
+    for pid in workers:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("name", ["p2", "p1"])
