@@ -87,7 +87,10 @@ def parse_matrix(rows) -> np.ndarray:
 def validate(matrix: np.ndarray) -> list[str]:
     """Return all structural violations (empty list means the matrix is valid)."""
     violations: list[str] = []
-    mat = np.asarray(matrix, dtype=float)
+    try:
+        mat = np.asarray(matrix, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return ["matrix entries must be numbers"]
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         return [f"matrix must be square, got shape {mat.shape}"]
     n = mat.shape[0]

@@ -217,8 +217,8 @@ def _write_trace(path: Path, frames: np.ndarray, values: np.ndarray) -> None:
 
     The text goes to ``<path>.part`` and is renamed over ``path``, so a
     process killed mid-write leaves the trace file whole or as it was. The
-    part file is closed before the rename: a forked child leaves by
-    ``os._exit``, which flushes nothing.
+    part file is closed before the rename, so the trace is whole on disk
+    when the map that writes it returns, also where a kept worker wrote it.
     """
     lines = ["frame,value"]
     lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
@@ -437,32 +437,22 @@ def _release(worker: _Worker) -> None:
     worker.results.close()
 
 
-def _forget_pool() -> None:
-    """Release every worker without ending it; a forked child's hook, since
-    its parent's workers are not its own."""
-    for worker in list(_pool):
-        _release(worker)
-
-
-def _close_pool(kill: bool = False) -> None:
+def _close_pool() -> None:
     """End every kept worker: close its pipes, so that it exits, and reap it.
 
-    With ``kill``, a worker that may still be running a share is killed first.
+    Also a forked child's hook: its parent's workers are not its children,
+    so it only closes its copies of their pipes.
     """
     workers = list(_pool)
-    if kill and workers:
-        from signal import SIGKILL
-        for worker in workers:
-            with suppress(ProcessLookupError):
-                os.kill(worker.pid, SIGKILL)
-    _forget_pool()
     for worker in workers:
-        with suppress(ChildProcessError):  # reaped by someone else
+        _release(worker)
+    for worker in workers:
+        with suppress(ChildProcessError):  # reaped by someone else, or not a child
             os.waitpid(worker.pid, 0)
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_close_pool)
 atexit.register(_close_pool)
 
 
@@ -531,7 +521,11 @@ def _map(fn, calls: list[tuple]) -> list:
                 raise value
             outcomes[k::workers] = value
     except BaseException:
-        _close_pool(kill=True)
+        from signal import SIGKILL
+        for worker in _pool:  # each may still be running a share
+            with suppress(ProcessLookupError):
+                os.kill(worker.pid, SIGKILL)
+        _close_pool()
         raise
     finally:
         _mapping = False

@@ -1,18 +1,19 @@
 """Run configuration: every tunable of the pipeline in one place.
 
-Configs load from a JSON file whose keys mirror the RunConfig field
-names, with environment-variable overrides prefixed ``ACLRISK_`` (for CI
-use, e.g. ``ACLRISK_CONFIDENCE_THRESHOLD=0.5``). Judgment matrices are
-given as row lists; fraction literals like "1/3" are accepted.
+A config loads from a JSON file whose keys mirror the RunConfig field
+names, and each value is the JSON type of its field: a number, a whole
+number, a string, a boolean, an object for ``thresholds`` and lists for
+``weights`` and ``criterion_groups``. Judgment matrices are given as row
+lists; fraction literals like "1/3" are accepted. ``RunConfig.validate``
+is the one check of every value, for a config from a file as for one
+built in code.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
-import os
-from collections.abc import Iterable
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -24,14 +25,12 @@ from . import pose_ingest as pi
 from .errors import AclRiskError, OrderMismatch
 from .scoring import ThresholdConfig
 
-ENV_PREFIX = "ACLRISK_"
-
 WEIGHT_SOURCES = ("sum-method", "geometric", "table5-compat", "explicit")
 N_INDICES = 5
 
 
 class ConfigError(AclRiskError):
-    """Configuration file or override is invalid."""
+    """A config, from a file or built in code, is invalid."""
 
 
 @dataclass
@@ -54,12 +53,14 @@ class RunConfig:
     force: bool = False
 
     def validate(self) -> None:
-        for name in ("confidence_threshold", "max_gap", "window_duration_s", "default_fps"):
-            if not _is_number(getattr(self, name)):
-                raise ConfigError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.weights is not None and not (
-                isinstance(self.weights, Iterable) and all(map(_is_number, self.weights))):
-            raise ConfigError(f"weights must be a list of numbers, got {self.weights!r}")
+        """Refuse the first bad value: a value of the wrong type or out of its range is a
+        ConfigError, a matrix or grouping the AHP check refuses its InvalidMatrix or
+        OrderMismatch."""
+        _check_types(self, "")
+        try:  # the range rule of ThresholdConfig, also for a field set after it was made
+            self.thresholds.__post_init__()
+        except ValueError as exc:
+            raise ConfigError(f"bad thresholds section: {exc}") from exc
         if self.weight_source not in WEIGHT_SOURCES:
             raise ConfigError(f"weight_source must be one of {WEIGHT_SOURCES}")
         if self.person_policy not in ("best", "strict"):
@@ -73,13 +74,10 @@ class RunConfig:
         if self.max_gap < 0:
             raise ConfigError("max_gap must be nonnegative")
         for name in ("window_duration_s", "default_fps"):
-            value = getattr(self, name)
-            if not (_finite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and > 0")
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0")
         if not _finite(self.window_duration_s * self.default_fps):
             raise ConfigError("window_duration_s * default_fps must be finite")
-        if self.weights is not None and not all(map(_finite, self.weights)):
-            raise ConfigError("weights must be finite")
         if self.weight_source == "explicit":
             if self.weights is None or len(self.weights) != N_INDICES:
                 raise ConfigError(f"explicit weights must have length {N_INDICES}")
@@ -98,8 +96,6 @@ class RunConfig:
                     "hierarchical mode needs criterion_matrix and criterion_groups")
             ahp.check_matrix(self.criterion_matrix)
             ahp.check_groups(self.criterion_groups, len(self.criterion_matrix), N_INDICES)
-        if self.criterion_matrix is not None and not np.isfinite(self.criterion_matrix).all():
-            raise ConfigError("criterion_matrix entries must be finite")
 
     def as_dict(self) -> dict:
         """Every field as JSON-ready values; matrices become lists of float rows."""
@@ -110,11 +106,6 @@ class RunConfig:
         return out
 
 
-def _is_number(value) -> bool:
-    """Whether a value is a real number; a boolean is not one."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _finite(value) -> bool:
     """Whether a number is finite; an int too large for a float is not."""
     try:
@@ -123,72 +114,88 @@ def _finite(value) -> bool:
         return False
 
 
-def _parse_bool(value) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        if value.lower() in ("1", "true", "yes", "on"):
-            return True
-        if value.lower() in ("0", "false", "no", "off"):
-            return False
-    raise ValueError(f"expected a boolean, got {value!r}")
+def _is_number(value) -> bool:
+    """Whether a value is a finite JSON number; a boolean is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and _finite(value)
 
 
-def _float(value) -> float:
-    """A finite number or numeric string as a float; a boolean is not a number."""
-    if isinstance(value, bool):
-        raise ValueError(f"expected a number, got {value!r}")
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{value!r} is not a finite number")
-    return number
+def _is_whole(value) -> bool:
+    """Whether a value is an int; a boolean is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _int(value) -> int:
-    """A whole number or integer string as an int; booleans and fractions are refused."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected a whole number, got {value!r}")
-    return int(value)
+def _is_matrix(value) -> bool:
+    """Whether a value reads as a 2-D array of finite floats."""
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return matrix.ndim == 2 and bool(np.isfinite(matrix).all())
 
 
-def _list(value) -> list:
-    """A JSON list as it is; a string or an object is not a list."""
-    if not isinstance(value, list):
-        raise TypeError(f"expected a list, got {type(value).__name__}")
-    return value
-
-
-# The conversion of a config file value or an environment string, by the
-# annotation of its field; a field annotated ``X | None`` also takes null.
-_SCALARS = {"float": _float, "int": _int, "str": str, "bool": _parse_bool}
-_CONVERTERS = {
-    **_SCALARS,
-    "ThresholdConfig": lambda section: _from_dict(ThresholdConfig, section, "thresholds"),
-    "np.ndarray": ahp.parse_matrix,
-    "list[float]": lambda values: [_float(v) for v in _list(values)],
-    "list[list[int]]": lambda groups: [[_int(i) for i in _list(g)] for g in _list(groups)],
+# the check of a value by the annotation of its field, and the message refusing it;
+# a field annotated ``X | None`` also takes None
+_TYPES = {
+    "float": (_is_number, "{name} must be a finite number, got {value!r}"),
+    "int": (_is_whole, "{name} must be a whole number, got {value!r}"),
+    "str": (lambda v: isinstance(v, str), "{name} must be a string, got {value!r}"),
+    "bool": (lambda v: isinstance(v, bool),
+             "bad value for {name}: expected a boolean, got {value!r}"),
+    "ThresholdConfig": (lambda v: isinstance(v, ThresholdConfig),
+                        "{name} must be a ThresholdConfig, got {value!r}"),
+    "np.ndarray": (_is_matrix, "{name} must be a matrix of finite numbers"),
+    "list[float]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+                    "{name} must be a list of finite numbers, got {value!r}"),
+    "list[list[int]]": (
+        lambda v: isinstance(v, list) and all(
+            isinstance(g, list) and all(map(_is_whole, g)) for g in v),
+        "{name} must be a list of lists of whole numbers, got {value!r}"),
 }
 
 
+def _check_types(obj, prefix: str) -> None:
+    """ConfigError for the first field of ``obj`` that its annotation refuses."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if value is None and f.type.endswith(" | None"):
+            continue
+        check, message = _TYPES[f.type.removesuffix(" | None")]
+        if not check(value):
+            raise ConfigError(message.format(name=prefix + f.name, value=value))
+        if isinstance(value, ThresholdConfig):
+            _check_types(value, "thresholds.")
+
+
+def _typed(kind: str, value):
+    """A JSON value in the type that the annotation ``kind`` names, where it converts
+    without loss: an integer as a float, a whole float as an int, matrix rows as an
+    array (``ahp.parse_matrix``), an object as a ThresholdConfig. Any other value
+    stays as it is, for ``RunConfig.validate`` to judge."""
+    if kind == "float" and type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind == "int" and type(value) is float and value.is_integer():
+        return int(value)
+    if kind == "np.ndarray" and value is not None:
+        return ahp.parse_matrix(value)
+    if kind == "ThresholdConfig" and isinstance(value, dict):
+        return _from_dict(ThresholdConfig, value, "thresholds")
+    if kind.startswith("list[") and isinstance(value, list):
+        return [_typed(kind[5:-1], v) for v in value]
+    return value
+
+
 def _from_dict(cls, data, where: str):
-    """A ``cls`` dataclass from the JSON object ``where``, converted in field order."""
+    """A ``cls`` dataclass from the JSON object ``where``, each value ``_typed`` by its field."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be an object")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
-    prefix = "" if where == "config" else f"{where}."
-    values = {}
-    for f in fields(cls):
-        if f.name not in data or (data[f.name] is None and f.type.endswith(" | None")):
-            continue  # null keeps the default of an optional field, None
-        try:
-            values[f.name] = _CONVERTERS[f.type.removesuffix(" | None")](data[f.name])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"bad value for {prefix}{f.name}: {exc}") from exc
+    values = {f.name: _typed(f.type.removesuffix(" | None"), data[f.name])
+              for f in fields(cls) if f.name in data}
     try:
         return cls(**values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:  # ThresholdConfig's range check; a string fails it too
         raise ConfigError(f"bad {where} section: {exc}") from exc
 
 
@@ -199,10 +206,7 @@ def config_from_dict(data: dict) -> RunConfig:
 
 
 def load_config(path: str | Path | None = None) -> RunConfig:
-    """Config from a JSON file (optional), then ``ACLRISK_<FIELD>`` overrides, then validation.
-
-    A list value must be a JSON list, an integer a whole number; a boolean is not a number.
-    """
+    """The config in a JSON file, validated; without a file, the defaults."""
     data: dict = {}
     if path is not None:
         try:
@@ -211,10 +215,4 @@ def load_config(path: str | Path | None = None) -> RunConfig:
             raise ConfigError(f"config file not found: {path}") from None
         except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config file must hold a JSON object")
-    for f in fields(RunConfig):
-        key = ENV_PREFIX + f.name.upper()
-        if f.type in _SCALARS and key in os.environ:
-            data[f.name] = os.environ[key]
     return config_from_dict(data)

@@ -57,6 +57,14 @@ def test_non_finite_entry_violation(text):
     assert any("finite" in v for v in violations)
 
 
+@pytest.mark.parametrize("matrix", ["abc", [[1, "x"], [1, 1]], [[1, 2], [1]]],
+                         ids=["string", "string-cell", "ragged"])
+def test_a_matrix_that_is_not_numbers_is_a_violation(matrix):
+    assert ahp.validate(matrix) == ["matrix entries must be numbers"]
+    with pytest.raises(InvalidMatrix):
+        ahp.weights_sum_method(matrix)
+
+
 def test_weights_refuse_invalid_matrix():
     with pytest.raises(InvalidMatrix):
         ahp.weights_sum_method(np.array([[1.0, 2.0], [1.0, 1.0]]))

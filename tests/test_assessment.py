@@ -34,7 +34,7 @@ from aclrisk.errors import (
     OrderMismatch,
     SeriesParseError,
 )
-from aclrisk.scoring import GradeVector
+from aclrisk.scoring import GradeVector, ThresholdConfig
 
 from conftest import CRITERION_MATRIX
 
@@ -199,11 +199,69 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {**HIERARCHY, "criterion_groups": [[0.9, 1], [2, 3, 4]]},
     # the landing window's frame count is window_duration_s * default_fps
     {"window_mode": "landing", "window_duration_s": 1e308, "default_fps": 30},
+    # a value is the JSON type of its field: no string spells a boolean or a number
+    {"thresholds": {"normalize_by_shoulder": "false"}},
+    {"thresholds": {"normalize_by_shoulder": "on"}},
+    {"thresholds": {"distance_lo": "10", "distance_hi": 20}},
+    {"max_gap": "5"},
+    {"hierarchical": "off"},
+    {"weight_source": "explicit", "weights": [0.25] * 4},  # one weight per index
+    {"weight_source": "explicit", "weights": [0.5, 0.5, 0.5, -0.5, 0.0]},
 ])
 def test_bad_config_values_are_config_errors(data):
     from aclrisk.config import config_from_dict
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+@pytest.mark.parametrize("fields", [
+    {"thresholds": {"distance_lo": 10.0}},
+    {"max_gap": math.nan},
+    {"max_gap": 2.5},
+    {"thresholds": ThresholdConfig(distance_hi=math.inf)},
+    {"hierarchical": True, "criterion_matrix": CRITERION_MATRIX,
+     "criterion_groups": [[0.0, 1.0], [2.0, 3.0, 4.0]]},
+    {"judgment_matrix": "abc"},
+    {"criterion_matrix": "x"},
+], ids=["thresholds-dict", "nan-max-gap", "fractional-max-gap", "infinite-threshold",
+        "float-groups", "string-judgment-matrix", "string-criterion-matrix"])
+def test_a_bad_config_built_in_code_fails_at_config_before_any_input_is_read(tmp_path, fields):
+    sag, _, _ = write_trial(tmp_path, excellent_script())
+    with pytest.raises(AclRiskError) as exc_info:
+        assessment.assess_trial(sag, tmp_path / "missing-frontal", RunConfig(**fields))
+    assert exc_info.value.stage == "config"
+
+
+def test_thresholds_changed_after_they_were_made_are_checked_again():
+    cfg = RunConfig()
+    cfg.thresholds.distance_lo = 60.0  # not below distance_hi
+    with pytest.raises(ConfigError, match="^bad thresholds section: need 0 < distance_lo"):
+        cfg.validate()
+
+
+def test_json_numbers_take_the_type_of_their_field():
+    from aclrisk.config import config_from_dict
+    cfg = config_from_dict({"confidence_threshold": 0, "max_gap": 5.0,
+                            "weights": [1, 1, 1, 1, 1], **HIERARCHY,
+                            "criterion_groups": [[0.0, 1], [2, 3, 4.0]]})
+    assert type(cfg.confidence_threshold) is float and type(cfg.max_gap) is int
+    assert all(type(w) is float for w in cfg.weights)
+    assert cfg.criterion_groups == [[0, 1], [2, 3, 4]]
+    assert all(type(i) is int for group in cfg.criterion_groups for i in group)
+
+
+@pytest.mark.parametrize("content, match", [
+    (None, "^config file not found: "),
+    ("[1, 2]", "^config must be an object$"),
+], ids=["missing", "not-an-object"])
+def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_path, content,
+                                                                          match):
+    from aclrisk.config import load_config
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(ConfigError, match=match):
+        load_config(path)
 
 
 @pytest.mark.parametrize("data", [
@@ -230,31 +288,12 @@ def test_a_bad_boolean_names_its_key(data, message):
     assert str(exc_info.value) == message
 
 
-def test_a_bad_boolean_override_names_its_key(monkeypatch):
-    from aclrisk.config import load_config
-    monkeypatch.setenv("ACLRISK_FORCE", "maybe")
-    with pytest.raises(ConfigError) as exc_info:
-        load_config()
-    assert str(exc_info.value) == "bad value for force: expected a boolean, got 'maybe'"
-
-
 def test_a_boolean_matrix_cell_fails_at_load():
     from aclrisk.config import config_from_dict
     matrix = ahp.DEFAULT_INDEX_MATRIX.tolist()
     matrix[2][2] = True
     with pytest.raises(InvalidMatrix):
         config_from_dict({"judgment_matrix": matrix})
-
-
-def test_environment_strings_convert_by_field_type(monkeypatch):
-    from aclrisk.config import load_config
-    monkeypatch.setenv("ACLRISK_MAX_GAP", "5")
-    monkeypatch.setenv("ACLRISK_HIERARCHICAL", "off")
-    cfg = load_config()
-    assert (cfg.max_gap, cfg.hierarchical) == (5, False)
-    monkeypatch.setenv("ACLRISK_MAX_GAP", "2.5")
-    with pytest.raises(ConfigError):
-        load_config()
 
 
 def test_hierarchy_combines_with_derived_weight_sources():
@@ -264,9 +303,9 @@ def test_hierarchy_combines_with_derived_weight_sources():
 
 
 @pytest.mark.parametrize("section, expected", [
-    ({"normalize_by_shoulder": "false"}, {"normalize_by_shoulder": False}),
-    ({"normalize_by_shoulder": "on"}, {"normalize_by_shoulder": True}),
-    ({"distance_lo": "10", "distance_hi": 20}, {"distance_lo": 10.0, "distance_hi": 20.0}),
+    ({"normalize_by_shoulder": False}, {"normalize_by_shoulder": False}),
+    ({"normalize_by_shoulder": True}, {"normalize_by_shoulder": True}),
+    ({"distance_lo": 10, "distance_hi": 20}, {"distance_lo": 10.0, "distance_hi": 20.0}),
 ])
 def test_thresholds_values_are_converted_by_field_type(section, expected):
     from aclrisk.config import config_from_dict
@@ -462,6 +501,19 @@ def test_a_view_of_empty_frames_is_all_frames_invalid(tmp_path):
     with pytest.raises(AllFramesInvalid) as exc_info:
         assessment.assess_trial(*trial_with_empty_frames(tmp_path, range(60)))
     assert exc_info.value.stage == "preprocess"
+
+
+@pytest.mark.parametrize("content, message", [
+    ("", "frontal.csv: empty CSV"),
+    (",".join(pi._CSV_HEADER) + "\n", "frontal.csv: no data rows"),
+], ids=["empty", "header-only"])
+def test_a_csv_view_without_data_rows_is_empty_source_at_ingest(tmp_path, content, message):
+    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    Path(fro).write_text(content)
+    with pytest.raises(EmptySource) as exc_info:
+        assessment.assess_trial(sag, fro, RunConfig())
+    assert exc_info.value.stage == "ingest"
+    assert exc_info.value.message == message
 
 
 # -- batch ---------------------------------------------------------------------

@@ -217,15 +217,15 @@ def test_assess_config_file_settings_flow_into_report(tmp_path, trial):
     assert data["total"] == pytest.approx(8.9766, abs=1e-3)
 
 
-def test_assess_env_override(tmp_path, trial, monkeypatch):
+def test_assess_window_flag_writes_the_bytes_of_its_config_key(tmp_path, trial):
     sag, fro = trial
-    monkeypatch.setenv("ACLRISK_WEIGHT_SOURCE", "table5-compat")
-    report_path = tmp_path / "report.json"
-    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                     "--report", str(report_path)]) == 0
-    data = json.loads(report_path.read_text())
-    assert data["weights"]["source"] == "table5-compat"
-    assert data["total"] == pytest.approx(8.9766, abs=1e-3)
+    config = write_json(tmp_path / "cfg.json", {"window_mode": "landing"})
+    for name, args in (("flag", ["--window", "landing"]), ("config", ["--config", config])):
+        assert cli.main(["assess", "--sagittal", sag, "--frontal", fro, *args,
+                         "--report", str(tmp_path / f"{name}.json")]) == 0
+    flag = (tmp_path / "flag.json").read_bytes()
+    assert flag == (tmp_path / "config.json").read_bytes()
+    assert json.loads(flag)["config"]["window_mode"] == "landing"
 
 
 # -- ahp ----------------------------------------------------------------------
