@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -136,20 +137,20 @@ def _is_matrix(value) -> bool:
 # the check of a value by the annotation of its field, and the message refusing it;
 # a field annotated ``X | None`` also takes None
 _TYPES = {
-    "float": (_is_number, "{name} must be a finite number, got {value!r}"),
-    "int": (_is_whole, "{name} must be a whole number, got {value!r}"),
-    "str": (lambda v: isinstance(v, str), "{name} must be a string, got {value!r}"),
+    "float": (_is_number, "{name} must be a finite number, got {value}"),
+    "int": (_is_whole, "{name} must be a whole number, got {value}"),
+    "str": (lambda v: isinstance(v, str), "{name} must be a string, got {value}"),
     "bool": (lambda v: isinstance(v, bool),
-             "bad value for {name}: expected a boolean, got {value!r}"),
+             "bad value for {name}: expected a boolean, got {value}"),
     "ThresholdConfig": (lambda v: isinstance(v, ThresholdConfig),
-                        "{name} must be a ThresholdConfig, got {value!r}"),
+                        "{name} must be a ThresholdConfig, got {value}"),
     "np.ndarray": (_is_matrix, "{name} must be a matrix of finite numbers"),
     "list[float]": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
-                    "{name} must be a list of finite numbers, got {value!r}"),
+                    "{name} must be a list of finite numbers, got {value}"),
     "list[list[int]]": (
         lambda v: isinstance(v, list) and all(
             isinstance(g, list) and all(map(_is_whole, g)) for g in v),
-        "{name} must be a list of lists of whole numbers, got {value!r}"),
+        "{name} must be a list of lists of whole numbers, got {value}"),
 }
 
 
@@ -161,7 +162,7 @@ def _check_types(obj, prefix: str) -> None:
             continue
         check, message = _TYPES[f.type.removesuffix(" | None")]
         if not check(value):
-            raise ConfigError(message.format(name=prefix + f.name, value=value))
+            raise ConfigError(message.format(name=prefix + f.name, value=reprlib.repr(value)))
         if isinstance(value, ThresholdConfig):
             _check_types(value, "thresholds.")
 
@@ -213,6 +214,9 @@ def load_config(path: str | Path | None = None) -> RunConfig:
             data = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, no permission, a failing device
+            raise ConfigError(
+                f"config file cannot be read: {path}: {exc.strerror or exc}") from exc
         except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -54,6 +54,13 @@ class MotionScript:
     seed: int = 0
 
     def validate(self) -> None:
+        """Refuse the first bad value: one of the wrong type, a non-finite float or one
+        out of its range is an InvalidScript, for a script from a file as for one built
+        in code."""
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _fits(value, f.type):
+                raise InvalidScript(f"{f.name} must be a finite {f.type}, got {value!r}")
         angles = (self.peak_knee_flexion_deg, self.peak_hip_flexion_deg,
                   self.peak_lateral_lean_deg)
         if any(not 0.0 <= a <= MAX_ANGLE_DEG for a in angles):
@@ -82,13 +89,9 @@ class MotionScript:
 
     @classmethod
     def from_dict(cls, data: dict) -> "MotionScript":
-        types = {f.name: f.type for f in fields(cls)}
-        unknown = set(data) - set(types)
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise InvalidScript(f"unknown script fields: {sorted(unknown)}")
-        for name, value in data.items():
-            if not _fits(value, types[name]):
-                raise InvalidScript(f"{name} must be a finite {types[name]}, got {value!r}")
         script = cls(**data)
         script.validate()
         return script

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from aclrisk import assessment
+from aclrisk import assessment, motion_synth
 from aclrisk import pose_ingest as pi
 
 # pairwise comparison of the two criterion groups (sagittal vs frontal)
@@ -71,6 +73,14 @@ def transform_series(series: pi.KeypointSeries, scale: float = 1.0,
     return pi.KeypointSeries(keypoints=kp, frame_index=series.frame_index.copy())
 
 
+def child_env(**variables: str) -> dict[str, str]:
+    """This process's environment plus ``variables``, with the tree under test first on
+    PYTHONPATH: a child Python process imports the aclrisk these tests import."""
+    src = str(Path(assessment.__file__).resolve().parents[1])
+    return {**os.environ, **variables, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
     return (np.array_equal(a.frame_index, b.frame_index)
             and np.array_equal(a.keypoints, b.keypoints))
@@ -79,6 +89,21 @@ def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
 @pytest.fixture
 def frontal_standing_series() -> pi.KeypointSeries:
     return make_series([upright_frontal_points()] * 5)
+
+
+@pytest.fixture(scope="session")
+def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
+    """Noisy CSV trials of 300 and 3000 frames, by frame count."""
+    trials = {}
+    for n_frames in (300, 3000):
+        directory = tmp_path_factory.mktemp(f"frames_{n_frames}")
+        script = motion_synth.MotionScript(n_frames=n_frames, touchdown_frame=40,
+                                           noise_sigma_px=0.5, seed=7)
+        sagittal, frontal, _ = motion_synth.generate(script)
+        trials[n_frames] = (str(directory / "sagittal.csv"), str(directory / "frontal.csv"))
+        pi.write_series_csv(sagittal, trials[n_frames][0])
+        pi.write_series_csv(frontal, trials[n_frames][1])
+    return trials
 
 
 @pytest.fixture(autouse=True)

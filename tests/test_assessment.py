@@ -36,7 +36,7 @@ from aclrisk.errors import (
 )
 from aclrisk.scoring import GradeVector, ThresholdConfig
 
-from conftest import CRITERION_MATRIX
+from conftest import CRITERION_MATRIX, child_env
 
 # matrix with a strong preference cycle; fails the CR < 0.1 check
 INCONSISTENT_MATRIX = [
@@ -132,8 +132,9 @@ def test_report_json_refuses_non_finite_numbers(tmp_path):
     {"weights": [10**400, 1, 1, 1, 1]},
 ], ids=["window_duration_s", "default_fps", "product", "weights"])
 def test_an_int_too_large_for_a_float_is_a_config_error(fields):
-    with pytest.raises(ConfigError, match="finite"):
+    with pytest.raises(ConfigError, match="finite") as exc_info:
         RunConfig(**fields).validate()
+    assert len(str(exc_info.value)) < 120  # the refused value is cut, not echoed in full
 
 
 @pytest.mark.parametrize("fields", [
@@ -250,16 +251,16 @@ def test_json_numbers_take_the_type_of_their_field():
     assert all(type(i) is int for group in cfg.criterion_groups for i in group)
 
 
-@pytest.mark.parametrize("content, match", [
-    (None, "^config file not found: "),
-    ("[1, 2]", "^config must be an object$"),
-], ids=["missing", "not-an-object"])
-def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_path, content,
+@pytest.mark.parametrize("make, match", [
+    (lambda path: None, "^config file not found: "),
+    (lambda path: path.write_text("[1, 2]"), "^config must be an object$"),
+    (Path.mkdir, "^config file cannot be read: .*config.json: "),
+], ids=["missing", "not-an-object", "directory"])
+def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_path, make,
                                                                           match):
     from aclrisk.config import load_config
     path = tmp_path / "config.json"
-    if content is not None:
-        path.write_text(content)
+    make(path)
     with pytest.raises(ConfigError, match=match):
         load_config(path)
 
@@ -998,21 +999,6 @@ def test_a_frontal_child_that_ends_without_a_result_names_its_wait_status(tmp_pa
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.fixture(scope="module")
-def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
-    """Noisy CSV trials of 300 and 3000 frames, by frame count."""
-    trials = {}
-    for n_frames in (300, 3000):
-        directory = tmp_path_factory.mktemp(f"frames_{n_frames}")
-        script = motion_synth.MotionScript(n_frames=n_frames, touchdown_frame=40,
-                                           noise_sigma_px=0.5, seed=7)
-        sagittal, frontal, _ = motion_synth.generate(script)
-        trials[n_frames] = (str(directory / "sagittal.csv"), str(directory / "frontal.csv"))
-        pi.write_series_csv(sagittal, trials[n_frames][0])
-        pi.write_series_csv(frontal, trials[n_frames][1])
-    return trials
-
-
 @forks
 @pytest.mark.parametrize("n_frames, mode", [(3000, "full"), (300, "full"), (3000, "landing")])
 def test_traces_are_written_from_forked_children_with_in_process_bytes(
@@ -1189,10 +1175,7 @@ def test_a_process_that_ran_maps_exits_and_leaves_no_worker(csv_trials):
             "for _ in range(2):\n"
             "    assessment.assess_trial(sys.argv[1], sys.argv[2], RunConfig())\n"
             "print(*[worker.pid for worker in assessment._pool])\n")
-    src = str(Path(assessment.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, *csv_trials[300]], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *csv_trials[300]], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     workers = [int(pid) for pid in proc.stdout.split()]

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -11,7 +15,9 @@ import pytest
 from aclrisk import ahp, cli, motion_synth
 from aclrisk import pose_ingest as pi
 
-from test_assessment import INCONSISTENT_MATRIX, excellent_script, repeat_frame, write_trial
+from conftest import child_env
+from test_assessment import (INCONSISTENT_MATRIX, excellent_script, poor_script, repeat_frame,
+                             write_trial)
 from test_openpose_dir import mutated_documents
 
 
@@ -167,9 +173,11 @@ def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path,
     json.dumps({"criterion_matrix": [[1, math.inf], [1, 1]]}).encode(),
     json.dumps({"weights": [math.nan, 1, 1, 1, 1]}).encode(),
     json.dumps({"window_mode": "landing", "window_duration_s": 1e308, "default_fps": 30}).encode(),
+    json.dumps({"weight_source": "explicit", "weights": "12345"}).encode(),
+    json.dumps({"max_gap": "5"}).encode(),
 ], ids=["nan-window", "non-numeric-weights", "bad-encoding", "infinite-threshold",
         "cosine-out-of-range", "infinite-criterion-matrix", "nan-weights",
-        "overflowing-window"])
+        "overflowing-window", "string-weights", "string-max-gap"])
 def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, config):
     sag, fro = trial
     path = tmp_path / "cfg.json"
@@ -179,6 +187,37 @@ def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, 
     assert rc == 1
     assert err.startswith("error: ConfigError:")
     assert "Traceback" not in err
+
+
+REFUSED_CONFIGS = {
+    "wrong-order": ({"judgment_matrix": [[1, 1], [1, 1]]}, "OrderMismatch"),
+    "inconsistent": ({"judgment_matrix": INCONSISTENT_MATRIX}, "ConsistencyFailure"),
+    "inconsistent-criterion": ({"hierarchical": True,  # criterion matrix CR 6.13
+                                "criterion_matrix": [[1, 9, "1/9"], ["1/9", 1, 9], [9, "1/9", 1]],
+                                "criterion_groups": [[0, 1], [2], [3, 4]]},
+                               "ConsistencyFailure"),
+    "overflowing-window": ({"window_mode": "landing", "window_duration_s": 1e308,
+                            "default_fps": 30}, "ConfigError"),
+}
+
+
+@pytest.mark.parametrize("command", ["assess", "batch"])
+@pytest.mark.parametrize("name", REFUSED_CONFIGS)
+def test_a_refused_config_fails_assess_and_batch_once_before_any_input_is_read(
+        tmp_path, capsys, command, name):
+    config, error = REFUSED_CONFIGS[name]
+    missing = str(tmp_path / "missing")  # an ingest failure if a view were read
+    args = ["--config", write_json(tmp_path / "cfg.json", config)]
+    if command == "assess":
+        args += ["--sagittal", missing, "--frontal", missing]
+    else:
+        args += ["--trials", write_json(tmp_path / "trials.json", [
+            {"number": n, "sagittal": missing, "frontal": missing} for n in (1, 2)])]
+    rc = cli.main([command, *args])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith(f"error: {error}: ") and "ingest" not in line
 
 
 def test_assess_reruns_are_byte_identical(tmp_path, trial):
@@ -392,6 +431,39 @@ def test_batch_isolates_bad_trial(tmp_path, capsys):
     assert "trial 2 failed at ingest" in captured.err
 
 
+def out_of_bound(csv_path, target) -> str:
+    """A copy of a CSV view whose frame-30 left-ankle x (line 32) is past the ±1e6 px bound."""
+    lines = Path(csv_path).read_text().splitlines(True)
+    cells = lines[31].split(",")
+    cells[1 + 3 * pi.L_ANKLE] = "1e300"
+    lines[31] = ",".join(cells)
+    Path(target).write_text("".join(lines))
+    return str(target)
+
+
+def test_batch_writes_the_reports_of_assess_and_a_line_per_failed_trial(tmp_path, capsys):
+    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
+    sag3, fro3, _ = write_trial(tmp_path, poor_script(), "t3")
+    good = {1: (sag1, fro1), 3: (sag3, fro3)}
+    trials = write_json(tmp_path / "trials.json", [
+        {"number": n, "sagittal": sag, "frontal": fro} for n, (sag, fro) in
+        sorted({**good, 2: (sag1, out_of_bound(fro1, tmp_path / "bound.csv"))}.items())])
+    out, summary = tmp_path / "reports", tmp_path / "summary.csv"
+    rc = cli.main(["batch", "--trials", trials, "--out", str(out), "--summary", str(summary)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "trial 2 failed at ingest: SeriesParseError: 1 frame(s) failed to parse: "
+        "bound.csv:32: keypoint coordinates must lie within ±1e6 px\n")
+    assert [line.split(",")[0] for line in summary.read_text().splitlines()] == [
+        "number", "1", "3"]
+    assert sorted(os.listdir(out)) == ["report_1.json", "report_3.json"]
+    for n, (sag, fro) in good.items():
+        report = tmp_path / f"assess_{n}.json"
+        assert cli.main(["assess", "--sagittal", sag, "--frontal", fro, "--number", str(n),
+                         "--report", str(report)]) == 0
+        assert (out / f"report_{n}.json").read_bytes() == report.read_bytes()
+
+
 # -- corrupt input files of ahp, synth and batch ---------------------------------
 
 BAD_FILES = {
@@ -456,3 +528,54 @@ def test_synth_bad_script_value_exits_one_without_traceback(tmp_path, capsys, sc
     assert rc == 1
     assert err.startswith("error: InvalidScript:")
     assert "Traceback" not in err
+
+
+# -- aclrisk as a process ----------------------------------------------------------
+
+
+def run_cli(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.CompletedProcess:
+    """``aclrisk ARGS`` run from this tree as a child process, its output piped; at most 60 s."""
+    return subprocess.run([sys.executable, "-m", "aclrisk.cli", *args], env=child_env(**env or {}),
+                          capture_output=True, timeout=60, **kwargs)
+
+
+def test_a_process_that_fails_exits_one_with_one_error_line(tmp_path, csv_trials):
+    # on 2 CPUs a kept worker reads the frontal view, and writes to the same stderr
+    sag, fro = csv_trials[300]
+    proc = run_cli("assess", "--sagittal", sag,
+                   "--frontal", out_of_bound(fro, tmp_path / "frontal.csv"))
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == (
+        "error: SeriesParseError: [ingest] 1 frame(s) failed to parse: frontal.csv:32: "
+        "keypoint coordinates must lie within ±1e6 px\n")
+
+
+def test_an_aclrisk_variable_in_the_environment_changes_no_byte(tmp_path, trial):
+    # settings come from the config file and the flags alone, at import as at run time
+    sag, fro = trial
+    report = tmp_path / "report.json"
+    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
+                     "--report", str(report)]) == 0
+    proc = run_cli("assess", "--sagittal", sag, "--frontal", fro,
+                   env={"ACLRISK_WEIGHT_SOURCE": "table5-compat"})
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == report.read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs os.sched_setaffinity to pin a process to one CPU")
+def test_a_long_piped_trial_gives_the_bytes_of_a_run_on_one_cpu(tmp_path, csv_trials):
+    # the report goes to a pipe, which reaches its end only once no kept worker holds
+    # it; both runs write to one --traces directory, since the report holds its paths
+    sag, fro = csv_trials[3000]
+    traces = tmp_path / "traces"
+    cpu = min(os.sched_getaffinity(0))
+    runs = []
+    for pin in (None, lambda: os.sched_setaffinity(0, {cpu})):
+        proc = run_cli("assess", "--sagittal", sag, "--frontal", fro, "--traces", str(traces),
+                       preexec_fn=pin)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        runs.append((proc.stdout, {p.name: p.read_bytes() for p in traces.iterdir()}))
+        shutil.rmtree(traces)
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == [f"{name}.csv" for name in ("p1", "p2", "s1", "s2", "s3", "s4")]

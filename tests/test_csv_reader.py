@@ -244,6 +244,7 @@ VARIANTS = {
     "no final newline": (lambda rows: csv_text(rows)[:-1], True, [0, 1, 2]),
     "padded values": (lambda rows: csv_text([[row[0]] + [f" {v}\t" for v in row[1:]]
                                              for row in rows]), True, [0, 1, 2]),
+    "separator after a value": (with_cell("0.5\x1c", 2), False, ["t.csv:3"]),
     "frame 1.0": (with_cell("1.0"), False, ["t.csv:3"]),
     "frame 1e3": (with_cell("1e3"), False, ["t.csv:3"]),
     "frame ' 5'": (with_cell(" 5"), False, [0, 2, 5]),

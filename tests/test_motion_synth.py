@@ -163,6 +163,20 @@ def test_from_dict_rejects_values_of_the_wrong_type(data):
         motion_synth.MotionScript.from_dict(data)
 
 
+@pytest.mark.parametrize("fields", [
+    {"fps": "30"},
+    {"fps": float("nan")},
+    {"noise_sigma_px": float("nan")},
+    {"drop_height_px": float("inf")},
+    {"seed": True},
+    {"ramp_frames": 2.5},
+])
+def test_a_script_built_in_code_has_the_types_of_a_script_file(fields):
+    [name] = fields
+    with pytest.raises(InvalidScript, match=f"^{name} must be a finite "):
+        motion_synth.generate(motion_synth.MotionScript(**fields))
+
+
 def test_from_dict_takes_integers_for_floats_and_null_ramp():
     script = motion_synth.MotionScript.from_dict({"fps": 25, "ramp_frames": None})
     assert script == motion_synth.MotionScript(fps=25.0)
