@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidMatrix, OrderMismatch
+from .errors import InvalidMatrix, OrderMismatch, cut
 
 RECIPROCITY_TOL = 1e-9
 
@@ -78,7 +78,7 @@ def parse_matrix(rows) -> np.ndarray:
             raise InvalidMatrix(["matrix rows must be lists, not strings"])
         mat = np.array([[cell(v) for v in row] for row in rows], dtype=float)
     except (ValueError, ZeroDivisionError, TypeError, OverflowError, InvalidOperation) as exc:
-        raise InvalidMatrix([f"unparseable matrix cell: {exc}"]) from exc
+        raise InvalidMatrix([f"unparseable matrix cell: {cut(exc)}"]) from exc
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise InvalidMatrix([f"matrix must be square, got shape {mat.shape}"])
     return mat

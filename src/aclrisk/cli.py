@@ -21,7 +21,7 @@ from pathlib import Path
 from . import ahp, assessment, motion_synth
 from . import pose_ingest as pi
 from .config import load_config
-from .errors import AclRiskError, InvalidScript, MalformedDocument
+from .errors import AclRiskError, MalformedDocument
 
 
 def _read_json(path: str):
@@ -90,10 +90,7 @@ def cmd_ahp(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    data = _read_json(args.script)
-    if not isinstance(data, dict):
-        raise InvalidScript("script file must hold a JSON object")
-    script = motion_synth.MotionScript.from_dict(data)
+    script = motion_synth.MotionScript.from_dict(_read_json(args.script))
     sagittal, frontal, truth = motion_synth.generate(script)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -154,17 +154,17 @@ _TYPES = {
 }
 
 
-def _check_types(obj, prefix: str) -> None:
-    """ConfigError for the first field of ``obj`` that its annotation refuses."""
+def _check_types(obj, prefix: str, error: type[AclRiskError] = ConfigError) -> None:
+    """``error`` for the first field of the dataclass ``obj`` that its annotation refuses."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if value is None and f.type.endswith(" | None"):
             continue
         check, message = _TYPES[f.type.removesuffix(" | None")]
         if not check(value):
-            raise ConfigError(message.format(name=prefix + f.name, value=reprlib.repr(value)))
+            raise error(message.format(name=prefix + f.name, value=reprlib.repr(value)))
         if isinstance(value, ThresholdConfig):
-            _check_types(value, "thresholds.")
+            _check_types(value, "thresholds.", error)
 
 
 def _typed(kind: str, value):
@@ -185,19 +185,19 @@ def _typed(kind: str, value):
     return value
 
 
-def _from_dict(cls, data, where: str):
+def _from_dict(cls, data, where: str, error: type[AclRiskError] = ConfigError):
     """A ``cls`` dataclass from the JSON object ``where``, each value ``_typed`` by its field."""
     if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
+        raise error(f"{where} must be an object")
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+        raise error(f"unknown {where} keys: {reprlib.repr(sorted(unknown))}")
     values = {f.name: _typed(f.type.removesuffix(" | None"), data[f.name])
               for f in fields(cls) if f.name in data}
     try:
         return cls(**values)
     except (TypeError, ValueError) as exc:  # ThresholdConfig's range check; a string fails it too
-        raise ConfigError(f"bad {where} section: {exc}") from exc
+        raise error(f"bad {where} section: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:

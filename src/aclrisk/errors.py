@@ -33,6 +33,13 @@ class AclRiskError(Exception):
         return copyreg.__newobj__, (type(self), self.message), self.__dict__
 
 
+def cut(exc: Exception) -> str:
+    """The message of a failed conversion, which quotes the refused value, cut in the middle
+    past 160 characters as ``reprlib`` cuts a string; numpy's longest (159) stays whole."""
+    text = str(exc)
+    return text if len(text) <= 160 else f"{text[:78]}...{text[-79:]}"
+
+
 # -- pose ingestion ------------------------------------------------------
 
 class MalformedDocument(AclRiskError):

@@ -27,11 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import pose_ingest as pi
+from .config import _check_types, _from_dict
 from .errors import InvalidScript
 
 BASE_X = 320.0
 GROUND_Y = 620.0
 MAX_ANGLE_DEG = 170.0
+MAX_FRAMES = 100_000
+MAX_PX = 10_000.0  # a skeleton at this bound lies within ±5e4 px: 95 noise sigmas inside ±1e6
 
 
 @dataclass
@@ -54,17 +57,17 @@ class MotionScript:
     seed: int = 0
 
     def validate(self) -> None:
-        """Refuse the first bad value: one of the wrong type, a non-finite float or one
-        out of its range is an InvalidScript, for a script from a file as for one built
-        in code."""
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not _fits(value, f.type):
-                raise InvalidScript(f"{f.name} must be a finite {f.type}, got {value!r}")
+        """Refuse the first bad value: one of the wrong type, a non-finite float or one out
+        of its range (whose bounds keep every coordinate within the ±1e6 px ``pose_ingest``
+        reads) is an InvalidScript, for a script from a file as for one built in code."""
+        _check_types(self, "", InvalidScript)
         angles = (self.peak_knee_flexion_deg, self.peak_hip_flexion_deg,
                   self.peak_lateral_lean_deg)
         if any(not 0.0 <= a <= MAX_ANGLE_DEG for a in angles):
             raise InvalidScript(f"peak angles must lie in [0, {MAX_ANGLE_DEG}] degrees")
+        pixels = [getattr(self, f.name) for f in fields(self) if f.name.endswith("_px")]
+        if any(abs(v) > MAX_PX for v in pixels):
+            raise InvalidScript(f"pixel values must lie within ±{MAX_PX:g} px")
         lengths = (self.thigh_length_px, self.shank_length_px, self.trunk_length_px)
         if any(v <= 0.0 for v in lengths):
             raise InvalidScript("limb lengths must be positive")
@@ -72,8 +75,8 @@ class MotionScript:
             raise InvalidScript("stance and shoulder widths must be positive")
         if self.knee_offset_px > self.stance_ankle_width_px:
             raise InvalidScript("knee offset cannot exceed the stance width")
-        if self.n_frames < 2:
-            raise InvalidScript("need at least 2 frames")
+        if not 2 <= self.n_frames <= MAX_FRAMES:
+            raise InvalidScript(f"n_frames must lie in [2, {MAX_FRAMES}]")
         if not 0 <= self.touchdown_frame < self.n_frames:
             raise InvalidScript("touchdown_frame must lie inside the series")
         if self.ramp_frames is not None and self.ramp_frames < 1:
@@ -88,22 +91,11 @@ class MotionScript:
             raise InvalidScript("seed must be nonnegative")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "MotionScript":
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise InvalidScript(f"unknown script fields: {sorted(unknown)}")
-        script = cls(**data)
+    def from_dict(cls, data) -> "MotionScript":
+        """The script in a JSON object, read and typed as a config is."""
+        script = _from_dict(cls, data, "script", InvalidScript)
         script.validate()
         return script
-
-
-def _fits(value, annotation: str) -> bool:
-    """Whether a script value has its field's type: float, int or int | None."""
-    if value is None:
-        return annotation.endswith("| None")
-    if isinstance(value, float):
-        return annotation == "float" and math.isfinite(value)
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass

@@ -39,6 +39,7 @@ from .errors import (
     GapTooLong,
     MalformedDocument,
     SeriesParseError,
+    cut,
 )
 
 N_KEYPOINTS = 25
@@ -207,7 +208,7 @@ def _keypoint_array(rows) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
             try:
                 values[i] = np.array(row, dtype=float).reshape(N_KEYPOINTS, 3)
             except (TypeError, ValueError, OverflowError) as exc:
-                errors[i] = MalformedDocument(f"non-numeric keypoint entry ({exc})")
+                errors[i] = MalformedDocument(f"non-numeric keypoint entry ({cut(exc)})")
     # whole rows (a view), so numpy loops along 75 values; NaN fails both tests
     flat = values.reshape(len(values), _N_VALUES)
     inside = ((flat >= _ROW_LOW) & (flat <= _ROW_HIGH)).all(axis=1)
@@ -427,7 +428,7 @@ def _csv_row(row: list[str]) -> tuple[int, list[float]]:
         frame_index = int(row[0])
         values = [float(v) for v in row[1:]]
     except ValueError as exc:
-        raise MalformedDocument(f"non-numeric cell ({exc})") from exc
+        raise MalformedDocument(f"non-numeric cell ({cut(exc)})") from exc
     return _checked_frame_index(frame_index), values
 
 

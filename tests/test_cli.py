@@ -520,7 +520,8 @@ def test_bad_trials_entry_exits_one_without_traceback(tmp_path, capsys, entries)
 
 @pytest.mark.parametrize("script", [
     {"n_frames": "x"}, {"fps": None}, {"fps": math.nan}, {"seed": -1, "noise_sigma_px": 1.0},
-], ids=["text-frames", "null-fps", "nan-fps", "negative-seed"])
+    {"n_frames": 10**400},
+], ids=["text-frames", "null-fps", "nan-fps", "negative-seed", "401-digit-frames"])
 def test_synth_bad_script_value_exits_one_without_traceback(tmp_path, capsys, script):
     path = write_json(tmp_path / "script.json", script)
     rc = cli.main(["synth", "--script", path, "--out", str(tmp_path / "out")])
@@ -528,6 +529,49 @@ def test_synth_bad_script_value_exits_one_without_traceback(tmp_path, capsys, sc
     assert rc == 1
     assert err.startswith("error: InvalidScript:")
     assert "Traceback" not in err
+
+
+LONG = "x" * 5000
+
+
+def long_keypoint_entry(tmp, sag, fro):
+    frame = sorted(Path(sag).iterdir())[5]
+    doc = json.loads(frame.read_text())
+    doc["people"][0]["pose_keypoints_2d"][0] = LONG
+    frame.write_text(json.dumps(doc))
+    return ["assess", "--sagittal", sag, "--frontal", fro]
+
+
+def long_csv_cell(tmp, sag, fro):
+    lines = Path(fro).read_text().splitlines(True)
+    cells = lines[31].split(",")
+    cells[1] = LONG
+    lines[31] = ",".join(cells)
+    Path(fro).write_text("".join(lines))
+    return ["assess", "--sagittal", sag, "--frontal", fro]
+
+
+LONG_INPUTS = {  # the arguments of a command whose input holds one 5000-character value
+    "config-key": lambda tmp, sag, fro: [
+        "assess", "--sagittal", sag, "--frontal", fro,
+        "--config", write_json(tmp / "cfg.json", {LONG: 1})],
+    "script-key": lambda tmp, sag, fro: [
+        "synth", "--script", write_json(tmp / "s.json", {LONG: 1}), "--out", str(tmp / "o")],
+    "script-value": lambda tmp, sag, fro: [
+        "synth", "--script", write_json(tmp / "s.json", {"fps": LONG}), "--out", str(tmp / "o")],
+    "matrix-cell": lambda tmp, sag, fro: [
+        "ahp", "--matrix", write_json(tmp / "m.json", [["1/" + LONG[2:]]])],
+    "openpose-entry": long_keypoint_entry,
+    "csv-cell": long_csv_cell,
+}
+
+
+@pytest.mark.parametrize("make_args", LONG_INPUTS.values(), ids=LONG_INPUTS.keys())
+def test_an_error_line_cuts_a_long_input_value(tmp_path, trial, capsys, make_args):
+    rc = cli.main(make_args(tmp_path, *trial))
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
 
 
 # -- aclrisk as a process ----------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -136,6 +137,13 @@ def test_noisy_sixty_degree_knee_stays_near_half():
     {"n_frames": 1},
     {"fps": 0.0},
     {"noise_sigma_px": -1.0},
+    # bounds that keep a generated series readable by pose_ingest
+    {"n_frames": motion_synth.MAX_FRAMES + 1},
+    {"n_frames": 10**400},
+    {"thigh_length_px": 1e308, "shank_length_px": 1e308},
+    {"drop_height_px": 1e300},
+    {"noise_sigma_px": motion_synth.MAX_PX * 1.01},
+    {"knee_offset_px": -motion_synth.MAX_PX * 1.01},
 ])
 def test_invalid_scripts_rejected(kwargs):
     with pytest.raises(InvalidScript):
@@ -147,7 +155,7 @@ def test_from_dict_rejects_unknown_fields():
         motion_synth.MotionScript.from_dict({"n_frames": 10, "bogus": 1})
 
 
-@pytest.mark.parametrize("data", [
+BAD_VALUES = [
     {"n_frames": "x"},
     {"n_frames": 10.5},
     {"seed": True},
@@ -157,10 +165,23 @@ def test_from_dict_rejects_unknown_fields():
     {"noise_sigma_px": "a"},
     {"ramp_frames": 2.5},
     {"seed": -1, "noise_sigma_px": 1.0},
-])
+    {"fps": 10**400},
+]
+
+
+@pytest.mark.parametrize("data", BAD_VALUES)
 def test_from_dict_rejects_values_of_the_wrong_type(data):
     with pytest.raises(InvalidScript):
         motion_synth.MotionScript.from_dict(data)
+
+
+@pytest.mark.parametrize("data", BAD_VALUES)
+def test_a_bad_value_is_refused_alike_from_a_file_and_from_code(data):
+    with pytest.raises(InvalidScript) as from_file:
+        motion_synth.MotionScript.from_dict(data)
+    with pytest.raises(InvalidScript) as from_code:
+        motion_synth.MotionScript(**data).validate()
+    assert str(from_file.value) == str(from_code.value)
 
 
 @pytest.mark.parametrize("fields", [
@@ -173,13 +194,15 @@ def test_from_dict_rejects_values_of_the_wrong_type(data):
 ])
 def test_a_script_built_in_code_has_the_types_of_a_script_file(fields):
     [name] = fields
-    with pytest.raises(InvalidScript, match=f"^{name} must be a finite "):
+    kind = "a whole number" if name in ("seed", "ramp_frames") else "a finite "
+    with pytest.raises(InvalidScript, match=f"^{name} must be {kind}"):
         motion_synth.generate(motion_synth.MotionScript(**fields))
 
 
 def test_from_dict_takes_integers_for_floats_and_null_ramp():
     script = motion_synth.MotionScript.from_dict({"fps": 25, "ramp_frames": None})
     assert script == motion_synth.MotionScript(fps=25.0)
+    assert motion_synth.MotionScript.from_dict({"n_frames": 100.0}).n_frames == 100
 
 
 def test_from_dict_roundtrip():
@@ -201,6 +224,19 @@ def test_emitted_series_reingest_identically(tmp_path):
     pi.write_series_csv(frontal, tmp_path / "fro.csv")
     back = pi.read_series_csv(tmp_path / "fro.csv")
     assert series_equal(frontal, back)
+
+
+def test_a_script_at_its_pixel_bound_gives_a_readable_trial(tmp_path):
+    # the knee offset at -MAX_PX sets the knees furthest apart
+    pixels = {name: motion_synth.MAX_PX for name in asdict(motion_synth.MotionScript())
+              if name.endswith("_px")}
+    script = motion_synth.MotionScript(n_frames=12, touchdown_frame=4, seed=3,
+                                       **{**pixels, "knee_offset_px": -motion_synth.MAX_PX})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, series in enumerate(motion_synth.generate(script)[:2]):
+            pi.write_series_csv(series, tmp_path / f"{i}.csv")
+            assert series_equal(series, pi.read_series_csv(tmp_path / f"{i}.csv"))
 
 
 def test_ground_truth_file_holds_every_field(tmp_path):
