@@ -58,12 +58,18 @@ class SeriesParseError(AclRiskError):
     """One or more frame documents failed to parse.
 
     ``failures`` is a list of (frame identifier, error) pairs so every
-    offending frame is reported at once.
+    offending frame is reported at once. The message names the first
+    ``NAMED`` of them and counts the rest, so its length does not grow
+    with the input.
     """
+
+    NAMED = 5
 
     def __init__(self, failures: list[tuple[str, Exception]], stage: str | None = None):
         self.failures = failures
-        detail = "; ".join(f"{fid}: {err}" for fid, err in failures)
+        detail = "; ".join(f"{fid}: {err}" for fid, err in failures[:self.NAMED])
+        if len(failures) > self.NAMED:
+            detail += f"; and {len(failures) - self.NAMED} more"
         super().__init__(f"{len(failures)} frame(s) failed to parse: {detail}", stage)
 
 

@@ -119,8 +119,9 @@ class PreprocessStats:
 #
 # Every input, a frame document or a CSV data line, gives one row of 75
 # values. The loaders check the rows of a whole series in one numeric check
-# (one numpy call), so row i of that check is input i. A frame with several
-# people checks them where it is read and gives the row of its best person.
+# (one numpy call), so row i of that check is input i. The persons of the
+# frames with several people get one numeric check of their own, after the
+# last file is read; each such frame then gives the row of its best person.
 
 _N_VALUES = 3 * N_KEYPOINTS
 # The largest |x| or |y| in px: past any camera frame, far from overflow
@@ -132,19 +133,42 @@ _ROW_HIGH = np.tile([_MAX_COORDINATE, _MAX_COORDINATE, 1.0], N_KEYPOINTS)
 # passes the numeric check, and no series is built from a failed input.
 _STAND_IN = [0.0] * _N_VALUES
 
+_DECODER = json.JSONDecoder()
+_JSON_SPACE = " \t\n\r"
 
-def _frame_values(raw: bytes, policy: str) -> list:
-    """The 75 values of one frame document's person.
 
-    A frame with nobody in it gives the row of an undetected skeleton.
-    Under the best policy, each person of a frame with several is checked
-    in full, in document order, and the first failure is the frame's
-    error; of good persons, the one with the highest mean confidence over
-    detected keypoints is picked, the first on a tie. A single person's
-    values get their numeric check with the rest of the series.
+def _document(raw: bytes):
+    """The JSON value of a frame file: what ``json.loads(raw)`` returns or raises.
+
+    A UTF-8 text holding one JSON object between JSON whitespace is parsed
+    in one scan; any other document (another encoding, a byte order mark,
+    bad JSON, trailing data, a value that is not an object) goes to
+    ``json.loads``, so its value or error is the one ``json.loads`` gives.
     """
     try:
-        doc = json.loads(raw)
+        text = raw.decode()
+        doc, end = _DECODER.raw_decode(text, len(text) - len(text.lstrip(_JSON_SPACE)))
+        if type(doc) is dict and end == len(text.rstrip(_JSON_SPACE)):
+            return doc
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+        pass
+    return json.loads(raw)
+
+
+def _frame_values(raw: bytes, policy: str) -> tuple[list, Exception | None]:
+    """The value lists of one frame document's persons, and the failure that ended their scan.
+
+    A frame with nobody in it gives the row of an undetected skeleton. The
+    persons are checked for structure in document order, and the scan
+    stops at the first that fails; its failure is raised at once when no
+    person came before it. Otherwise the lists of the persons before it
+    are returned with it, and the caller checks their values: a numeric
+    error of such a person comes before the structure failure. A single
+    good person's values get their numeric check with the rest of the
+    series.
+    """
+    try:
+        doc = _document(raw)
     except (ValueError, RecursionError) as exc:  # bad JSON, bad encoding, deep nesting
         raise MalformedDocument(f"invalid JSON ({exc})") from exc
     if not isinstance(doc, dict) or "people" not in doc:
@@ -153,12 +177,11 @@ def _frame_values(raw: bytes, policy: str) -> list:
     if not isinstance(people, list):
         raise MalformedDocument("'people' must be a list")
     if not people:
-        return _STAND_IN
+        return [_STAND_IN], None
     if len(people) > 1 and policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{len(people)} people present under strict policy")
     rows: list[list] = []
-    failure = None
-    for person in people:  # shape only; stops at the first person that fails
+    for person in people:
         if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
             failure = MalformedDocument("person object missing 'pose_keypoints_2d'")
             break
@@ -168,26 +191,45 @@ def _frame_values(raw: bytes, policy: str) -> list:
                 f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
             break
         rows.append(flat)
-    if len(people) > 1:
-        values, errors = _keypoint_array(rows)
-        if errors:  # a numeric error of an earlier person comes before a structure error
-            raise errors[min(errors)]
-    if failure is not None:
+    else:
+        return rows, None
+    if not rows:
         raise failure
-    if len(rows) == 1:
-        return rows[0]
-    scores = []
-    for person in values:
-        detected = ~undetected(person)
-        scores.append(float(person[detected, 2].mean()) if detected.any() else 0.0)
-    return rows[scores.index(max(scores))]
+    return rows, failure
+
+
+def _pick_persons(several: dict[int, tuple[list, Exception | None]], rows: list,
+                  failures: dict[int, Exception]) -> None:
+    """Check the persons of the frames in ``several`` in one numeric check.
+
+    ``several`` maps an input's position to what ``_frame_values`` gave
+    for it. Each frame's error, the first of its persons' numeric errors
+    or else its structure failure, goes into ``failures``; a frame without
+    one puts the values of its person with the highest mean confidence
+    over detected keypoints, the first on a tie, into ``rows``.
+    """
+    values, errors = _keypoint_array([row for persons, _ in several.values() for row in persons])
+    confidence, detected = values[:, :, 2], ~undetected(values)
+    start = 0
+    for pos, (persons, failure) in several.items():
+        span = range(start, start + len(persons))
+        start = span.stop
+        error = next((errors[i] for i in span if i in errors), failure)
+        if error is not None:
+            failures[pos], rows[pos] = error, _STAND_IN
+        else:
+            kept = [confidence[i, detected[i]] for i in span]
+            # the bits of k.mean(): numpy's mean is this sum over the count
+            scores = [float(k.sum()) / k.size if k.size else 0.0 for k in kept]
+            rows[pos] = persons[scores.index(max(scores))]
 
 
 def _keypoint_array(rows) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     """The numeric check: rows of 75 values as one (n, 25, 3) array.
 
     Converts all rows (a list, or an (n, 75) float array read without a
-    copy) in one call. A row fails unless its values are finite, its
+    copy) in one call: the rows of a series, or the persons of all its
+    frames with several people. A row fails unless its values are finite, its
     confidences in [0, 1] and its x and y within ±_MAX_COORDINATE; its
     error names the first of these it breaks. Returns the array and the
     error of each failing row by its position. Rows are converted one by
@@ -223,15 +265,15 @@ def _keypoint_array(rows) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     return values, errors
 
 
-_DIGITS = re.compile(r"(\d+)")
+_LAST_DIGITS = re.compile(r"(\d+)\D*\Z")
 
 
 def frame_index_from_name(name: str, fallback: int) -> int:
     """Frame index from the last digit group in a filename stem."""
     dot = name.rfind(".")
     stem = name[:dot] if 0 < dot < len(name) - 1 else name
-    groups = _DIGITS.findall(stem)
-    return int(groups[-1]) if groups else fallback
+    digits = _LAST_DIGITS.search(stem)
+    return int(digits[1]) if digits else fallback
 
 
 _INT64_MIN = int(np.iinfo(np.int64).min)
@@ -328,15 +370,20 @@ def _load_frames(directory: Path, names: list[str], policy: str) -> KeypointSeri
     rows: list[list] = []
     indices: list[int] = []
     failures: dict[int, Exception] = {}
+    several: dict[int, tuple[list, Exception | None]] = {}  # frames _pick_persons decides
     for pos, name in enumerate(names):
         try:
             index = _checked_frame_index(frame_index_from_name(name, pos))
-            row = _frame_values(_read_file(prefix + name), policy)
+            persons, failure = _frame_values(_read_file(prefix + name), policy)
         except Exception as exc:  # aggregated below with the frame identifier
             failures[pos] = exc
-            index, row = pos, _STAND_IN
+            index, persons, failure = pos, [_STAND_IN], None
+        if len(persons) > 1 or failure is not None:
+            several[pos] = persons, failure
         indices.append(index)
-        rows.append(row)
+        rows.append(persons[0])
+    if several:
+        _pick_persons(several, rows, failures)
     return _series(rows, indices, failures, str(directory), names.__getitem__, names.__getitem__)
 
 

@@ -18,7 +18,7 @@ from aclrisk import pose_ingest as pi
 from conftest import child_env
 from test_assessment import (INCONSISTENT_MATRIX, excellent_script, poor_script, repeat_frame,
                              write_trial)
-from test_openpose_dir import mutated_documents
+from test_openpose_dir import ACCEPTED, mutated_documents
 
 
 def write_json(path, payload):
@@ -102,8 +102,7 @@ def test_assess_duplicate_frames_exit_one_without_traceback(tmp_path, trial, cap
 
 
 REJECTED_DOCUMENTS = [(label, content) for label, content in
-                      mutated_documents(np.random.default_rng(3))
-                      if label not in ("numeric-string", "true", "empty-people")]
+                      mutated_documents(np.random.default_rng(3)) if label not in ACCEPTED]
 
 
 def assess_exit(args, capsys) -> tuple[int, str]:
@@ -572,6 +571,27 @@ def test_an_error_line_cuts_a_long_input_value(tmp_path, trial, capsys, make_arg
     err = capsys.readouterr().err
     assert rc == 1
     assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+
+
+def test_an_error_line_names_five_failing_lines_and_counts_the_rest(tmp_path, capsys):
+    sagittal, frontal, _ = motion_synth.generate(
+        motion_synth.MotionScript(n_frames=90, touchdown_frame=30))
+    sag, fro = tmp_path / "sagittal.csv", tmp_path / "frontal.csv"
+    pi.write_series_csv(sagittal, sag)
+    pi.write_series_csv(frontal, fro)
+    lines = sag.read_text().splitlines(True)
+    for i in range(1, len(lines)):  # one bad 100-character cell in every data line
+        cells = lines[i].split(",")
+        cells[1] = "x" * 100
+        lines[i] = ",".join(cells)
+    sag.write_text("".join(lines))
+    rc = cli.main(["assess", "--sagittal", str(sag), "--frontal", str(fro)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: SeriesParseError: [ingest] 90 frame(s) failed to parse: ")
+    assert err.count("\n") == 1 and len(err) < 1000
+    assert [line for line in range(2, 92) if f"sagittal.csv:{line}:" in err] == [2, 3, 4, 5, 6]
+    assert err.endswith("; and 85 more\n")
 
 
 # -- aclrisk as a process ----------------------------------------------------------

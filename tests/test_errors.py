@@ -41,3 +41,12 @@ def test_a_stage_set_after_raising_survives_pickling():
     error.stage = "weights"
     copy = pickle.loads(pickle.dumps(error))
     assert (str(copy), copy.violations) == ("[weights] not square", ["not square"])
+
+
+def test_a_series_parse_error_names_five_failures_and_keeps_them_all():
+    failures = [(f"frame_{i}.json", errors.MalformedDocument("bad")) for i in range(7)]
+    whole = "; ".join(f"frame_{i}.json: bad" for i in range(5))
+    assert str(errors.SeriesParseError(failures[:5])) == f"5 frame(s) failed to parse: {whole}"
+    error = errors.SeriesParseError(failures)
+    assert str(error) == f"7 frame(s) failed to parse: {whole}; and 2 more"
+    assert error.failures == failures

@@ -18,6 +18,7 @@ accept.
 
 from __future__ import annotations
 
+import codecs
 import json
 import re
 import tempfile
@@ -138,6 +139,8 @@ def package_load(path, policy: str):
 
 # -- generated directories -------------------------------------------------------
 
+FRAME = json.dumps({"people": [{"pose_keypoints_2d": [0.5] * 75}]})
+
 # whole-document replacements
 DOCUMENTS = {
     "invalid-json": b"broken{",
@@ -152,7 +155,26 @@ DOCUMENTS = {
     "person-not-object": b'{"people": [5]}',
     "person-missing-keypoints": b'{"people": [{}]}',
     "keypoints-not-list": b'{"people": [{"pose_keypoints_2d": "x"}]}',
+    # encodings json.loads detects, and text around the object
+    "utf8-bom": codecs.BOM_UTF8 + FRAME.encode(),
+    "utf16-le-bom": codecs.BOM_UTF16_LE + FRAME.encode("utf-16-le"),
+    "utf16-be-bom": codecs.BOM_UTF16_BE + FRAME.encode("utf-16-be"),
+    "utf32-le": FRAME.encode("utf-32-le"),
+    "json-whitespace": f"\n \t\r\n{FRAME}\n\t \n".encode(),
+    "trailing-x": f"{FRAME}x".encode(),
+    "second-object": f"{FRAME}\n{FRAME}".encode(),
+    "trailing-no-break-space": f"{FRAME}\u00a0".encode(),
+    "lone-surrogate-escape": FRAME[:-1].encode() + b', "note": "\\ud800"}',
+    "encoded-surrogate": FRAME[:-1].encode() + b', "note": "\xed\xa0\x80"}',
+    "invalid-utf8-in-string": FRAME[:-1].encode() + b', "note": "\xff"}',
 }
+
+# the mutations both loaders accept: numeric strings and true are numbers, an
+# empty people list is a frame in which nobody was detected, and json.loads
+# reads a byte order mark, UTF-16 and UTF-32, and encoded surrogates
+ACCEPTED = {"numeric-string", "true", "empty-people", "utf8-bom", "utf16-le-bom",
+            "utf16-be-bom", "utf32-le", "json-whitespace", "lone-surrogate-escape",
+            "encoded-surrogate"}
 
 # replacements of one value of one person
 VALUES = {
@@ -298,11 +320,7 @@ def mutated_documents(rng: np.random.Generator) -> list[tuple[str, bytes]]:
 
 
 def test_every_mutation_class_is_rejected_alike(tmp_path):
-    """Each mutation alone, between valid frames.
-
-    Numeric strings and true are numbers; an empty people list is a frame
-    in which nobody was detected.
-    """
+    """Each mutation alone, between valid frames; those in ACCEPTED are read."""
     rng = np.random.default_rng(3)
     valid = [json.dumps({"people": [{"pose_keypoints_2d": person(rng)}]}) for _ in range(3)]
     for k, (label, content) in enumerate(mutated_documents(rng)):
@@ -313,7 +331,7 @@ def test_every_mutation_class_is_rejected_alike(tmp_path):
         (directory / "frame_1.json").write_bytes(content)
         expected = outcome(lambda: reference_load(directory, pi.POLICY_BEST))
         assert outcome(lambda: package_load(directory, pi.POLICY_BEST)) == expected, label
-        accepted = label in ("numeric-string", "true", "empty-people")
+        accepted = label in ACCEPTED
         assert expected[0] == ("accepted" if accepted else "rejected"), label
         if not accepted:
             assert [fid for fid, _, _ in expected[3]] == ["frame_1.json"], label
@@ -429,6 +447,22 @@ def test_exact_tie_keeps_the_first_person(tmp_path):
     selected = selected_person(tmp_path, [{"pose_keypoints_2d": first},
                                           {"pose_keypoints_2d": second}])
     assert np.array_equal(selected, np.reshape(first, (25, 3)))
+
+
+def test_frames_with_several_people_share_one_numeric_check(tmp_path, monkeypatch):
+    directory = tmp_path / "frames"
+    directory.mkdir()
+    for i in range(8):
+        people = [{"pose_keypoints_2d": flat_person(10.0 * i, 0.9)}]
+        if i in (1, 4, 6):  # a second person, before or after the first
+            people.insert(i % 2, {"pose_keypoints_2d": flat_person(200.0, 0.3 + 0.1 * i)})
+        (directory / f"frame_{i}.json").write_text(json.dumps({"people": people}))
+    check, calls = pi._keypoint_array, []
+    monkeypatch.setattr(pi, "_keypoint_array", lambda rows: calls.append(rows) or check(rows))
+    loaded = outcome(lambda: package_load(directory, pi.POLICY_BEST))
+    assert len(calls) <= 2
+    assert loaded == outcome(lambda: reference_load(directory, pi.POLICY_BEST))
+    assert loaded[0] == "accepted"
 
 
 def test_failing_frames_are_named_in_order_after_a_two_person_frame(tmp_path):
