@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from pathlib import Path
 
@@ -44,7 +45,7 @@ def _trials(entries) -> list[assessment.Trial]:
                 f"trials entry {i} must be an object with number, sagittal and frontal")
         if type(e["number"]) is not int:
             raise MalformedDocument(
-                f"trials entry {i}: number must be an integer, got {e['number']!r}")
+                f"trials entry {i}: number must be an integer, got {reprlib.repr(e['number'])}")
         if not (isinstance(e["sagittal"], str) and isinstance(e["frontal"], str)):
             raise MalformedDocument(f"trials entry {i}: sagittal and frontal must be paths")
         first = entry_of.setdefault(e["number"], i)

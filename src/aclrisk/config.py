@@ -211,7 +211,7 @@ def load_config(path: str | Path | None = None) -> RunConfig:
     data: dict = {}
     if path is not None:
         try:
-            data = json.loads(Path(path).read_text())
+            data = json.loads(Path(path).read_bytes())  # any encoding json.loads detects
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except OSError as exc:  # a directory, no permission, a failing device

@@ -35,7 +35,8 @@ class AclRiskError(Exception):
 
 def cut(exc: Exception) -> str:
     """The message of a failed conversion, which quotes the refused value, cut in the middle
-    past 160 characters as ``reprlib`` cuts a string; numpy's longest (159) stays whole."""
+    past 160 characters as ``reprlib`` cuts a string. numpy's message for an unevenly nested
+    entry is 159 characters at the top level and longer deeper down, so it may be cut."""
     text = str(exc)
     return text if len(text) <= 160 else f"{text[:78]}...{text[-79:]}"
 

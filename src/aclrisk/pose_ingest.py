@@ -120,8 +120,8 @@ class PreprocessStats:
 # Every input, a frame document or a CSV data line, gives one row of 75
 # values. The loaders check the rows of a whole series in one numeric check
 # (one numpy call), so row i of that check is input i. The persons of the
-# frames with several people get one numeric check of their own, after the
-# last file is read; each such frame then gives the row of its best person.
+# frames with several people follow those rows in the same check; each such
+# frame then gives the row of its best person.
 
 _N_VALUES = 3 * N_KEYPOINTS
 # The largest |x| or |y| in px: past any camera frame, far from overflow
@@ -129,8 +129,8 @@ _MAX_COORDINATE = 1e6
 # The bounds of a row's values, (x, y, confidence) per keypoint
 _ROW_LOW = np.tile([-_MAX_COORDINATE, -_MAX_COORDINATE, 0.0], N_KEYPOINTS)
 _ROW_HIGH = np.tile([_MAX_COORDINATE, _MAX_COORDINATE, 1.0], N_KEYPOINTS)
-# The row of a frame with nobody in it, and of an input that failed: it
-# passes the numeric check, and no series is built from a failed input.
+# The row of an empty frame, a failed input or a frame whose persons follow
+# the rows: it passes the numeric check; no series is built from a failed input.
 _STAND_IN = [0.0] * _N_VALUES
 
 _DECODER = json.JSONDecoder()
@@ -155,17 +155,13 @@ def _document(raw: bytes):
     return json.loads(raw)
 
 
-def _frame_values(raw: bytes, policy: str) -> tuple[list, Exception | None]:
-    """The value lists of one frame document's persons, and the failure that ended their scan.
+def _frame_values(raw: bytes, policy: str) -> list:
+    """The value lists of one frame document's persons.
 
-    A frame with nobody in it gives the row of an undetected skeleton. The
-    persons are checked for structure in document order, and the scan
-    stops at the first that fails; its failure is raised at once when no
-    person came before it. Otherwise the lists of the persons before it
-    are returned with it, and the caller checks their values: a numeric
-    error of such a person comes before the structure failure. A single
-    good person's values get their numeric check with the rest of the
-    series.
+    A frame with nobody in it gives the row of an undetected skeleton.
+    Every person's structure is checked, in document order, and the first
+    failure is raised; the values get their numeric check with the rest of
+    the series.
     """
     try:
         doc = _document(raw)
@@ -177,59 +173,26 @@ def _frame_values(raw: bytes, policy: str) -> tuple[list, Exception | None]:
     if not isinstance(people, list):
         raise MalformedDocument("'people' must be a list")
     if not people:
-        return [_STAND_IN], None
+        return [_STAND_IN]
     if len(people) > 1 and policy == POLICY_STRICT:
         raise AmbiguousPerson(f"{len(people)} people present under strict policy")
     rows: list[list] = []
     for person in people:
         if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
-            failure = MalformedDocument("person object missing 'pose_keypoints_2d'")
-            break
+            raise MalformedDocument("person object missing 'pose_keypoints_2d'")
         flat = person["pose_keypoints_2d"]
         if not isinstance(flat, list) or len(flat) != _N_VALUES:
-            failure = MalformedDocument(
-                f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
-            break
+            raise MalformedDocument(f"pose_keypoints_2d must hold exactly {_N_VALUES} numbers")
         rows.append(flat)
-    else:
-        return rows, None
-    if not rows:
-        raise failure
-    return rows, failure
-
-
-def _pick_persons(several: dict[int, tuple[list, Exception | None]], rows: list,
-                  failures: dict[int, Exception]) -> None:
-    """Check the persons of the frames in ``several`` in one numeric check.
-
-    ``several`` maps an input's position to what ``_frame_values`` gave
-    for it. Each frame's error, the first of its persons' numeric errors
-    or else its structure failure, goes into ``failures``; a frame without
-    one puts the values of its person with the highest mean confidence
-    over detected keypoints, the first on a tie, into ``rows``.
-    """
-    values, errors = _keypoint_array([row for persons, _ in several.values() for row in persons])
-    confidence, detected = values[:, :, 2], ~undetected(values)
-    start = 0
-    for pos, (persons, failure) in several.items():
-        span = range(start, start + len(persons))
-        start = span.stop
-        error = next((errors[i] for i in span if i in errors), failure)
-        if error is not None:
-            failures[pos], rows[pos] = error, _STAND_IN
-        else:
-            kept = [confidence[i, detected[i]] for i in span]
-            # the bits of k.mean(): numpy's mean is this sum over the count
-            scores = [float(k.sum()) / k.size if k.size else 0.0 for k in kept]
-            rows[pos] = persons[scores.index(max(scores))]
+    return rows
 
 
 def _keypoint_array(rows) -> tuple[np.ndarray, dict[int, MalformedDocument]]:
     """The numeric check: rows of 75 values as one (n, 25, 3) array.
 
     Converts all rows (a list, or an (n, 75) float array read without a
-    copy) in one call: the rows of a series, or the persons of all its
-    frames with several people. A row fails unless its values are finite, its
+    copy) in one call: the rows of a series, then the persons of its frames
+    with several people. A row fails unless its values are finite, its
     confidences in [0, 1] and its x and y within ±_MAX_COORDINATE; its
     error names the first of these it breaks. Returns the array and the
     error of each failing row by its position. Rows are converted one by
@@ -304,17 +267,38 @@ def load_series(source: str | Path, policy: str = POLICY_BEST) -> KeypointSeries
     raise EmptySource(f"source not found: {path}")
 
 
-def _series(rows, frame_index, failures: dict[int, Exception], where: str,
+def _series(rows, frame_index, failures: dict[int, Exception],
+            several: list[tuple[int, int]], where: str,
             name: Callable[[int], str], row_name: Callable[[int], str]) -> KeypointSeries:
-    """The tail of every loader: the rows' series in frame order.
+    """The tail of every loader: the rows' series in frame order, in one numeric check.
 
-    One SeriesParseError names, by ``name(i)``, every input in
-    ``failures`` or failing the numeric check. A frame index given twice is
-    then a MalformedDocument naming ``where`` and both rows by ``row_name``.
+    ``rows`` holds a row per input, then the persons of each input in
+    ``several``, which lists (position, number of persons) in input order.
+    Such an input gets the error of its first failing person, or else the
+    values of its person with the highest mean confidence over detected
+    keypoints, the first on a tie. One SeriesParseError names, by
+    ``name(i)``, every input in ``failures`` or failing the check. A frame
+    index given twice is then a MalformedDocument naming ``where`` and both
+    rows by ``row_name``.
     """
     keypoints, errors = _keypoint_array(rows)
-    if failures := failures | errors:
+    n = len(frame_index)
+    confidence, detected = keypoints[n:, :, 2], ~undetected(keypoints[n:])
+    start = 0  # the next input's first person, counted from row n
+    for pos, count in several:
+        stop = start + count
+        error = next((errors[n + i] for i in range(start, stop) if n + i in errors), None)
+        if error is not None:
+            failures[pos] = error
+        else:
+            kept = [c[d] for c, d in zip(confidence[start:stop], detected[start:stop])]
+            # the bits of k.mean(): numpy's mean is this sum over the count
+            scores = [float(k.sum()) / k.size if k.size else 0.0 for k in kept]
+            keypoints[pos] = keypoints[n + start + scores.index(max(scores))]
+        start = stop
+    if failures := failures | {i: e for i, e in errors.items() if i < n}:
         raise SeriesParseError([(name(i), failures[i]) for i in sorted(failures)])
+    keypoints = keypoints[:n]
     frame_index = np.asarray(frame_index, dtype=np.int64)
     if np.any(np.diff(frame_index) <= 0):
         order = np.argsort(frame_index, kind="stable")
@@ -370,21 +354,22 @@ def _load_frames(directory: Path, names: list[str], policy: str) -> KeypointSeri
     rows: list[list] = []
     indices: list[int] = []
     failures: dict[int, Exception] = {}
-    several: dict[int, tuple[list, Exception | None]] = {}  # frames _pick_persons decides
+    several: list[tuple[int, int]] = []
+    persons_of_several: list[list] = []
     for pos, name in enumerate(names):
         try:
             index = _checked_frame_index(frame_index_from_name(name, pos))
-            persons, failure = _frame_values(_read_file(prefix + name), policy)
+            persons = _frame_values(_read_file(prefix + name), policy)
         except Exception as exc:  # aggregated below with the frame identifier
             failures[pos] = exc
-            index, persons, failure = pos, [_STAND_IN], None
-        if len(persons) > 1 or failure is not None:
-            several[pos] = persons, failure
+            index, persons = pos, [_STAND_IN]
+        if len(persons) > 1:
+            several.append((pos, len(persons)))
+            persons_of_several += persons
         indices.append(index)
-        rows.append(persons[0])
-    if several:
-        _pick_persons(several, rows, failures)
-    return _series(rows, indices, failures, str(directory), names.__getitem__, names.__getitem__)
+        rows.append(persons[0] if len(persons) == 1 else _STAND_IN)
+    return _series(rows + persons_of_several, indices, failures, several, str(directory),
+                   names.__getitem__, names.__getitem__)
 
 
 def read_series_csv(path: str | Path) -> KeypointSeries:
@@ -396,7 +381,7 @@ def read_series_csv(path: str | Path) -> KeypointSeries:
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path.name}: not a text file ({exc})") from exc
     frame_index, rows, failures = parsed or _parse_csv_rows(path)
-    return _series(rows, frame_index, failures, path.name,
+    return _series(rows, frame_index, failures, [], path.name,
                    lambda i: f"{path.name}:{i + 2}", lambda i: f"line {i + 2}")
 
 

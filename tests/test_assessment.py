@@ -265,6 +265,13 @@ def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_pa
         load_config(path)
 
 
+def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path):
+    from aclrisk.config import load_config
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"max_gap": 3}).encode())
+    assert load_config(path).max_gap == 3
+
+
 @pytest.mark.parametrize("data", [
     {"judgment_matrix": [[1, 1], [1, 1]]},  # five indices need a 5x5 matrix
     {**HIERARCHY, "criterion_groups": [[0, 1], [1, 2]]},  # not a partition of 0..4

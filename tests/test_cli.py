@@ -475,14 +475,15 @@ BAD_FILES = {
 COMMANDS = {"ahp": ["--matrix"], "synth": ["--script"], "batch": ["--trials"]}
 
 
-def assert_malformed(args, capsys) -> None:
-    """The CLI exits 1 with a MalformedDocument error, no traceback and no output."""
+def assert_malformed(args, capsys) -> str:
+    """The CLI exits 1 with a MalformedDocument error, no traceback and no output; the error."""
     rc = cli.main(args)
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.err.startswith("error: MalformedDocument:")
     assert "Traceback" not in captured.err
     assert captured.out == ""
+    return captured.err
 
 
 @pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
@@ -504,6 +505,7 @@ BAD_TRIALS = {
     "number-text": [{"number": "x", "sagittal": "s", "frontal": "f"}],
     "number-fraction": [{"number": 2.5, "sagittal": "s", "frontal": "f"}],
     "number-bool": [{"number": True, "sagittal": "s", "frontal": "f"}],
+    "number-long-text": [{"number": "x" * 3000, "sagittal": "s", "frontal": "f"}],
     "path-not-text": [{"number": 2, "sagittal": ["s"], "frontal": "f"}],
 }
 
@@ -514,7 +516,8 @@ def test_bad_trials_entry_exits_one_without_traceback(tmp_path, capsys, entries)
     if isinstance(entries, list):  # a good trial first: the whole file is refused
         entries = [{"number": 1, "sagittal": sag, "frontal": fro}, *entries]
     trials = write_json(tmp_path / "trials.json", entries)
-    assert_malformed(["batch", "--trials", trials], capsys)
+    err = assert_malformed(["batch", "--trials", trials], capsys)
+    assert err.count("\n") == 1 and len(err) < 300
 
 
 @pytest.mark.parametrize("script", [

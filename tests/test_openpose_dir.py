@@ -3,11 +3,13 @@
 ``reference_load`` is the loader the package used before a series was
 converted and checked in one numpy call: ``pathlib`` listing and order,
 one ``reference_parse`` per file with its own numpy checks, then frame
-order and no repeated frame. It differs from that loader in one respect
-on purpose: undecodable or too deeply nested JSON and integers too large
-for a float are ``MalformedDocument``, where they used to escape as
-``UnicodeDecodeError``, ``RecursionError`` and ``OverflowError``. A
-single frame file is read as a directory that holds only that file.
+order and no repeated frame. It differs from that loader on purpose:
+undecodable or too deeply nested JSON and integers too large for a float
+are ``MalformedDocument``, where they used to escape as
+``UnicodeDecodeError``, ``RecursionError`` and ``OverflowError``; every
+person's structure is checked before any person's values; and a quoted
+numpy message is cut past 160 characters. A single frame file is read as
+a directory that holds only that file.
 
 The property: on generated directories with mutated files, and on each
 of their files alone, both loaders accept or reject alike, with the same
@@ -40,13 +42,16 @@ from aclrisk.errors import (
 # -- reference: the frame-by-frame parser --------------------------------------
 
 
-def reference_array(flat) -> np.ndarray:
-    if not isinstance(flat, list) or len(flat) != 75:
-        raise MalformedDocument("pose_keypoints_2d must hold exactly 75 numbers")
+def reference_cut(text: str) -> str:
+    """Whole up to 160 characters, otherwise the first 78, ``...`` and the last 79."""
+    return text if len(text) <= 160 else text[:78] + "..." + text[-79:]
+
+
+def reference_array(flat: list) -> np.ndarray:
     try:
         arr = np.array(flat, dtype=float).reshape(25, 3)
     except (TypeError, ValueError, OverflowError) as exc:
-        raise MalformedDocument(f"non-numeric keypoint entry ({exc})") from exc
+        raise MalformedDocument(f"non-numeric keypoint entry ({reference_cut(str(exc))})") from exc
     if not np.all(np.isfinite(arr)):
         raise MalformedDocument("keypoint values must be finite")
     conf = arr[:, 2]
@@ -57,10 +62,13 @@ def reference_array(flat) -> np.ndarray:
     return arr
 
 
-def reference_person(person) -> np.ndarray:
+def reference_person(person) -> list:
     if not isinstance(person, dict) or "pose_keypoints_2d" not in person:
         raise MalformedDocument("person object missing 'pose_keypoints_2d'")
-    return reference_array(person["pose_keypoints_2d"])
+    flat = person["pose_keypoints_2d"]
+    if not isinstance(flat, list) or len(flat) != 75:
+        raise MalformedDocument("pose_keypoints_2d must hold exactly 75 numbers")
+    return flat
 
 
 def reference_parse(raw: bytes, policy: str) -> np.ndarray:
@@ -75,13 +83,11 @@ def reference_parse(raw: bytes, policy: str) -> np.ndarray:
         raise MalformedDocument("'people' must be a list")
     if not people:  # nobody detected
         return np.zeros((25, 3))
-    if len(people) == 1:
-        return reference_person(people[0])
-    if policy == pi.POLICY_STRICT:
+    if len(people) > 1 and policy == pi.POLICY_STRICT:
         raise AmbiguousPerson(f"{len(people)} people present under strict policy")
+    flats = [reference_person(person) for person in people]  # structure before values
     best, best_score = None, -1.0
-    for person in people:
-        arr = reference_person(person)
+    for arr in map(reference_array, flats):
         detected = ~np.all(arr == 0.0, axis=1)
         score = float(arr[detected, 2].mean()) if detected.any() else 0.0
         if score > best_score:
@@ -155,6 +161,9 @@ DOCUMENTS = {
     "person-not-object": b'{"people": [5]}',
     "person-missing-keypoints": b'{"people": [{}]}',
     "keypoints-not-list": b'{"people": [{"pose_keypoints_2d": "x"}]}',
+    # numpy's message for this entry is over 160 characters, so it is cut
+    "doubly-nested-entry": json.dumps(
+        {"people": [{"pose_keypoints_2d": [[0.5]] * 74 + [[[1.0]]]}]}).encode(),
     # encodings json.loads detects, and text around the object
     "utf8-bom": codecs.BOM_UTF8 + FRAME.encode(),
     "utf16-le-bom": codecs.BOM_UTF16_LE + FRAME.encode("utf-16-le"),
@@ -408,12 +417,12 @@ def failures(source) -> list[tuple[str, type, str]]:
     return [(fid, type(err), str(err)) for fid, err in exc_info.value.failures]
 
 
-def test_numeric_error_of_an_earlier_person_comes_before_a_structure_error(tmp_path):
+def test_structure_error_of_a_later_person_comes_before_a_numeric_error(tmp_path):
     first = flat_person(0.0, 0.9)
     first[4] = float("nan")
     directory = frame_between_single_person_frames(tmp_path / "frames",
                                                    [{"pose_keypoints_2d": first}, {}])
-    expected = [("frame_1.json", MalformedDocument, "keypoint values must be finite")]
+    expected = [("frame_1.json", MalformedDocument, "person object missing 'pose_keypoints_2d'")]
     assert failures(directory) == expected
     assert failures(directory / "frame_1.json") == expected
 
@@ -460,7 +469,7 @@ def test_frames_with_several_people_share_one_numeric_check(tmp_path, monkeypatc
     check, calls = pi._keypoint_array, []
     monkeypatch.setattr(pi, "_keypoint_array", lambda rows: calls.append(rows) or check(rows))
     loaded = outcome(lambda: package_load(directory, pi.POLICY_BEST))
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert loaded == outcome(lambda: reference_load(directory, pi.POLICY_BEST))
     assert loaded[0] == "accepted"
 
