@@ -223,7 +223,7 @@ def _write_trace(path: Path, frames: np.ndarray, values: np.ndarray) -> None:
     lines = ["frame,value"]
     lines += [f"{f},{v!r}" for f, v in zip(frames.tolist(), values.tolist())]
     part = Path(f"{path}.part")
-    part.write_text("\n".join(lines) + "\n")
+    part.write_text("\n".join(lines) + "\n", encoding="utf-8")
     os.replace(part, path)
 
 

@@ -117,7 +117,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
                 assessment.report_to_json(report))
     summary = result.summary()
     if args.summary:
-        Path(args.summary).write_text(summary)
+        Path(args.summary).write_text(summary, encoding="utf-8")
     else:
         sys.stdout.write(summary)
     for failure in result.failures:

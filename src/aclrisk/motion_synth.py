@@ -255,4 +255,4 @@ def perturb(series: pi.KeypointSeries, sigma_px: float, seed: int) -> pi.Keypoin
 
 def write_ground_truth(truth: GroundTruth, path: str | Path) -> None:
     text = json.dumps(asdict(truth), default=np.ndarray.tolist, sort_keys=True, indent=2)
-    Path(path).write_text(text + "\n")
+    Path(path).write_text(text + "\n", encoding="utf-8")

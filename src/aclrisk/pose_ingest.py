@@ -22,7 +22,6 @@ is undetected.
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
@@ -373,110 +372,75 @@ def _load_frames(directory: Path, names: list[str], policy: str) -> KeypointSeri
 
 
 def read_series_csv(path: str | Path) -> KeypointSeries:
-    """Read the 76-column CSV format; rows may come in any frame order."""
+    """Read the 76-column CSV format; rows may come in any frame order.
+
+    ``np.loadtxt`` reads every cell: all data lines in one call, or each
+    line alone when that call fails or skips a blank line, so that every
+    bad line is named. Values are checked by ``_series``.
+    """
     path = Path(path)
     try:
-        with path.open(newline="") as fh:
-            parsed = _parse_csv_plain(fh.read())
+        with path.open(encoding="utf-8-sig", newline="") as fh:
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path.name}: not a text file ({exc})") from exc
-    frame_index, rows, failures = parsed or _parse_csv_rows(path)
-    return _series(rows, frame_index, failures, [], path.name,
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise EmptySource(f"{path.name}: empty CSV")
+    if lines[0].removesuffix("\r").split(",") != _CSV_HEADER:
+        raise MalformedDocument(f"{path.name}: unexpected CSV header")
+    n = len(lines) - 1
+    if not n:
+        raise EmptySource(f"{path.name}: no data rows")
+    failures: dict[int, Exception] = {}
+    try:
+        table = np.loadtxt(lines, delimiter=",", comments=None, skiprows=1, ndmin=2)
+        parsed = table.shape == (n, len(_CSV_HEADER))  # numpy skips a blank line
+    except ValueError:
+        parsed = False
+    if not parsed:
+        table = np.zeros((n, len(_CSV_HEADER)))
+        for i in range(n):
+            try:
+                table[i] = _csv_line(lines[i + 1])
+            except MalformedDocument as exc:
+                failures[i] = exc
+    frames = table[:, 0]
+    # a frame is a whole number a float64 holds exactly; NaN and ±inf fail
+    exact = (frames == np.trunc(frames)) & (np.abs(frames) < 2.0 ** 53)
+    for i in np.flatnonzero(~exact).tolist():
+        failures[i] = MalformedDocument("frame cell must be a whole number below 2**53 in magnitude")
+        table[i] = 0.0  # a stand-in row and frame: no cast warns
+    return _series(table[:, 1:], frames.astype(np.int64), failures, [], path.name,
                    lambda i: f"{path.name}:{i + 2}", lambda i: f"line {i + 2}")
 
 
-# numpy reads a number cell as float() does: it strips what str.isspace()
-# calls whitespace and hands the rest, if ASCII, to the C routine float() uses
-# (PyOS_string_to_double); any other cell is a ValueError. Two differences
-# are checked first. float() refuses the separators \x1c-\x1f around a
-# number, which numpy strips. And numpy reads the frame cell as a float, so
-# it must be an integer int() reads, short enough to be exact as a float64.
-_NUMPY_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
-_FRAME_CELL = re.compile(r"[+-]?[0-9]{1,15},")
-
-
-def _parse_csv_plain(text: str) -> tuple[np.ndarray, np.ndarray, dict] | None:
-    """Frame indices, (n, 75) values and failing lines (none) of a CSV, via np.loadtxt.
-
-    Returns None for anything the bulk parse cannot vouch for: a bad
-    header, any of \\x1c-\\x1f, a data line not starting with a frame cell
-    of at most 15 digits, a cell numpy refuses (quotes, NUL, a line break
-    inside a line, ...) or a wrong column count; the row-by-row reader then
-    decides. Values are checked, and bad lines named, by ``_series``.
-    """
-    end = text.find("\n")
-    if (end < 0 or text[:end].removesuffix("\r").split(",") != _CSV_HEADER
-            or any(c in text for c in _NUMPY_ONLY_SPACE)):
-        return None
-    lines = text.split("\n")
-    del text  # only the lines and the parsed table coexist: a lower memory peak
-    if lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2 or not all(map(_FRAME_CELL.match, lines[1:])):
-        return None
+def _csv_line(line: str) -> np.ndarray:
+    """The 76 cells of one data line, read by ``np.loadtxt`` alone, which warns on an empty one."""
+    columns = line.count(",") + 1 if line.removesuffix("\r") else 0
+    if columns != len(_CSV_HEADER):
+        raise MalformedDocument(f"expected {len(_CSV_HEADER)} columns, got {columns}")
     try:
-        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, skiprows=1)
-    except ValueError:
-        return None
-    if table.shape != (len(lines) - 1, len(_CSV_HEADER)):
-        return None
-    return table[:, 0].astype(np.int64), table[:, 1:], {}
-
-
-def _parse_csv_rows(path: Path) -> tuple[list[int], list[list], dict[int, Exception]]:
-    """Row-by-row reader for every file the bulk parse declines; as ``_parse_csv_plain``."""
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptySource(f"{path.name}: empty CSV") from None
-        except csv.Error as exc:
-            raise MalformedDocument(f"{path.name}: {exc}") from exc
-        if header != _CSV_HEADER:
-            raise MalformedDocument(f"{path.name}: unexpected CSV header")
-        indices, rows = [], []
-        failures: dict[int, Exception] = {}
-        try:
-            for i, row in enumerate(reader):
-                try:
-                    index, values = _csv_row(row)
-                except MalformedDocument as exc:
-                    failures[i] = exc
-                    index, values = i, _STAND_IN
-                indices.append(index)
-                rows.append(values)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise MalformedDocument(f"{path.name}:{reader.line_num}: {exc}") from exc
-    if not rows:
-        raise EmptySource(f"{path.name}: no data rows")
-    return indices, rows, failures
-
-
-def _csv_row(row: list[str]) -> tuple[int, list[float]]:
-    if len(row) != len(_CSV_HEADER):
-        raise MalformedDocument(f"expected {len(_CSV_HEADER)} columns, got {len(row)}")
-    try:
-        frame_index = int(row[0])
-        values = [float(v) for v in row[1:]]
-    except ValueError as exc:
-        raise MalformedDocument(f"non-numeric cell ({cut(exc)})") from exc
-    return _checked_frame_index(frame_index), values
+        return np.loadtxt([line], delimiter=",", comments=None)
+    except ValueError as exc:  # every call reads row 0: name the column only
+        raise MalformedDocument(cut(str(exc).replace(" at row 0, column ", " in column "))) from exc
 
 
 def write_series_csv(series: KeypointSeries, path: str | Path) -> None:
     """Serialize a series to the 76-column CSV format (exact float round trip)."""
-    path = Path(path)
     rows = series.keypoints.reshape(len(series), -1).tolist()
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        writer.writerows([index, *map(repr, values)]
-                         for index, values in zip(series.frame_index.tolist(), rows))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(_CSV_HEADER) + "\r\n")
+        fh.writelines(f"{index},{','.join(map(repr, values))}\r\n"
+                      for index, values in zip(series.frame_index.tolist(), rows))
 
 
 def write_series_openpose(series: KeypointSeries, directory: str | Path) -> list[Path]:
     """Write one OpenPose-schema JSON document per frame into ``directory``."""
+    negative = series.frame_index[series.frame_index < 0]
+    if negative.size:  # the reader takes a file's last digit group, without a sign
+        raise ValueError(f"frame {negative[0]} is negative: no frame file name holds it")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rows = series.keypoints.reshape(len(series), -1).tolist()
@@ -484,7 +448,7 @@ def write_series_openpose(series: KeypointSeries, directory: str | Path) -> list
     for index, values in zip(series.frame_index.tolist(), rows):
         doc = {"people": [{"pose_keypoints_2d": values}]}
         p = directory / f"frame_{index:012d}_keypoints.json"
-        p.write_text(json.dumps(doc))
+        p.write_text(json.dumps(doc), encoding="utf-8")
         paths.append(p)
     return paths
 

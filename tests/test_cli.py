@@ -646,3 +646,25 @@ def test_a_long_piped_trial_gives_the_bytes_of_a_run_on_one_cpu(tmp_path, csv_tr
         shutil.rmtree(traces)
     assert runs[0] == runs[1]
     assert sorted(runs[0][1]) == [f"{name}.csv" for name in ("p1", "p2", "s1", "s2", "s3", "s4")]
+
+
+def test_no_text_file_depends_on_the_locale(tmp_path):
+    # an EncodingWarning is a text file opened without an encoding, which the locale picks
+    def run(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                               "-W", "error::EncodingWarning", "-m", "aclrisk.cli", *args],
+                              env=child_env(), capture_output=True, timeout=60)
+
+    script, trial = tmp_path / "script.json", tmp_path / "trial"
+    script.write_text(json.dumps({"n_frames": 60, "touchdown_frame": 20}), encoding="utf-8")
+    sag, fro = str(trial / "sagittal.csv"), str(trial / "frontal.csv")
+    trials = tmp_path / "trials.json"
+    trials.write_text(json.dumps([{"number": 1, "sagittal": sag, "frontal": fro}]),
+                      encoding="utf-8")
+    for args in (["synth", "--script", str(script), "--out", str(trial), "--format", "csv"],
+                 ["assess", "--sagittal", sag, "--frontal", fro,
+                  "--traces", str(tmp_path / "traces")],
+                 ["batch", "--trials", str(trials), "--summary", str(tmp_path / "summary.csv"),
+                  "--out", str(tmp_path / "reports")]):
+        proc = run(*args)
+        assert (args[0], proc.returncode, proc.stderr) == (args[0], 0, b"")

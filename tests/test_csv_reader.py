@@ -1,17 +1,17 @@
-"""The bulk CSV reader against a row-by-row reference reader.
+"""The CSV reader's one-call parse against its per-line definition.
 
-``reference_read`` is the reader the package used before CSV rows were
-parsed in one numpy call: ``csv.reader``, ``int``/``float`` per cell,
-the same checks per row, then frame order and no repeated frame. The
-property: on mutated files both readers accept or reject alike, with
-the same error class and failing lines, and accepted values agree bit
-for bit.
+``reference_read`` is the reader defined line by line: the header, then
+each data line's column count, the line alone through ``np.loadtxt``,
+the frame rule (a whole number below 2**53 in magnitude) and the numeric
+check, then frame order and no repeated frame. The package parses all
+data lines in one ``np.loadtxt`` call and goes line by line only when
+that call fails. The property: on mutated files both readers accept or
+reject alike, with the same error class and failing lines, and accepted
+values agree bit for bit.
 """
 
 from __future__ import annotations
 
-import csv
-import sys
 import tempfile
 from pathlib import Path
 
@@ -25,43 +25,41 @@ from aclrisk.errors import AclRiskError, EmptySource, MalformedDocument, SeriesP
 HEADER = ["frame"] + [f"kp{i}_{axis}" for i in range(25) for axis in ("x", "y", "c")]
 
 
-def reference_row(row: list[str], where: str) -> tuple[int, np.ndarray]:
-    if len(row) != len(HEADER):
+def reference_line(line: str, where: str) -> tuple[int, np.ndarray]:
+    columns = 0 if line in ("", "\r") else line.count(",") + 1
+    if columns != len(HEADER):
         raise MalformedDocument(f"{where}: column count")
     try:
-        index = int(row[0])
-        values = np.array([float(v) for v in row[1:]]).reshape(25, 3)
+        cells = np.loadtxt([line], delimiter=",", comments=None)
     except ValueError as exc:
         raise MalformedDocument(f"{where}: non-numeric cell") from exc
+    frame, values = float(cells[0]), cells[1:].reshape(25, 3)
+    if not (frame.is_integer() and abs(frame) < 2**53):
+        raise MalformedDocument(f"{where}: frame cell")
     if not np.isfinite(values).all():
         raise MalformedDocument(f"{where}: non-finite value")
     if np.any(values[:, 2] < 0.0) or np.any(values[:, 2] > 1.0):
         raise MalformedDocument(f"{where}: confidence")
     if np.any(np.abs(values[:, :2]) > 1e6):
         raise MalformedDocument(f"{where}: coordinate bound")
-    if not -2**63 <= index < 2**63:
-        raise MalformedDocument(f"{where}: frame index range")
-    return index, values
+    return int(frame), values
 
 
 def reference_read(path: Path) -> tuple[list[int], np.ndarray]:
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
+    lines = path.read_bytes().decode("utf-8-sig").split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise EmptySource("empty CSV")
+    if lines[0].removesuffix("\r").split(",") != HEADER:
+        raise MalformedDocument("header")
+    rows, failures = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        where = f"{path.name}:{lineno}"
         try:
-            header = next(reader, None)
-            if header is None:
-                raise EmptySource("empty CSV")
-            if header != HEADER:
-                raise MalformedDocument("header")
-            rows, failures = [], []
-            for lineno, row in enumerate(reader, start=2):
-                where = f"{path.name}:{lineno}"
-                try:
-                    rows.append(reference_row(row, where))
-                except MalformedDocument as exc:
-                    failures.append((where, exc))
-        except csv.Error as exc:  # e.g. a NUL before Python 3.11
-            raise MalformedDocument(str(exc)) from exc
+            rows.append(reference_line(line, where))
+        except MalformedDocument as exc:
+            failures.append((where, exc))
     if failures:
         raise SeriesParseError(failures)
     if not rows:
@@ -84,6 +82,17 @@ def outcome(read):
 def package_read(path: Path):
     series = pi.read_series_csv(path)
     return series.frame_index.tolist(), series.keypoints
+
+
+def count_loadtxt(monkeypatch) -> list[int]:
+    """A one-item list that counts the ``np.loadtxt`` calls from now on."""
+    calls, loadtxt = [0], np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return loadtxt(*args, **kwargs)
+    monkeypatch.setattr(np, "loadtxt", counted)
+    return calls
 
 
 @st.composite
@@ -119,11 +128,11 @@ def mutated_csv(draw) -> str:
             continue
         col = draw(st.integers(0, len(cells) - 1))
         kind = draw(st.sampled_from([
-            "blank", "quote", "float-frame", "bad-value", "bad-confidence",
+            "blank", "whitespace-line", "quote", "float-frame", "bad-value", "bad-confidence",
             "too-few", "too-many", "duplicate-frame", "big-frame",
             "padded", "separator", "nul", "lone-cr", "cr-cr-lf"]))
-        if kind == "blank":
-            lines.insert(line, "")
+        if kind in ("blank", "whitespace-line"):
+            lines.insert(line, "" if kind == "blank" else draw(st.sampled_from(PADDING)))
             continue
         if kind == "quote":
             cells[col] = f'"{cells[col]}"'
@@ -142,12 +151,12 @@ def mutated_csv(draw) -> str:
             cells[0] = lines[line - 1].split(",")[0]
         elif kind == "big-frame":
             cells[0] = draw(st.sampled_from(["9" * 16, "9" * 19, "-" + "9" * 20, "0" * 17 + "7"]))
-        elif kind == "padded":  # numpy strips these around a number, and so does float()
+        elif kind == "padded":  # numpy strips these around a number
             col = draw(st.sampled_from([0, col]))
             pad = draw(st.sampled_from(PADDING))
             cells[col] = draw(st.sampled_from([pad + cells[col], cells[col] + pad,
                                                pad + cells[col] + pad]))
-        elif kind == "separator":  # numpy strips these around a number, float() refuses them
+        elif kind == "separator":  # numpy strips these around a number too
             sep = draw(st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f"]))
             cells[col] = draw(st.sampled_from([sep + cells[col], cells[col] + sep]))
         elif kind in ("nul", "lone-cr"):
@@ -156,7 +165,8 @@ def mutated_csv(draw) -> str:
         elif kind == "cr-cr-lf":  # the line ends in \r\r\n
             cells[-1] += "\r" if newline == "\r\n" else "\r\r"
         lines[line] = ",".join(cells)
-    return newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return bom + newline.join(lines) + draw(st.sampled_from([newline, ""]))
 
 
 @settings(max_examples=400, deadline=None)
@@ -168,7 +178,7 @@ def test_bulk_reader_matches_reference(text):
         assert outcome(lambda: package_read(path)) == outcome(lambda: reference_read(path))
 
 
-def test_reference_agrees_on_written_series(tmp_path):
+def test_reference_agrees_on_written_series(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     kp = rng.uniform(0.0, 700.0, size=(50, 25, 3))
     kp[:, :, 2] = rng.uniform(0.0, 1.0, size=(50, 25))
@@ -176,10 +186,11 @@ def test_reference_agrees_on_written_series(tmp_path):
     series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(50) * 2)
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    with path.open(newline="") as fh:
-        assert pi._parse_csv_plain(fh.read()) is not None  # the writer's output takes the bulk parse
-    assert outcome(lambda: package_read(path)) == outcome(lambda: reference_read(path))
-    assert outcome(lambda: package_read(path))[2] == kp.tobytes()
+    calls = count_loadtxt(monkeypatch)
+    got = outcome(lambda: package_read(path))
+    assert calls == [1]  # the writer's output takes the one-call parse
+    assert got == outcome(lambda: reference_read(path))
+    assert got[2] == kp.tobytes()
 
 
 def test_a_short_line_is_named_once(tmp_path):
@@ -192,9 +203,12 @@ def test_a_short_line_is_named_once(tmp_path):
 
 
 def test_failing_lines_are_named_by_their_line_numbers(tmp_path):
-    rows = [[str(i)] + ["0.5"] * 75 for i in range(5)]
+    rows = [[str(i)] + ["0.5"] * 75 for i in range(7)]
     rows[1] = ["1", "2"]
     rows[3][3] = "1.5"  # kp0_c
+    rows[4][2] = '"0.5"'  # kp0_y, quoted
+    rows[5][0] = "5.5"
+    rows[6] = [""]  # a blank line
     path = tmp_path / "t.csv"
     path.write_text("\n".join(",".join(row) for row in [HEADER, *rows]) + "\n")
     with pytest.raises(SeriesParseError) as exc_info:
@@ -202,28 +216,10 @@ def test_failing_lines_are_named_by_their_line_numbers(tmp_path):
     assert [(fid, str(err)) for fid, err in exc_info.value.failures] == [
         ("t.csv:3", "expected 76 columns, got 2"),
         ("t.csv:5", "confidence values must lie in [0, 1]"),
+        ("t.csv:6", "could not convert string '\"0.5\"' to float64 in column 3."),
+        ("t.csv:7", "frame cell must be a whole number below 2**53 in magnitude"),
+        ("t.csv:8", "expected 76 columns, got 0"),
     ]
-
-
-def test_bulk_parse_reads_a_cell_as_float_does_or_declines_it():
-    # every ASCII character, and every other one that str.isspace() or
-    # str.isdecimal() accepts: what numpy might strip or read around a number
-    chars = [chr(i) for i in range(sys.maxunicode + 1)
-             if i < 128 or chr(i).isspace() or chr(i).isdecimal()]
-    wrong = []
-    for c in chars:
-        for cell in (c + "5", "5" + c, "5" + c + "5"):
-            text = ",".join(HEADER) + "\n0," + ",".join([cell] + ["0.5"] * 74) + "\n"
-            parsed = pi._parse_csv_plain(text)
-            if parsed is None:
-                continue
-            try:
-                same = parsed[1][0, 0].tobytes() == np.float64(float(cell)).tobytes()
-            except ValueError:
-                same = False
-            if not same or c in "\x1c\x1d\x1e\x1f":
-                wrong.append(cell)
-    assert wrong == []
 
 
 def csv_text(rows: list[list[str]], newline: str = "\n") -> str:
@@ -237,39 +233,66 @@ def with_cell(cell: str, col: int = 0):
     return text
 
 
-# name: (text of three data rows, whether the bulk parse takes it, accepted
-# frame numbers or failing lines)
+def appended(suffix: str, col: int):
+    """The cell at ``col`` of the second row, followed by ``suffix``."""
+    def text(rows):
+        rows[1][col] += suffix
+        return csv_text(rows)
+    return text
+
+
+def blank_line(rows):  # an empty line after the first data line
+    lines = csv_text(rows).split("\n")
+    lines.insert(2, "")
+    return "\n".join(lines)
+
+
+# name: (text of three data rows, its np.loadtxt calls, accepted frame
+# numbers, failing lines, or the error of a whole-file refusal)
 VARIANTS = {
-    "crlf": (lambda rows: csv_text(rows, "\r\n"), True, [0, 1, 2]),
-    "no final newline": (lambda rows: csv_text(rows)[:-1], True, [0, 1, 2]),
+    "crlf": (lambda rows: csv_text(rows, "\r\n"), 1, [0, 1, 2]),
+    "no final newline": (lambda rows: csv_text(rows)[:-1], 1, [0, 1, 2]),
+    "byte order mark": (lambda rows: "\ufeff" + csv_text(rows), 1, [0, 1, 2]),
     "padded values": (lambda rows: csv_text([[row[0]] + [f" {v}\t" for v in row[1:]]
-                                             for row in rows]), True, [0, 1, 2]),
-    "separator after a value": (with_cell("0.5\x1c", 2), False, ["t.csv:3"]),
-    "frame 1.0": (with_cell("1.0"), False, ["t.csv:3"]),
-    "frame 1e3": (with_cell("1e3"), False, ["t.csv:3"]),
-    "frame ' 5'": (with_cell(" 5"), False, [0, 2, 5]),
-    "16-digit frame": (with_cell("9007199254740993"), False, [0, 2, 9007199254740993]),
-    "confidence 1.5": (with_cell("1.5", 3), True, ["t.csv:3"]),
-    "value nan": (with_cell("nan", 5), True, ["t.csv:3"]),
-    "coordinate 1e300": (with_cell("1e300", 4), True, ["t.csv:3"]),
+                                             for row in rows]), 1, [0, 1, 2]),
+    "separator after a value": (appended("\x1c", 2), 1, [0, 1, 2]),
+    # the same x value (a decimal point in it), past csv.field_size_limit() in length
+    "long cell": (appended("0" * 200_000, 1), 1, [0, 1, 2]),
+    "frame 1.0": (with_cell("1.0"), 1, [0, 1, 2]),
+    "frame 1e3": (with_cell("1e3"), 1, [0, 2, 1000]),
+    "frame ' 5'": (with_cell(" 5"), 1, [0, 2, 5]),
+    "16-digit frame": (with_cell("9007199254740993"), 1, ["t.csv:3"]),
+    "19-digit frame": (with_cell("9" * 19), 1, ["t.csv:3"]),
+    "frame nan": (with_cell("nan"), 1, ["t.csv:3"]),
+    "confidence 1.5": (with_cell("1.5", 3), 1, ["t.csv:3"]),
+    "value nan": (with_cell("nan", 5), 1, ["t.csv:3"]),
+    "coordinate 1e300": (with_cell("1e300", 4), 1, ["t.csv:3"]),
+    "quoted value": (with_cell('"0.5"', 2), 4, ["t.csv:3"]),
+    "value 1_0": (with_cell("1_0", 2), 4, ["t.csv:3"]),
+    "non-ASCII digit": (with_cell("\u0663", 2), 4, ["t.csv:3"]),
+    "lone carriage return": (with_cell("0.\r5", 2), 4, ["t.csv:3"]),
+    "blank line": (blank_line, 4, ["t.csv:3"]),
+    "quoted header": (lambda rows: '"frame"' + csv_text(rows)[5:], 0, MalformedDocument),
 }
 
 
 @pytest.mark.parametrize("name", VARIANTS)
-def test_which_files_the_bulk_parse_takes(tmp_path, name):
-    text_of, bulk, expected = VARIANTS[name]
+def test_which_files_the_bulk_parse_takes(tmp_path, monkeypatch, name):
+    text_of, loadtxt_calls, expected = VARIANTS[name]
     rng = np.random.default_rng(7)
     kp = rng.uniform(0.0, 700.0, size=(3, 75))
     kp[:, 2::3] = rng.uniform(0.0, 1.0, size=(3, 25))
     rows = [[str(i)] + [repr(v) for v in row] for i, row in enumerate(kp.tolist())]
-    text = text_of(rows)
-    assert (pi._parse_csv_plain(text) is not None) == bulk
     path = tmp_path / "t.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text_of(rows).encode())
+    calls = count_loadtxt(monkeypatch)
     got = outcome(lambda: package_read(path))
+    assert calls == [loadtxt_calls]
     assert got == outcome(lambda: reference_read(path))
     if got[0] == "accepted":
-        order = np.argsort([int(row[0]) for row in rows])
+        order = np.argsort([float(row[0]) for row in rows])
         assert got[1:] == (expected, kp[order].tobytes())
+    elif isinstance(expected, type):
+        assert got[1:] == (expected, [])
     else:
         assert got[1:] == (SeriesParseError, expected)

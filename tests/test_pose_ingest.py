@@ -239,8 +239,13 @@ def test_csv_bad_header(tmp_path):
 def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_bytes(body)
-    with pytest.raises(MalformedDocument):
-        pi.read_series_csv(path)
+    if body.startswith(b"frame,"):  # a line past csv.field_size_limit() is a bad line like any other
+        with pytest.raises(SeriesParseError) as exc_info:
+            pi.read_series_csv(path)
+        assert [fid for fid, _ in exc_info.value.failures] == ["bad.csv:2"]
+    else:
+        with pytest.raises(MalformedDocument):
+            pi.read_series_csv(path)
 
 
 def test_openpose_emission_roundtrip(tmp_path):
@@ -248,6 +253,14 @@ def test_openpose_emission_roundtrip(tmp_path):
     pi.write_series_openpose(series, tmp_path)
     back = pi.load_series(tmp_path)
     assert series_equal(series, back)
+
+
+def test_openpose_emission_refuses_a_negative_frame(tmp_path):
+    # the reader takes a file name's last digit group: frame -1 would read back as 1
+    series = make_series([upright_sagittal_points()] * 3, frame_index=[-1, 0, 1])
+    with pytest.raises(ValueError, match="^frame -1 is negative"):
+        pi.write_series_openpose(series, tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 # -- preprocessing ---------------------------------------------------------
