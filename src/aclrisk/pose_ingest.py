@@ -380,8 +380,7 @@ def read_series_csv(path: str | Path) -> KeypointSeries:
     """
     path = Path(path)
     try:
-        with path.open(encoding="utf-8-sig", newline="") as fh:
-            lines = fh.read().split("\n")
+        lines = path.read_bytes().decode("utf-8-sig").split("\n")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path.name}: not a text file ({exc})") from exc
     if lines[-1] == "":

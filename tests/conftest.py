@@ -86,11 +86,6 @@ def series_equal(a: pi.KeypointSeries, b: pi.KeypointSeries) -> bool:
             and np.array_equal(a.keypoints, b.keypoints))
 
 
-@pytest.fixture
-def frontal_standing_series() -> pi.KeypointSeries:
-    return make_series([upright_frontal_points()] * 5)
-
-
 @pytest.fixture(scope="session")
 def csv_trials(tmp_path_factory) -> dict[int, tuple[str, str]]:
     """Noisy CSV trials of 300 and 3000 frames, by frame count."""
@@ -116,3 +111,11 @@ def fresh_workers():
     assessment._close_pool()
     yield
     assessment._close_pool()
+
+
+def counting_calls(monkeypatch, owner, name: str) -> list[tuple]:
+    """Make every call of ``owner.name`` append its arguments to the returned list."""
+    calls, original = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name,
+                        lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+    return calls

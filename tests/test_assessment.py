@@ -21,7 +21,7 @@ import pytest
 
 from aclrisk import ahp, assessment, motion_synth
 from aclrisk import pose_ingest as pi
-from aclrisk.config import ConfigError, RunConfig
+from aclrisk.config import ConfigError, RunConfig, config_from_dict, load_config
 from aclrisk.errors import (
     AclRiskError,
     AllFramesInvalid,
@@ -36,7 +36,7 @@ from aclrisk.errors import (
 )
 from aclrisk.scoring import GradeVector, ThresholdConfig
 
-from conftest import CRITERION_MATRIX, child_env
+from conftest import CRITERION_MATRIX, child_env, counting_calls
 
 # matrix with a strong preference cycle; fails the CR < 0.1 check
 INCONSISTENT_MATRIX = [
@@ -46,6 +46,7 @@ INCONSISTENT_MATRIX = [
     [1, 1, 1, 1, 1],
     [1, 1, 1, 1, 1],
 ]
+INCONSISTENT = {"judgment_matrix": ahp.parse_matrix(INCONSISTENT_MATRIX)}
 
 
 def write_trial(tmp_path, script: motion_synth.MotionScript, name: str = "trial"):
@@ -86,17 +87,27 @@ def compat_config() -> RunConfig:
     return RunConfig(weight_source="table5-compat")
 
 
-def test_excellent_trial_end_to_end(tmp_path):
+def excellent_batch(tmp_path, numbers=(1, 2, 3)) -> list[assessment.Trial]:
+    """Trials numbered ``numbers``, each of them the excellent trial."""
     sag, fro, _ = write_trial(tmp_path, excellent_script())
-    report = assessment.assess_trial(sag, fro, compat_config())
+    return [assessment.Trial(n, sag, fro) for n in numbers]
+
+
+def compat_report(tmp_path, script=None) -> assessment.AssessmentReport:
+    """The report of a trial (the excellent one by default) under the table-5 weights."""
+    sag, fro, _ = write_trial(tmp_path, script or excellent_script())
+    return assessment.assess_trial(sag, fro, compat_config())
+
+
+def test_excellent_trial_end_to_end(tmp_path):
+    report = compat_report(tmp_path)
     assert report.grade_vector() == GradeVector(9, 9, 9, 9, 9)
     assert report.total == pytest.approx(8.9766, abs=1e-3)
     assert set(report.labels.values()) == {"excellent"}
 
 
 def test_poor_trial_end_to_end(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, poor_script())
-    report = assessment.assess_trial(sag, fro, compat_config())
+    report = compat_report(tmp_path, poor_script())
     assert report.grade_vector() == GradeVector(1, 1, 1, 1, 1)
     assert report.total == pytest.approx(0.9974, abs=1e-3)
 
@@ -109,16 +120,14 @@ def test_missing_frontal_source_is_stage_labeled(tmp_path):
 
 
 def test_report_json_roundtrip(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    report = assessment.assess_trial(sag, fro, compat_config())
+    report = compat_report(tmp_path)
     payload = assessment.emit_report(report, "json")
     parsed = assessment.AssessmentReport(**json.loads(payload))
     assert parsed == report
 
 
 def test_report_json_refuses_non_finite_numbers(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    report = assessment.assess_trial(sag, fro, compat_config())
+    report = compat_report(tmp_path)
     report.total = math.nan
     with pytest.raises(IoFailure) as exc_info:
         assessment.report_to_json(report)
@@ -210,7 +219,6 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"weight_source": "explicit", "weights": [0.5, 0.5, 0.5, -0.5, 0.0]},
 ])
 def test_bad_config_values_are_config_errors(data):
-    from aclrisk.config import config_from_dict
     with pytest.raises(ConfigError):
         config_from_dict(data)
 
@@ -241,7 +249,6 @@ def test_thresholds_changed_after_they_were_made_are_checked_again():
 
 
 def test_json_numbers_take_the_type_of_their_field():
-    from aclrisk.config import config_from_dict
     cfg = config_from_dict({"confidence_threshold": 0, "max_gap": 5.0,
                             "weights": [1, 1, 1, 1, 1], **HIERARCHY,
                             "criterion_groups": [[0.0, 1], [2, 3, 4.0]]})
@@ -258,7 +265,6 @@ def test_json_numbers_take_the_type_of_their_field():
 ], ids=["missing", "not-an-object", "directory"])
 def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_path, make,
                                                                           match):
-    from aclrisk.config import load_config
     path = tmp_path / "config.json"
     make(path)
     with pytest.raises(ConfigError, match=match):
@@ -266,7 +272,6 @@ def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_pa
 
 
 def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path):
-    from aclrisk.config import load_config
     path = tmp_path / "config.json"
     path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"max_gap": 3}).encode())
     assert load_config(path).max_gap == 3
@@ -279,7 +284,6 @@ def test_a_config_file_with_a_byte_order_mark_is_read(tmp_path):
     {**HIERARCHY, "criterion_groups": [[0, 1, 2, 3, 4], []]},  # weights would sum to 3/4
 ])
 def test_weighting_of_the_wrong_shape_fails_at_load(data):
-    from aclrisk.config import config_from_dict
     with pytest.raises(OrderMismatch):
         config_from_dict(data)
 
@@ -290,14 +294,12 @@ def test_weighting_of_the_wrong_shape_fails_at_load(data):
      "bad value for thresholds.normalize_by_shoulder: expected a boolean, got 2"),
 ], ids=["hierarchical", "normalize_by_shoulder"])
 def test_a_bad_boolean_names_its_key(data, message):
-    from aclrisk.config import config_from_dict
     with pytest.raises(ConfigError) as exc_info:
         config_from_dict(data)
     assert str(exc_info.value) == message
 
 
 def test_a_boolean_matrix_cell_fails_at_load():
-    from aclrisk.config import config_from_dict
     matrix = ahp.DEFAULT_INDEX_MATRIX.tolist()
     matrix[2][2] = True
     with pytest.raises(InvalidMatrix):
@@ -305,7 +307,6 @@ def test_a_boolean_matrix_cell_fails_at_load():
 
 
 def test_hierarchy_combines_with_derived_weight_sources():
-    from aclrisk.config import config_from_dict
     for source in ("sum-method", "geometric"):
         assert config_from_dict({**HIERARCHY, "weight_source": source}).hierarchical
 
@@ -316,7 +317,6 @@ def test_hierarchy_combines_with_derived_weight_sources():
     ({"distance_lo": 10, "distance_hi": 20}, {"distance_lo": 10.0, "distance_hi": 20.0}),
 ])
 def test_thresholds_values_are_converted_by_field_type(section, expected):
-    from aclrisk.config import config_from_dict
     cfg = config_from_dict({"thresholds": section})
     snapshot = cfg.as_dict()["thresholds"]
     for name, value in expected.items():
@@ -328,8 +328,7 @@ def test_thresholds_values_are_converted_by_field_type(section, expected):
 def test_report_total_recomputes_from_own_fields(tmp_path):
     sag, fro, _ = write_trial(tmp_path, poor_script())
     report = assessment.assess_trial(sag, fro, RunConfig())
-    recomputed = ahp.aggregate(list(report.grade_vector()),
-                               report.weights["values"])
+    recomputed = ahp.aggregate(list(report.grade_vector()), report.weights["values"])
     assert abs(report.total - recomputed) < 1e-9
 
 
@@ -342,8 +341,6 @@ def test_reports_are_byte_identical_across_runs(tmp_path):
 
 
 def test_config_snapshot_reproduces_run(tmp_path):
-    from aclrisk.config import config_from_dict
-
     sag, fro, _ = write_trial(tmp_path, poor_script())
     cfg = RunConfig(weight_source="geometric", window_mode="landing",
                     confidence_threshold=0.35)
@@ -365,14 +362,9 @@ def test_consistency_report_included_for_matrix_sources(tmp_path):
 
 
 def test_inconsistent_matrix_raises_without_force(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    matrix = ahp.parse_matrix(INCONSISTENT_MATRIX)
-    cfg = RunConfig(judgment_matrix=matrix)
-    with pytest.raises(ConsistencyFailure) as exc_info:
-        assessment.assess_trial(sag, fro, cfg)
-    assert exc_info.value.stage == "weights"
-    cfg_forced = RunConfig(judgment_matrix=matrix, force=True)
-    report = assessment.assess_trial(sag, fro, cfg_forced)
+    trial = assert_refused_once(tmp_path, INCONSISTENT, ConsistencyFailure, "weights")[0]
+    report = assessment.assess_trial(trial.sagittal, trial.frontal,
+                                     RunConfig(**INCONSISTENT, force=True))
     assert report.consistency["passed"] is False
 
 
@@ -410,8 +402,7 @@ def test_csv_summary_row(tmp_path):
 
 
 def test_csv_summary_works_without_trace_data(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    report = assessment.assess_trial(sag, fro, compat_config())
+    report = compat_report(tmp_path)
     parsed = assessment.AssessmentReport(**json.loads(assessment.emit_report(report, "json")))
     assert parsed.trace_data is None
     assert assessment.emit_report(parsed, "csv")  # still emits a row
@@ -420,16 +411,14 @@ def test_csv_summary_works_without_trace_data(tmp_path):
 
 
 def test_emit_traces_files(tmp_path):
-    script = excellent_script()
-    sag, fro, _ = write_trial(tmp_path, script)
-    report = assessment.assess_trial(sag, fro, compat_config())
+    report = compat_report(tmp_path)
     refs = assessment.emit_traces(report, tmp_path / "traces")
     assert sorted(refs) == ["p1", "p2", "s1", "s2", "s3", "s4"]
     assert report.traces == refs
     for name, ref in refs.items():
         lines = Path(ref).read_text().splitlines()
         assert lines[0] == "frame,value"
-        assert len(lines) == 1 + script.n_frames
+        assert len(lines) == 1 + excellent_script().n_frames
 
 
 def test_trace_values_for_constant_upright_pose(tmp_path):
@@ -438,9 +427,7 @@ def test_trace_values_for_constant_upright_pose(tmp_path):
         peak_knee_flexion_deg=0.0, peak_hip_flexion_deg=0.0,
         peak_lateral_lean_deg=0.0, knee_offset_px=0.0,
         stance_ankle_width_px=110.0, shoulder_width_px=110.0)
-    sag, fro, _ = write_trial(tmp_path, script)
-    report = assessment.assess_trial(sag, fro, compat_config())
-    refs = assessment.emit_traces(report, tmp_path / "traces")
+    refs = assessment.emit_traces(compat_report(tmp_path, script), tmp_path / "traces")
     rows = Path(refs["s4"]).read_text().splitlines()[1:]
     values = [float(r.split(",")[1]) for r in rows]
     assert values == [-1.0] * 30
@@ -449,9 +436,7 @@ def test_trace_values_for_constant_upright_pose(tmp_path):
 def test_trace_peak_for_65_degree_knee(tmp_path):
     script = motion_synth.MotionScript(
         n_frames=80, touchdown_frame=20, peak_knee_flexion_deg=65.0)
-    sag, fro, _ = write_trial(tmp_path, script)
-    report = assessment.assess_trial(sag, fro, compat_config())
-    peak = max(report.trace_data["p1"][1])
+    peak = max(compat_report(tmp_path, script).trace_data["p1"][1])
     assert -0.5 < peak < 0.0
 
 
@@ -537,9 +522,7 @@ def test_batch_isolates_failures(tmp_path):
     ]
     result = assessment.assess_batch(trials, compat_config())
     assert [r.number for r in result.reports] == [1, 3]
-    assert len(result.failures) == 1
-    assert result.failures[0]["number"] == 2
-    assert result.failures[0]["stage"] == "ingest"
+    assert [(f["number"], f["stage"]) for f in result.failures] == [(2, "ingest")]
     lines = result.summary().splitlines()
     assert lines[0] == "number,x1,x2,x3,x4,x5,total"
     assert len(lines) == 3
@@ -610,70 +593,51 @@ def test_two_bad_views_report_the_sagittal_view_first(tmp_path):
         (4, "preprocess", "GapTooLong")]
 
 
+def assert_refused_once(tmp_path, fields, error, stage, match=None) -> list[assessment.Trial]:
+    """RunConfig(**fields) fails a trial, and a batch of three once, with ``error`` at ``stage``."""
+    trials = excellent_batch(tmp_path)
+    for run in (lambda cfg: assessment.assess_trial(trials[0].sagittal, trials[0].frontal, cfg),
+                lambda cfg: assessment.assess_batch(trials, cfg)):  # not one failure per trial
+        with pytest.raises(error, match=match) as exc_info:
+            run(RunConfig(**fields))
+        assert exc_info.value.stage == stage
+    return trials
+
+
 def test_bad_config_fails_at_stage_config(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    bad = RunConfig(max_gap=-1)
-    with pytest.raises(ConfigError) as exc_info:
-        assessment.assess_trial(sag, fro, bad)
-    assert exc_info.value.stage == "config"
-    # one error for the whole batch, not one "unknown" failure per trial
-    with pytest.raises(ConfigError) as exc_info:
-        assessment.assess_batch([assessment.Trial(1, sag, fro), assessment.Trial(2, sag, fro)], bad)
-    assert exc_info.value.stage == "config"
+    assert_refused_once(tmp_path, {"max_gap": -1}, ConfigError, "config")
 
 
 def test_batch_with_a_value_that_is_not_a_number_fails_once_at_config(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
-    with pytest.raises(ConfigError) as exc_info:
-        assessment.assess_batch(trials, RunConfig(confidence_threshold="x"))
-    assert exc_info.value.stage == "config"
+    assert_refused_once(tmp_path, {"confidence_threshold": "x"}, ConfigError, "config")
 
 
-@pytest.mark.parametrize("bad", [
-    RunConfig(judgment_matrix=np.ones((2, 2))),
-    RunConfig(hierarchical=True, criterion_matrix=CRITERION_MATRIX.copy(),
-              criterion_groups=[[0, 1], [1, 2]]),
+@pytest.mark.parametrize("fields", [
+    {"judgment_matrix": np.ones((2, 2))},
+    {"hierarchical": True, "criterion_matrix": CRITERION_MATRIX.copy(),
+     "criterion_groups": [[0, 1], [1, 2]]},
 ], ids=["order", "groups"])
-def test_batch_with_weighting_of_the_wrong_shape_fails_once_at_config(tmp_path, bad):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
-    with pytest.raises(OrderMismatch) as exc_info:
-        assessment.assess_batch(trials, bad)
-    assert exc_info.value.stage == "config"
+def test_batch_with_weighting_of_the_wrong_shape_fails_once_at_config(tmp_path, fields):
+    assert_refused_once(tmp_path, fields, OrderMismatch, "config")
 
 
 def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
-    matrix = ahp.parse_matrix(INCONSISTENT_MATRIX)
-    with pytest.raises(ConsistencyFailure) as exc_info:
-        assessment.assess_batch(trials, RunConfig(judgment_matrix=matrix))
-    assert exc_info.value.stage == "weights"
-    result = assessment.assess_batch(trials, RunConfig(judgment_matrix=matrix, force=True))
-    assert [r.number for r in result.reports] == [1, 2, 3]
-    assert result.failures == []
+    trials = assert_refused_once(tmp_path, INCONSISTENT, ConsistencyFailure, "weights")
+    result = assessment.assess_batch(trials, RunConfig(**INCONSISTENT, force=True))
+    assert [r.number for r in result.reports] == [1, 2, 3] and result.failures == []
 
 
 def test_a_batch_derives_its_weighting_once(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    calls = []
-    consistency = ahp.consistency
-    monkeypatch.setattr(ahp, "consistency",
-                        lambda *args: calls.append(args) or consistency(*args))
-    result = assessment.assess_batch([assessment.Trial(1, sag, fro)], RunConfig())
+    calls = counting_calls(monkeypatch, ahp, "consistency")
+    result = assessment.assess_batch(excellent_batch(tmp_path, [1]), RunConfig())
     assert [r.number for r in result.reports] == [1]
     assert len(calls) == 1
 
 
 def test_a_batch_validates_its_config_once(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
     monkeypatch.setattr(assessment, "_usable_cpus", lambda: 1)
-    calls = []
-    validate = RunConfig.validate
-    monkeypatch.setattr(RunConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg))
-    result = assessment.assess_batch(
-        [assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+    calls = counting_calls(monkeypatch, RunConfig, "validate")
+    result = assessment.assess_batch(excellent_batch(tmp_path), RunConfig())
     assert [r.number for r in result.reports] == [1, 2, 3]
     assert len(calls) == 1
 
@@ -681,7 +645,7 @@ def test_a_batch_validates_its_config_once(tmp_path, monkeypatch):
 def test_an_inconsistent_matrix_fails_a_trial_before_it_reads_or_forks(tmp_path, monkeypatch):
     sag, _, _ = write_trial(tmp_path, excellent_script())
     forked = counting_forks(monkeypatch, tmp_path / "forks")
-    cfg = RunConfig(judgment_matrix=ahp.parse_matrix(INCONSISTENT_MATRIX))
+    cfg = RunConfig(**INCONSISTENT)
     with pytest.raises(ConsistencyFailure) as exc_info:
         assessment.assess_trial(sag, str(tmp_path / "missing.csv"), cfg)
     assert exc_info.value.stage == "weights"
@@ -705,11 +669,8 @@ def test_an_inconsistent_criterion_matrix_fails_a_trial_at_weights(tmp_path):
 
 
 def test_a_batch_fails_once_on_an_inconsistent_criterion_matrix(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3)]
-    with pytest.raises(ConsistencyFailure, match="criterion matrix") as exc_info:
-        assessment.assess_batch(trials, RunConfig(**INCONSISTENT_HIERARCHY))
-    assert exc_info.value.stage == "weights"
+    assert_refused_once(tmp_path, INCONSISTENT_HIERARCHY, ConsistencyFailure, "weights",
+                        match=r"criterion matrix CR = 6\.1303")
 
 
 def test_force_keeps_the_weights_of_an_inconsistent_criterion_matrix():
@@ -788,6 +749,11 @@ forks = pytest.mark.skipif(assessment._worker_count(2) < 2,
                            reason="needs fork and 2 usable CPUs")
 
 
+def assert_no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @contextmanager
 def time_limit(seconds: int):
     """Raise TimeoutError in the block once ``seconds`` have passed."""
@@ -805,34 +771,32 @@ def time_limit(seconds: int):
 
 @forks
 def test_a_batch_runs_in_more_than_one_process(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
     recording_pids(monkeypatch, tmp_path / "pids")
-    result = assessment.assess_batch(
-        [assessment.Trial(n, sag, fro) for n in range(1, 7)], RunConfig())
+    result = assessment.assess_batch(excellent_batch(tmp_path, range(1, 7)), RunConfig())
     assert [r.number for r in result.reports] == [1, 2, 3, 4, 5, 6]
     pids = {int(p.name) for p in (tmp_path / "pids").iterdir()}
     # the caller assesses a share of its own
     assert os.getpid() in pids and len(pids) == min(6, assessment._usable_cpus())
 
 
-def in_a_child(monkeypatch, trial: int, act) -> None:
-    """Make assess_trial call ``act()`` in place of trial number ``trial`` in a forked child."""
+def assert_a_child_ends_the_batch(tmp_path, monkeypatch, act, match: str) -> None:
+    """A forked child calls ``act()`` in place of trial 2; the batch ends in RuntimeError."""
     caller, assess_trial = os.getpid(), assessment.assess_trial
 
     def acting(sagittal, frontal, config, number, **kwargs):
-        if number == trial and os.getpid() != caller:
+        if number == 2 and os.getpid() != caller:
             act()
         return assess_trial(sagittal, frontal, config, number, **kwargs)
 
     monkeypatch.setattr(assessment, "assess_trial", acting)
+    with time_limit(60), pytest.raises(RuntimeError, match=match):
+        assessment.assess_batch(excellent_batch(tmp_path), RunConfig())
 
 
 @forks
 def test_a_child_that_ends_without_a_result_ends_the_batch(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    in_a_child(monkeypatch, 2, lambda: os._exit(3))
-    with time_limit(60), pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
-        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+    assert_a_child_ends_the_batch(tmp_path, monkeypatch, lambda: os._exit(3),
+                                  f"wait status {3 << 8}")
 
 
 class HoldsALock(Exception):
@@ -844,20 +808,16 @@ class HoldsALock(Exception):
 @forks
 def test_an_error_that_cannot_be_pickled_reaches_the_caller_with_its_type(tmp_path,
                                                                           monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-
     def unpicklable():
         raise HoldsALock("not a pipeline error")
 
-    in_a_child(monkeypatch, 2, unpicklable)
-    with time_limit(60), pytest.raises(RuntimeError,
-                                       match="HoldsALock: not a pipeline error"):
-        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+    assert_a_child_ends_the_batch(tmp_path, monkeypatch, unpicklable,
+                                  "HoldsALock: not a pipeline error")
 
 
 @forks
 def test_when_the_callers_share_fails_every_child_is_reaped(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = excellent_batch(tmp_path, (1, 2, 3, 4))
     caller, assess_trial = os.getpid(), assessment.assess_trial
 
     def failing(sagittal, frontal, config, number, **kwargs):
@@ -868,10 +828,8 @@ def test_when_the_callers_share_fails_every_child_is_reaped(tmp_path, monkeypatc
 
     monkeypatch.setattr(assessment, "assess_trial", failing)
     with time_limit(30), pytest.raises(KeyError):
-        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3, 4)],
-                                RunConfig())
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assessment.assess_batch(trials, RunConfig())
+    assert_no_child_left()
 
 
 @forks
@@ -910,9 +868,8 @@ def counting_forks(monkeypatch, log: Path):
 
 @forks
 def test_a_batch_forks_once_per_child_and_never_for_views(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
     forked = counting_forks(monkeypatch, tmp_path / "forks")
-    trials = [assessment.Trial(n, sag, fro) for n in (1, 2, 3, 4)]
+    trials = excellent_batch(tmp_path, (1, 2, 3, 4))
     workers = assessment._worker_count(len(trials))
     with time_limit(60):
         result = assessment.assess_batch(trials, RunConfig())
@@ -961,30 +918,30 @@ def break_frame(directory: str, position: int) -> str:
     return name
 
 
-@forks
-def test_two_broken_views_report_the_sagittal_frame_and_leave_no_child(tmp_path):
+def assert_one_broken_frame_reported(tmp_path, break_sagittal: bool) -> None:
+    """Frontal frame 10 is broken, and sagittal frame 5 if asked: the sagittal one is named."""
     sag, fro = one_format_trial(tmp_path, "openpose")
-    sag_frame, fro_frame = break_frame(sag, 5), break_frame(fro, 10)
-    with time_limit(60), pytest.raises(SeriesParseError) as exc_info:
-        assessment.assess_trial(sag, fro, RunConfig())
-    assert exc_info.value.stage == "ingest"
-    assert [fid for fid, _ in exc_info.value.failures] == [sag_frame]
-    assert fro_frame not in str(exc_info.value)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@forks
-def test_a_broken_frontal_view_reaches_the_caller_whole(tmp_path):
-    sag, fro = one_format_trial(tmp_path, "openpose")
-    frame = break_frame(fro, 10)
+    sag_frame = break_frame(sag, 5) if break_sagittal else None
+    fro_frame = break_frame(fro, 10)
+    frame = sag_frame or fro_frame
     with time_limit(60), pytest.raises(SeriesParseError) as exc_info:
         assessment.assess_trial(sag, fro, RunConfig())
     error = exc_info.value
     assert error.stage == "ingest"
     assert [fid for fid, _ in error.failures] == [frame]
     assert isinstance(error.failures[0][1], MalformedDocument)
-    assert str(error).count(frame) == 1
+    assert str(error).count(frame) == 1 and (frame == fro_frame or fro_frame not in str(error))
+    assert_no_child_left()
+
+
+@forks
+def test_two_broken_views_report_the_sagittal_frame_and_leave_no_child(tmp_path):
+    assert_one_broken_frame_reported(tmp_path, break_sagittal=True)
+
+
+@forks
+def test_a_broken_frontal_view_reaches_the_caller_whole(tmp_path):
+    assert_one_broken_frame_reported(tmp_path, break_sagittal=False)
 
 
 @forks
@@ -1002,8 +959,7 @@ def test_a_frontal_child_that_ends_without_a_result_names_its_wait_status(tmp_pa
     monkeypatch.setattr(pi, "load_series", exiting)
     with time_limit(60), pytest.raises(RuntimeError, match=f"wait status {3 << 8}"):
         assessment.assess_trial(sag, fro, RunConfig())
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
 
 
 @forks
@@ -1204,8 +1160,7 @@ def test_a_trace_that_cannot_be_written_fails_at_emit_and_leaves_no_child(
     assert exc_info.value.stage == "emit"
     assert str(tmp_path / "traces" / f"{name}.csv") in exc_info.value.message
     assert report.traces == earlier
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_child_left()
     # whatever else was written before the failure is whole, and no part file is left
     for path in (tmp_path / "traces").iterdir():
         assert path.suffix == ".csv" and path.stem in earlier
@@ -1214,14 +1169,13 @@ def test_a_trace_that_cannot_be_written_fails_at_emit_and_leaves_no_child(
 
 
 def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = excellent_batch(tmp_path)
     recording_pids(monkeypatch, tmp_path / "pids")
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait, args=(60,))
     thread.start()
     try:
-        result = assessment.assess_batch(
-            [assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+        result = assessment.assess_batch(trials, RunConfig())
     finally:
         stop.set()
         thread.join(timeout=60)
@@ -1232,7 +1186,7 @@ def test_a_batch_beside_another_thread_runs_in_process(tmp_path, monkeypatch):
 
 
 def test_an_error_outside_the_pipeline_ends_the_batch_with_its_type(tmp_path, monkeypatch):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
+    trials = excellent_batch(tmp_path)
     assess_trial = assessment.assess_trial
 
     def failing(sagittal, frontal, config, number, **kwargs):
@@ -1242,7 +1196,7 @@ def test_an_error_outside_the_pipeline_ends_the_batch_with_its_type(tmp_path, mo
 
     monkeypatch.setattr(assessment, "assess_trial", failing)
     with pytest.raises(KeyError, match="not a pipeline error"):
-        assessment.assess_batch([assessment.Trial(n, sag, fro) for n in (1, 2, 3)], RunConfig())
+        assessment.assess_batch(trials, RunConfig())
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aclrisk import ahp, cli, motion_synth
+from aclrisk import ahp, cli, motion_synth, scoring
 from aclrisk import pose_ingest as pi
 
 from conftest import child_env
@@ -26,21 +26,39 @@ def write_json(path, payload):
     return str(path)
 
 
+def trials_file(tmp_path, entries) -> str:
+    """A trials file of (number, (sagittal, frontal)) entries."""
+    return write_json(tmp_path / "trials.json", [
+        {"number": n, "sagittal": sag, "frontal": fro} for n, (sag, fro) in entries])
+
+
 @pytest.fixture
 def trial(tmp_path):
     sag, fro, truth = write_trial(tmp_path, excellent_script())
     return sag, fro
 
 
+def assess(trial, *args: str) -> list[str]:
+    return ["assess", "--sagittal", trial[0], "--frontal", trial[1], *args]
+
+
+def assert_fails(args, capsys, start: str = "error: MalformedDocument:") -> str:
+    """The CLI exits 1 with one error line that starts with ``start``, no traceback and no
+    output; the line."""
+    rc = cli.main(args)
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
 # -- assess ------------------------------------------------------------------
 
 
 def test_assess_writes_report_file(tmp_path, trial):
-    sag, fro = trial
     report_path = tmp_path / "report.json"
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                   "--report", str(report_path)])
-    assert rc == 0
+    assert cli.main(assess(trial, "--report", str(report_path))) == 0
     data = json.loads(report_path.read_text())
     assert data["grades"] == {"x1": 9, "x2": 9, "x3": 9, "x4": 9, "x5": 9}
 
@@ -62,75 +80,49 @@ def test_assess_inconsistent_matrix_fails_without_force(tmp_path, trial, capsys)
     cr = ((lam - n) / (n - 1)) / 1.12
     assert cr >= 0.1
 
-    sag, fro = trial
-    config = write_json(tmp_path / "cfg.json", {"judgment_matrix": INCONSISTENT_MATRIX})
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro, "--config", config,
-                   "--report", str(tmp_path / "r.json")])
-    assert rc == 1
-    assert "ConsistencyFailure" in capsys.readouterr().err
-
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro, "--config", config,
-                   "--force", "--report", str(tmp_path / "r.json")])
-    assert rc == 0
+    args = assess(trial, "--config", write_json(tmp_path / "cfg.json",
+                                                {"judgment_matrix": INCONSISTENT_MATRIX}),
+                  "--report", str(tmp_path / "r.json"))
+    assert_fails(args, capsys, "error: ConsistencyFailure:")
+    assert cli.main([*args, "--force"]) == 0
 
 
 def test_assess_csv_format_to_stdout(trial, capsys):
-    sag, fro = trial
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro, "--format", "csv"])
-    assert rc == 0
+    assert cli.main(assess(trial, "--format", "csv")) == 0
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "number,x1,x2,x3,x4,x5,total"
     assert out.splitlines()[1].startswith("1,9,9,9,9,9,")
 
 
 def test_assess_missing_source_exits_one(tmp_path, trial, capsys):
-    sag, _ = trial
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", str(tmp_path / "none")])
-    assert rc == 1
-    assert "ingest" in capsys.readouterr().err
+    assert_fails(assess((trial[0], str(tmp_path / "none"))), capsys, "error: EmptySource: [ingest]")
 
 
 def test_assess_duplicate_frames_exit_one_without_traceback(tmp_path, trial, capsys):
-    sag, fro = trial
-    repeat_frame(fro, line=5)
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                   "--report", str(tmp_path / "r.json")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert "MalformedDocument" in err and "[ingest]" in err
-    assert "Traceback" not in err
+    repeat_frame(trial[1], line=5)
+    assert_fails(assess(trial, "--report", str(tmp_path / "r.json")), capsys,
+                 "error: MalformedDocument: [ingest]")
 
 
 REJECTED_DOCUMENTS = [(label, content) for label, content in
                       mutated_documents(np.random.default_rng(3)) if label not in ACCEPTED]
 
 
-def assess_exit(args, capsys) -> tuple[int, str]:
-    rc = cli.main(["assess", *args])
-    return rc, capsys.readouterr().err
-
-
 @pytest.mark.parametrize("content", [content for _, content in REJECTED_DOCUMENTS],
                          ids=[label for label, _ in REJECTED_DOCUMENTS])
 def test_assess_corrupt_openpose_frame_exits_one_without_traceback(tmp_path, trial, capsys,
                                                                    content):
-    sag, fro = trial
-    frame = sorted(Path(sag).iterdir())[5]
+    frame = sorted(Path(trial[0]).iterdir())[5]
     frame.write_bytes(content)
-    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro,
-                           "--report", str(tmp_path / "r.json")], capsys)
-    assert rc == 1
-    assert err.startswith("error: SeriesParseError: [ingest]") and frame.name in err
-    assert "Traceback" not in err
+    assert frame.name in assert_fails(assess(trial, "--report", str(tmp_path / "r.json")),
+                                      capsys, "error: SeriesParseError: [ingest]")
 
 
 def test_assess_an_empty_first_openpose_frame_exits_zero(tmp_path, trial, capsys):
-    sag, fro = trial
-    sorted(Path(sag).iterdir())[0].write_text('{"people": []}')
+    sorted(Path(trial[0]).iterdir())[0].write_text('{"people": []}')
     report = tmp_path / "r.json"
-    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--report", str(report)],
-                          capsys)
-    assert (rc, err) == (0, "")
+    assert cli.main(assess(trial, "--report", str(report))) == 0
+    assert capsys.readouterr().err == ""
     assert json.loads(report.read_text())["preprocessing"]["sagittal"][
         "frames_dropped_leading"] == 1
 
@@ -153,14 +145,10 @@ def second_person(frame: Path) -> None:
         "two-people-strict"])
 def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path, trial, capsys,
                                                                        corrupt, error):
-    sag, fro = trial
-    corrupt(sorted(Path(sag).iterdir()))
+    corrupt(sorted(Path(trial[0]).iterdir()))
     config = write_json(tmp_path / "cfg.json", {"person_policy": "strict"})
-    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--config", config,
-                           "--report", str(tmp_path / "r.json")], capsys)
-    assert rc == 1
-    assert err.startswith(f"error: {error}: [ingest]")
-    assert "Traceback" not in err
+    assert_fails(assess(trial, "--config", config, "--report", str(tmp_path / "r.json")), capsys,
+                 f"error: {error}: [ingest]")
 
 
 @pytest.mark.parametrize("config", [
@@ -178,14 +166,10 @@ def test_assess_corrupt_openpose_directory_exits_one_without_traceback(tmp_path,
         "cosine-out-of-range", "infinite-criterion-matrix", "nan-weights",
         "overflowing-window", "string-weights", "string-max-gap"])
 def test_assess_bad_config_exits_one_without_traceback(tmp_path, trial, capsys, config):
-    sag, fro = trial
     path = tmp_path / "cfg.json"
     path.write_bytes(config)
-    rc, err = assess_exit(["--sagittal", sag, "--frontal", fro, "--config", str(path),
-                           "--report", str(tmp_path / "r.json")], capsys)
-    assert rc == 1
-    assert err.startswith("error: ConfigError:")
-    assert "Traceback" not in err
+    assert_fails(assess(trial, "--config", str(path), "--report", str(tmp_path / "r.json")),
+                 capsys, "error: ConfigError:")
 
 
 REFUSED_CONFIGS = {
@@ -210,45 +194,32 @@ def test_a_refused_config_fails_assess_and_batch_once_before_any_input_is_read(
     if command == "assess":
         args += ["--sagittal", missing, "--frontal", missing]
     else:
-        args += ["--trials", write_json(tmp_path / "trials.json", [
-            {"number": n, "sagittal": missing, "frontal": missing} for n in (1, 2)])]
-    rc = cli.main([command, *args])
-    captured = capsys.readouterr()
-    assert rc == 1 and captured.out == ""
-    [line] = captured.err.splitlines()
-    assert line.startswith(f"error: {error}: ") and "ingest" not in line
+        args += ["--trials", trials_file(tmp_path, [(n, (missing, missing)) for n in (1, 2)])]
+    assert "ingest" not in assert_fails([command, *args], capsys, f"error: {error}: ")
 
 
 def test_assess_reruns_are_byte_identical(tmp_path, trial):
-    sag, fro = trial
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                     "--report", str(a)]) == 0
-    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                     "--report", str(b)]) == 0
+    assert cli.main(assess(trial, "--report", str(a))) == 0
+    assert cli.main(assess(trial, "--report", str(b))) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_assess_emits_traces(tmp_path, trial):
-    sag, fro = trial
-    rc = cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                   "--report", str(tmp_path / "r.json"),
-                   "--traces", str(tmp_path / "traces")])
-    assert rc == 0
+    assert cli.main(assess(trial, "--report", str(tmp_path / "r.json"),
+                           "--traces", str(tmp_path / "traces"))) == 0
     for name in ("p1", "p2", "s1", "s2", "s3", "s4"):
         assert (tmp_path / "traces" / f"{name}.csv").exists()
 
 
 def test_assess_config_file_settings_flow_into_report(tmp_path, trial):
-    sag, fro = trial
     config = write_json(tmp_path / "cfg.json", {
         "weight_source": "table5-compat",
         "confidence_threshold": 0.35,
         "thresholds": {"distance_lo": 20.0, "distance_hi": 40.0},
     })
     report_path = tmp_path / "report.json"
-    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                     "--config", config, "--report", str(report_path)]) == 0
+    assert cli.main(assess(trial, "--config", config, "--report", str(report_path))) == 0
     data = json.loads(report_path.read_text())
     assert data["config"]["confidence_threshold"] == 0.35
     assert data["config"]["thresholds"]["distance_lo"] == 20.0
@@ -256,11 +227,9 @@ def test_assess_config_file_settings_flow_into_report(tmp_path, trial):
 
 
 def test_assess_window_flag_writes_the_bytes_of_its_config_key(tmp_path, trial):
-    sag, fro = trial
     config = write_json(tmp_path / "cfg.json", {"window_mode": "landing"})
     for name, args in (("flag", ["--window", "landing"]), ("config", ["--config", config])):
-        assert cli.main(["assess", "--sagittal", sag, "--frontal", fro, *args,
-                         "--report", str(tmp_path / f"{name}.json")]) == 0
+        assert cli.main(assess(trial, *args, "--report", str(tmp_path / f"{name}.json"))) == 0
     flag = (tmp_path / "flag.json").read_bytes()
     assert flag == (tmp_path / "config.json").read_bytes()
     assert json.loads(flag)["config"]["window_mode"] == "landing"
@@ -269,15 +238,18 @@ def test_assess_window_flag_writes_the_bytes_of_its_config_key(tmp_path, trial):
 # -- ahp ----------------------------------------------------------------------
 
 
+def ahp_output(tmp_path, capsys, matrix, *args: str) -> str:
+    """The output of ``aclrisk ahp`` on ``matrix``, which exits 0."""
+    assert cli.main(["ahp", "--matrix", write_json(tmp_path / "m.json", matrix), *args]) == 0
+    return capsys.readouterr().out
+
+
 def test_ahp_five_index_matrix(tmp_path, capsys):
-    matrix = write_json(tmp_path / "m.json",
-                        [[1, 2, 3, 5, 5],
-                         ["1/2", 1, 2, 3, 4],
-                         ["1/3", "1/2", 1, 3, 2],
-                         ["1/5", "1/3", "1/3", 1, 2],
-                         ["1/5", "1/4", "1/2", "1/2", 1]])
-    assert cli.main(["ahp", "--matrix", matrix]) == 0
-    out = capsys.readouterr().out
+    out = ahp_output(tmp_path, capsys, [[1, 2, 3, 5, 5],
+                                        ["1/2", 1, 2, 3, 4],
+                                        ["1/3", "1/2", 1, 3, 2],
+                                        ["1/5", "1/3", "1/3", 1, 2],
+                                        ["1/5", "1/4", "1/2", "1/2", 1]])
     weights = [float(v) for v in out.splitlines()[0].split(":")[1].split()]
     assert weights == pytest.approx([0.4267, 0.2574, 0.1602, 0.0886, 0.0671], abs=5e-4)
     assert "consistency: PASS" in out
@@ -286,9 +258,7 @@ def test_ahp_five_index_matrix(tmp_path, capsys):
 
 
 def test_ahp_two_level_matrix(tmp_path, capsys):
-    matrix = write_json(tmp_path / "m.json", [[1, 3], ["1/3", 1]])
-    assert cli.main(["ahp", "--matrix", matrix]) == 0
-    out = capsys.readouterr().out
+    out = ahp_output(tmp_path, capsys, [[1, 3], ["1/3", 1]])
     assert "lambda_max: 2.000000" in out
     assert "CR: 0.000000" in out
     assert "consistency: PASS" in out
@@ -296,67 +266,56 @@ def test_ahp_two_level_matrix(tmp_path, capsys):
 
 def test_ahp_rejects_non_reciprocal(tmp_path, capsys):
     matrix = write_json(tmp_path / "m.json", [[1, 2], [1, 1]])
-    assert cli.main(["ahp", "--matrix", matrix]) == 1
-    assert "reciprocity" in capsys.readouterr().err
+    assert_fails(["ahp", "--matrix", matrix], capsys, "invalid matrix: reciprocity violated")
 
 
 def test_ahp_rejects_boolean_cells(tmp_path, capsys):
     matrix = write_json(tmp_path / "m.json", [[True, 1], [1, True]])
-    assert cli.main(["ahp", "--matrix", matrix]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: InvalidMatrix:")
-    assert captured.out == ""
+    assert_fails(["ahp", "--matrix", matrix], capsys, "error: InvalidMatrix:")
 
 
 def test_ahp_geometric_method(tmp_path, capsys):
-    matrix = write_json(tmp_path / "m.json", [[1, 1, 1], [1, 1, 1], [1, 1, 1]])
-    assert cli.main(["ahp", "--matrix", matrix, "--method", "geometric"]) == 0
-    weights = [float(v)
-               for v in capsys.readouterr().out.splitlines()[0].split(":")[1].split()]
+    out = ahp_output(tmp_path, capsys, [[1, 1, 1]] * 3, "--method", "geometric")
+    weights = [float(v) for v in out.splitlines()[0].split(":")[1].split()]
     assert weights == pytest.approx([1 / 3] * 3, abs=1e-6)
 
 
 # -- synth ----------------------------------------------------------------------
 
 
-def test_synth_writes_series_and_ground_truth(tmp_path):
-    script = write_json(tmp_path / "script.json",
-                        asdict(motion_synth.MotionScript(n_frames=30, touchdown_frame=8)))
+def synth(tmp_path, *args: str, **script) -> Path:
+    """The directory that ``aclrisk synth`` of MotionScript(**script) writes, exiting 0."""
     out = tmp_path / "trial"
-    assert cli.main(["synth", "--script", script, "--out", str(out)]) == 0
+    path = write_json(tmp_path / "script.json", asdict(motion_synth.MotionScript(**script)))
+    assert cli.main(["synth", "--script", path, "--out", str(out), *args]) == 0
+    return out
+
+
+def test_synth_writes_series_and_ground_truth(tmp_path):
+    out = synth(tmp_path, n_frames=30, touchdown_frame=8)
     assert (out / "ground_truth.json").exists()
     assert len(list((out / "sagittal").glob("*.json"))) == 30
     assert len(list((out / "frontal").glob("*.json"))) == 30
 
 
 def test_synth_csv_format(tmp_path):
-    script = write_json(tmp_path / "script.json",
-                        asdict(motion_synth.MotionScript(n_frames=12, touchdown_frame=3)))
-    out = tmp_path / "trial"
-    assert cli.main(["synth", "--script", script, "--out", str(out),
-                     "--format", "csv"]) == 0
+    out = synth(tmp_path, "--format", "csv", n_frames=12, touchdown_frame=3)
     assert len(pi.read_series_csv(out / "sagittal.csv")) == 12
 
 
 def test_synth_invalid_script_exits_one(tmp_path, capsys):
     script = write_json(tmp_path / "script.json",
                         {"n_frames": 10, "touchdown_frame": 10})
-    assert cli.main(["synth", "--script", script, "--out", str(tmp_path / "t")]) == 1
-    assert "InvalidScript" in capsys.readouterr().err
+    assert_fails(["synth", "--script", script, "--out", str(tmp_path / "t")], capsys,
+                 "error: InvalidScript:")
 
 
 def test_synth_output_assesses_to_ground_truth_grades(tmp_path, capsys):
-    script_obj = motion_synth.MotionScript(
-        n_frames=60, touchdown_frame=15,
-        peak_knee_flexion_deg=45.0, peak_hip_flexion_deg=65.0,
-        peak_lateral_lean_deg=40.0,
-        stance_ankle_width_px=150.0, knee_offset_px=35.0, shoulder_width_px=110.0)
-    script = write_json(tmp_path / "script.json", asdict(script_obj))
-    out = tmp_path / "trial"
-    assert cli.main(["synth", "--script", script, "--out", str(out)]) == 0
-
+    out = synth(tmp_path, n_frames=60, touchdown_frame=15,
+                peak_knee_flexion_deg=45.0, peak_hip_flexion_deg=65.0,
+                peak_lateral_lean_deg=40.0,
+                stance_ankle_width_px=150.0, knee_offset_px=35.0, shoulder_width_px=110.0)
     truth = json.loads((out / "ground_truth.json").read_text())
-    from aclrisk import scoring
     expected = (
         scoring.grade_cosine_sagittal(truth["p1"]),
         scoring.grade_cosine_sagittal(truth["p2"]),
@@ -365,27 +324,19 @@ def test_synth_output_assesses_to_ground_truth_grades(tmp_path, capsys):
         scoring.grade_distance(truth["d2"]),
     )
     report_path = tmp_path / "report.json"
-    assert cli.main(["assess", "--sagittal", str(out / "sagittal"),
-                     "--frontal", str(out / "frontal"),
-                     "--report", str(report_path)]) == 0
+    assert cli.main(assess((str(out / "sagittal"), str(out / "frontal")),
+                           "--report", str(report_path))) == 0
     grades = json.loads(report_path.read_text())["grades"]
-    assert (grades["x1"], grades["x2"], grades["x3"], grades["x4"], grades["x5"]) == expected
+    assert tuple(grades[f"x{i}"] for i in range(1, 6)) == expected
 
 
 # -- batch ------------------------------------------------------------------------
 
 
-def test_batch_summary_and_reports(tmp_path, capsys):
-    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
-    trials = write_json(tmp_path / "trials.json", [
-        {"number": 1, "sagittal": sag1, "frontal": fro1},
-        {"number": 2, "sagittal": sag1, "frontal": fro1},
-    ])
-    out = tmp_path / "reports"
-    summary = tmp_path / "summary.csv"
-    rc = cli.main(["batch", "--trials", trials, "--out", str(out),
-                   "--summary", str(summary)])
-    assert rc == 0
+def test_batch_summary_and_reports(tmp_path, trial):
+    out, summary = tmp_path / "reports", tmp_path / "summary.csv"
+    assert cli.main(["batch", "--trials", trials_file(tmp_path, [(1, trial), (2, trial)]),
+                     "--out", str(out), "--summary", str(summary)]) == 0
     lines = summary.read_text().splitlines()
     assert lines[0] == "number,x1,x2,x3,x4,x5,total"
     assert len(lines) == 3
@@ -393,36 +344,23 @@ def test_batch_summary_and_reports(tmp_path, capsys):
     assert (out / "report_2.json").exists()
 
 
-def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path, capsys):
-    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
-    trials = write_json(tmp_path / "trials.json", [
-        {"number": n, "sagittal": sag1, "frontal": fro1} for n in (1, 2, 3)])
+def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path, trial, capsys):
+    trials = trials_file(tmp_path, [(n, trial) for n in (1, 2, 3)])
     config = write_json(tmp_path / "cfg.json", {"judgment_matrix": INCONSISTENT_MATRIX})
-    rc = cli.main(["batch", "--trials", trials, "--config", config])
-    lines = capsys.readouterr().err.splitlines()
-    assert rc == 1
-    assert len(lines) == 1 and lines[0].startswith("error: ConsistencyFailure:")
+    assert_fails(["batch", "--trials", trials, "--config", config], capsys,
+                 "error: ConsistencyFailure:")
 
 
-def test_batch_refuses_a_repeated_trial_number(tmp_path, capsys):
-    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
-    trials = write_json(tmp_path / "trials.json", [
-        {"number": n, "sagittal": sag1, "frontal": fro1} for n in (1, 2, 1)])
+def test_batch_refuses_a_repeated_trial_number(tmp_path, trial, capsys):
+    trials = trials_file(tmp_path, [(n, trial) for n in (1, 2, 1)])
     out = tmp_path / "reports"
-    rc = cli.main(["batch", "--trials", trials, "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err == ("error: MalformedDocument: "
-                            "trials entries 0 and 2 both have number 1\n")
+    assert assert_fails(["batch", "--trials", trials, "--out", str(out)], capsys) == (
+        "error: MalformedDocument: trials entries 0 and 2 both have number 1\n")
     assert not out.exists()
 
 
-def test_batch_isolates_bad_trial(tmp_path, capsys):
-    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
-    trials = write_json(tmp_path / "trials.json", [
-        {"number": 1, "sagittal": sag1, "frontal": fro1},
-        {"number": 2, "sagittal": str(tmp_path / "gone"), "frontal": fro1},
-    ])
+def test_batch_isolates_bad_trial(tmp_path, trial, capsys):
+    trials = trials_file(tmp_path, [(1, trial), (2, (str(tmp_path / "gone"), trial[1]))])
     rc = cli.main(["batch", "--trials", trials])
     captured = capsys.readouterr()
     assert rc == 1
@@ -430,23 +368,28 @@ def test_batch_isolates_bad_trial(tmp_path, capsys):
     assert "trial 2 failed at ingest" in captured.err
 
 
-def out_of_bound(csv_path, target) -> str:
-    """A copy of a CSV view whose frame-30 left-ankle x (line 32) is past the ±1e6 px bound."""
-    lines = Path(csv_path).read_text().splitlines(True)
-    cells = lines[31].split(",")
-    cells[1 + 3 * pi.L_ANKLE] = "1e300"
-    lines[31] = ",".join(cells)
-    Path(target).write_text("".join(lines))
+def with_cell(csv_path, target, value: str, column: int = 1, lines=(31,)) -> str:
+    """A copy at ``target`` of a CSV view whose cell ``column`` holds ``value`` in each of
+    ``lines`` (0-based: 31 is frame 30, in file line 32)."""
+    text = Path(csv_path).read_text().splitlines(True)
+    for i in lines:
+        cells = text[i].split(",")
+        cells[column] = value
+        text[i] = ",".join(cells)
+    Path(target).write_text("".join(text))
     return str(target)
 
 
-def test_batch_writes_the_reports_of_assess_and_a_line_per_failed_trial(tmp_path, capsys):
-    sag1, fro1, _ = write_trial(tmp_path, excellent_script(), "t1")
-    sag3, fro3, _ = write_trial(tmp_path, poor_script(), "t3")
-    good = {1: (sag1, fro1), 3: (sag3, fro3)}
-    trials = write_json(tmp_path / "trials.json", [
-        {"number": n, "sagittal": sag, "frontal": fro} for n, (sag, fro) in
-        sorted({**good, 2: (sag1, out_of_bound(fro1, tmp_path / "bound.csv"))}.items())])
+def out_of_bound(csv_path, target) -> str:
+    """A copy of a CSV view whose frame-30 left-ankle x (line 32) is past the ±1e6 px bound."""
+    return with_cell(csv_path, target, "1e300", column=1 + 3 * pi.L_ANKLE)
+
+
+def test_batch_writes_the_reports_of_assess_and_a_line_per_failed_trial(tmp_path, trial,
+                                                                       capsys):
+    good = {1: trial, 3: write_trial(tmp_path, poor_script(), "t3")[:2]}
+    trials = trials_file(tmp_path, sorted(
+        {**good, 2: (trial[0], out_of_bound(trial[1], tmp_path / "bound.csv"))}.items()))
     out, summary = tmp_path / "reports", tmp_path / "summary.csv"
     rc = cli.main(["batch", "--trials", trials, "--out", str(out), "--summary", str(summary)])
     assert rc == 1
@@ -456,10 +399,9 @@ def test_batch_writes_the_reports_of_assess_and_a_line_per_failed_trial(tmp_path
     assert [line.split(",")[0] for line in summary.read_text().splitlines()] == [
         "number", "1", "3"]
     assert sorted(os.listdir(out)) == ["report_1.json", "report_3.json"]
-    for n, (sag, fro) in good.items():
+    for n, views in good.items():
         report = tmp_path / f"assess_{n}.json"
-        assert cli.main(["assess", "--sagittal", sag, "--frontal", fro, "--number", str(n),
-                         "--report", str(report)]) == 0
+        assert cli.main(assess(views, "--number", str(n), "--report", str(report))) == 0
         assert (out / f"report_{n}.json").read_bytes() == report.read_bytes()
 
 
@@ -475,17 +417,6 @@ BAD_FILES = {
 COMMANDS = {"ahp": ["--matrix"], "synth": ["--script"], "batch": ["--trials"]}
 
 
-def assert_malformed(args, capsys) -> str:
-    """The CLI exits 1 with a MalformedDocument error, no traceback and no output; the error."""
-    rc = cli.main(args)
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert captured.err.startswith("error: MalformedDocument:")
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-    return captured.err
-
-
 @pytest.mark.parametrize("content", BAD_FILES.values(), ids=BAD_FILES.keys())
 @pytest.mark.parametrize("command", COMMANDS)
 def test_undecodable_input_file_exits_one_without_traceback(tmp_path, capsys, command,
@@ -495,7 +426,7 @@ def test_undecodable_input_file_exits_one_without_traceback(tmp_path, capsys, co
     args = [command, *COMMANDS[command], str(path)]
     if command == "synth":
         args += ["--out", str(tmp_path / "out")]
-    assert_malformed(args, capsys)
+    assert_fails(args, capsys)
 
 
 BAD_TRIALS = {
@@ -511,13 +442,11 @@ BAD_TRIALS = {
 
 
 @pytest.mark.parametrize("entries", BAD_TRIALS.values(), ids=BAD_TRIALS.keys())
-def test_bad_trials_entry_exits_one_without_traceback(tmp_path, capsys, entries):
-    sag, fro, _ = write_trial(tmp_path, excellent_script(), "t1")
+def test_bad_trials_entry_exits_one_without_traceback(tmp_path, trial, capsys, entries):
     if isinstance(entries, list):  # a good trial first: the whole file is refused
-        entries = [{"number": 1, "sagittal": sag, "frontal": fro}, *entries]
+        entries = [{"number": 1, "sagittal": trial[0], "frontal": trial[1]}, *entries]
     trials = write_json(tmp_path / "trials.json", entries)
-    err = assert_malformed(["batch", "--trials", trials], capsys)
-    assert err.count("\n") == 1 and len(err) < 300
+    assert len(assert_fails(["batch", "--trials", trials], capsys)) < 300
 
 
 @pytest.mark.parametrize("script", [
@@ -526,11 +455,8 @@ def test_bad_trials_entry_exits_one_without_traceback(tmp_path, capsys, entries)
 ], ids=["text-frames", "null-fps", "nan-fps", "negative-seed", "401-digit-frames"])
 def test_synth_bad_script_value_exits_one_without_traceback(tmp_path, capsys, script):
     path = write_json(tmp_path / "script.json", script)
-    rc = cli.main(["synth", "--script", path, "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: InvalidScript:")
-    assert "Traceback" not in err
+    assert_fails(["synth", "--script", path, "--out", str(tmp_path / "out")], capsys,
+                 "error: InvalidScript:")
 
 
 LONG = "x" * 5000
@@ -541,15 +467,6 @@ def long_keypoint_entry(tmp, sag, fro):
     doc = json.loads(frame.read_text())
     doc["people"][0]["pose_keypoints_2d"][0] = LONG
     frame.write_text(json.dumps(doc))
-    return ["assess", "--sagittal", sag, "--frontal", fro]
-
-
-def long_csv_cell(tmp, sag, fro):
-    lines = Path(fro).read_text().splitlines(True)
-    cells = lines[31].split(",")
-    cells[1] = LONG
-    lines[31] = ",".join(cells)
-    Path(fro).write_text("".join(lines))
     return ["assess", "--sagittal", sag, "--frontal", fro]
 
 
@@ -564,16 +481,14 @@ LONG_INPUTS = {  # the arguments of a command whose input holds one 5000-charact
     "matrix-cell": lambda tmp, sag, fro: [
         "ahp", "--matrix", write_json(tmp / "m.json", [["1/" + LONG[2:]]])],
     "openpose-entry": long_keypoint_entry,
-    "csv-cell": long_csv_cell,
+    "csv-cell": lambda tmp, sag, fro: ["assess", "--sagittal", sag,
+                                       "--frontal", with_cell(fro, fro, LONG)],
 }
 
 
 @pytest.mark.parametrize("make_args", LONG_INPUTS.values(), ids=LONG_INPUTS.keys())
 def test_an_error_line_cuts_a_long_input_value(tmp_path, trial, capsys, make_args):
-    rc = cli.main(make_args(tmp_path, *trial))
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 300
+    assert len(assert_fails(make_args(tmp_path, *trial), capsys, "error: ")) < 300
 
 
 def test_an_error_line_names_five_failing_lines_and_counts_the_rest(tmp_path, capsys):
@@ -582,17 +497,10 @@ def test_an_error_line_names_five_failing_lines_and_counts_the_rest(tmp_path, ca
     sag, fro = tmp_path / "sagittal.csv", tmp_path / "frontal.csv"
     pi.write_series_csv(sagittal, sag)
     pi.write_series_csv(frontal, fro)
-    lines = sag.read_text().splitlines(True)
-    for i in range(1, len(lines)):  # one bad 100-character cell in every data line
-        cells = lines[i].split(",")
-        cells[1] = "x" * 100
-        lines[i] = ",".join(cells)
-    sag.write_text("".join(lines))
-    rc = cli.main(["assess", "--sagittal", str(sag), "--frontal", str(fro)])
-    err = capsys.readouterr().err
-    assert rc == 1
-    assert err.startswith("error: SeriesParseError: [ingest] 90 frame(s) failed to parse: ")
-    assert err.count("\n") == 1 and len(err) < 1000
+    with_cell(sag, sag, "x" * 100, lines=range(1, 91))  # a bad cell in every data line
+    err = assert_fails(assess((str(sag), str(fro))), capsys,
+                       "error: SeriesParseError: [ingest] 90 frame(s) failed to parse: ")
+    assert len(err) < 1000
     assert [line for line in range(2, 92) if f"sagittal.csv:{line}:" in err] == [2, 3, 4, 5, 6]
     assert err.endswith("; and 85 more\n")
 
@@ -619,12 +527,9 @@ def test_a_process_that_fails_exits_one_with_one_error_line(tmp_path, csv_trials
 
 def test_an_aclrisk_variable_in_the_environment_changes_no_byte(tmp_path, trial):
     # settings come from the config file and the flags alone, at import as at run time
-    sag, fro = trial
     report = tmp_path / "report.json"
-    assert cli.main(["assess", "--sagittal", sag, "--frontal", fro,
-                     "--report", str(report)]) == 0
-    proc = run_cli("assess", "--sagittal", sag, "--frontal", fro,
-                   env={"ACLRISK_WEIGHT_SOURCE": "table5-compat"})
+    assert cli.main(assess(trial, "--report", str(report))) == 0
+    proc = run_cli(*assess(trial), env={"ACLRISK_WEIGHT_SOURCE": "table5-compat"})
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert proc.stdout == report.read_bytes()
 

@@ -22,6 +22,8 @@ from hypothesis import given, settings, strategies as st
 from aclrisk import pose_ingest as pi
 from aclrisk.errors import AclRiskError, EmptySource, MalformedDocument, SeriesParseError
 
+from conftest import counting_calls
+
 HEADER = ["frame"] + [f"kp{i}_{axis}" for i in range(25) for axis in ("x", "y", "c")]
 
 
@@ -82,17 +84,6 @@ def outcome(read):
 def package_read(path: Path):
     series = pi.read_series_csv(path)
     return series.frame_index.tolist(), series.keypoints
-
-
-def count_loadtxt(monkeypatch) -> list[int]:
-    """A one-item list that counts the ``np.loadtxt`` calls from now on."""
-    calls, loadtxt = [0], np.loadtxt
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return loadtxt(*args, **kwargs)
-    monkeypatch.setattr(np, "loadtxt", counted)
-    return calls
 
 
 @st.composite
@@ -186,9 +177,9 @@ def test_reference_agrees_on_written_series(tmp_path, monkeypatch):
     series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(50) * 2)
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    calls = count_loadtxt(monkeypatch)
+    calls = counting_calls(monkeypatch, np, "loadtxt")
     got = outcome(lambda: package_read(path))
-    assert calls == [1]  # the writer's output takes the one-call parse
+    assert len(calls) == 1  # the writer's output takes the one-call parse
     assert got == outcome(lambda: reference_read(path))
     assert got[2] == kp.tobytes()
 
@@ -285,9 +276,9 @@ def test_which_files_the_bulk_parse_takes(tmp_path, monkeypatch, name):
     rows = [[str(i)] + [repr(v) for v in row] for i, row in enumerate(kp.tolist())]
     path = tmp_path / "t.csv"
     path.write_bytes(text_of(rows).encode())
-    calls = count_loadtxt(monkeypatch)
+    calls = counting_calls(monkeypatch, np, "loadtxt")
     got = outcome(lambda: package_read(path))
-    assert calls == [loadtxt_calls]
+    assert len(calls) == loadtxt_calls
     assert got == outcome(lambda: reference_read(path))
     if got[0] == "accepted":
         order = np.argsort([float(row[0]) for row in rows])

@@ -37,10 +37,9 @@ def test_cosine_between_basic(u, v, expected):
 
 
 def test_cosine_between_degenerate_vector():
-    with pytest.raises(DegenerateVector):
-        cosine_between((0, 0), (1, 1))
-    with pytest.raises(DegenerateVector):
-        cosine_between((1, 1), (1e-12, 0))
+    for u, v in (((0, 0), (1, 1)), ((1, 1), (1e-12, 0))):
+        with pytest.raises(DegenerateVector):
+            cosine_between(u, v)
 
 
 def test_cosine_between_stays_clamped():
@@ -57,8 +56,7 @@ def test_cosine_between_stays_clamped():
 
 
 def test_straight_leg_gives_minus_one():
-    series = make_series([upright_sagittal_points()] * 4)
-    feats = kin.extract_sagittal(series)
+    feats = kin.extract_sagittal(make_series([upright_sagittal_points()] * 4))
     assert feats.p1 == pytest.approx(-1.0, abs=1e-12)
     assert feats.p2 == pytest.approx(-1.0, abs=1e-12)
 
@@ -101,15 +99,13 @@ def test_mirrored_left_side_extraction():
         pi.L_KNEE: (300.0, 450.0),
         pi.L_ANKLE: (300.0, 600.0),
     }
-    series = make_series([points])
-    feats = kin.extract_sagittal(series, side="left")
+    feats = kin.extract_sagittal(make_series([points]), side="left")
     assert feats.p1 == pytest.approx(-1.0)
 
 
 def test_an_unknown_side_is_refused():
-    series = make_series([upright_sagittal_points()])
     with pytest.raises(KeyError):
-        kin.extract_sagittal(series, side="up")
+        kin.extract_sagittal(make_series([upright_sagittal_points()]), side="up")
 
 
 # -- frontal extraction -----------------------------------------------------
@@ -118,14 +114,13 @@ def test_an_unknown_side_is_refused():
 def test_frontal_width_differences_on_constant_frame():
     points = upright_frontal_points(ankle_width=110.0, knee_width=100.0,
                                     shoulder_width=110.0)
-    series = make_series([points] * 3)
-    feats = kin.extract_frontal(series)
+    feats = kin.extract_frontal(make_series([points] * 3))
     assert feats.d1 == pytest.approx(10.0, abs=1e-9)
     assert feats.d2 == pytest.approx(0.0, abs=1e-9)
 
 
-def test_upright_standing_alignment_is_minus_one(frontal_standing_series):
-    feats = kin.extract_frontal(frontal_standing_series)
+def test_upright_standing_alignment_is_minus_one():
+    feats = kin.extract_frontal(make_series([upright_frontal_points()] * 5))
     assert np.allclose(feats.s4_trace, -1.0, atol=1e-12)
     assert feats.s4_peak == pytest.approx(-1.0)
 
@@ -150,7 +145,9 @@ def test_traces_stay_in_unit_interval_and_peaks_equal_trace_max():
 # -- geometric invariances --------------------------------------------------
 
 
-def synth_views():
+def features_kept_under(**transform):
+    """Both views' features before and after ``transform_series(**transform)``; the
+    cosine features are the same."""
     script = motion_synth.MotionScript(n_frames=40, touchdown_frame=12,
                                        peak_knee_flexion_deg=70.0,
                                        peak_hip_flexion_deg=55.0,
@@ -158,45 +155,30 @@ def synth_views():
                                        knee_offset_px=20.0,
                                        stance_ankle_width_px=130.0)
     sagittal, frontal, _ = motion_synth.generate(script)
-    return sagittal, frontal
+    sf, ff = kin.extract_sagittal(sagittal), kin.extract_frontal(frontal)
+    sf_t = kin.extract_sagittal(transform_series(sagittal, **transform))
+    ff_t = kin.extract_frontal(transform_series(frontal, **transform))
+    assert abs(sf_t.p1 - sf.p1) < 1e-9
+    assert abs(sf_t.p2 - sf.p2) < 1e-9
+    assert np.abs(ff_t.s4_trace - ff.s4_trace).max() < 1e-9
+    return ff, ff_t
 
 
 @pytest.mark.parametrize("offset", [(1e4, -1e4), (-3333.5, 777.25)])
 def test_translation_invariance(offset):
-    sagittal, frontal = synth_views()
-    sf = kin.extract_sagittal(sagittal)
-    ff = kin.extract_frontal(frontal)
-    sf_t = kin.extract_sagittal(transform_series(sagittal, offset=offset))
-    ff_t = kin.extract_frontal(transform_series(frontal, offset=offset))
-    assert abs(sf_t.p1 - sf.p1) < 1e-9
-    assert abs(sf_t.p2 - sf.p2) < 1e-9
-    assert np.abs(ff_t.s4_trace - ff.s4_trace).max() < 1e-9
+    ff, ff_t = features_kept_under(offset=offset)
     assert abs(ff_t.d1 - ff.d1) < 1e-9
     assert abs(ff_t.d2 - ff.d2) < 1e-9
 
 
 @pytest.mark.parametrize("angle", [0.3, math.pi / 2, 4.0])
 def test_rotation_invariance_of_cosines(angle):
-    sagittal, frontal = synth_views()
-    sf = kin.extract_sagittal(sagittal)
-    ff = kin.extract_frontal(frontal)
-    sf_r = kin.extract_sagittal(transform_series(sagittal, angle_rad=angle))
-    ff_r = kin.extract_frontal(transform_series(frontal, angle_rad=angle))
-    assert abs(sf_r.p1 - sf.p1) < 1e-9
-    assert abs(sf_r.p2 - sf.p2) < 1e-9
-    assert np.abs(ff_r.s4_trace - ff.s4_trace).max() < 1e-9
+    features_kept_under(angle_rad=angle)
 
 
 @pytest.mark.parametrize("scale", [0.1, 2.5, 10.0])
 def test_uniform_scaling_behaviour(scale):
-    sagittal, frontal = synth_views()
-    sf = kin.extract_sagittal(sagittal)
-    ff = kin.extract_frontal(frontal)
-    sf_s = kin.extract_sagittal(transform_series(sagittal, scale=scale))
-    ff_s = kin.extract_frontal(transform_series(frontal, scale=scale))
-    assert abs(sf_s.p1 - sf.p1) < 1e-9
-    assert abs(sf_s.p2 - sf.p2) < 1e-9
-    assert np.abs(ff_s.s4_trace - ff.s4_trace).max() < 1e-9
+    ff, ff_s = features_kept_under(scale=scale)
     assert ff_s.d1 == pytest.approx(scale * ff.d1, rel=1e-9)
     assert ff_s.d2 == pytest.approx(scale * ff.d2, rel=1e-9)
     assert np.allclose(ff_s.s1_trace, scale * ff.s1_trace, rtol=1e-9)
@@ -278,6 +260,5 @@ def test_ascending_trajectory_has_no_touchdown():
 
 
 def test_empty_window_slice_raises():
-    series = make_series([upright_sagittal_points()])
     with pytest.raises(WindowEmpty):
-        kin.extract_sagittal(series, window=(3, 2))
+        kin.extract_sagittal(make_series([upright_sagittal_points()]), window=(3, 2))

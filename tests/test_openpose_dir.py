@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import codecs
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -38,6 +39,8 @@ from aclrisk.errors import (
     MalformedDocument,
     SeriesParseError,
 )
+
+from conftest import counting_calls
 
 # -- reference: the frame-by-frame parser --------------------------------------
 
@@ -401,14 +404,15 @@ def frame_between_single_person_frames(directory: Path, people: list) -> Path:
     return directory
 
 
-def selected_person(tmp_path: Path, people: list) -> np.ndarray:
-    """Frame 1's selected array, which the one-file and the directory loads agree on."""
-    directory = frame_between_single_person_frames(tmp_path / "frames", people)
+def assert_selected(tmp_path: Path, people: list[list[float]], chosen: list[float]) -> None:
+    """Frame 1 of ``people`` selects ``chosen`` alike in a one-file and a directory load."""
+    directory = frame_between_single_person_frames(
+        tmp_path / "frames", [{"pose_keypoints_2d": flat} for flat in people])
     series = pi.load_series(directory)
     single = pi.load_series(directory / "frame_1.json")
     assert single.frame_index.tolist() == [1]
     assert np.array_equal(series.keypoints[1:2], single.keypoints)
-    return single.keypoints[0]
+    assert np.array_equal(single.keypoints[0], np.reshape(chosen, (25, 3)))
 
 
 def failures(source) -> list[tuple[str, type, str]]:
@@ -417,23 +421,21 @@ def failures(source) -> list[tuple[str, type, str]]:
     return [(fid, type(err), str(err)) for fid, err in exc_info.value.failures]
 
 
+NAN_PERSON = {"pose_keypoints_2d": [math.nan if k == 4 else v
+                                     for k, v in enumerate(flat_person(0.0, 0.9))]}
+NO_KEYPOINTS = (MalformedDocument, "person object missing 'pose_keypoints_2d'")
+
+
 def test_structure_error_of_a_later_person_comes_before_a_numeric_error(tmp_path):
-    first = flat_person(0.0, 0.9)
-    first[4] = float("nan")
-    directory = frame_between_single_person_frames(tmp_path / "frames",
-                                                   [{"pose_keypoints_2d": first}, {}])
-    expected = [("frame_1.json", MalformedDocument, "person object missing 'pose_keypoints_2d'")]
-    assert failures(directory) == expected
-    assert failures(directory / "frame_1.json") == expected
+    directory = frame_between_single_person_frames(tmp_path / "frames", [NAN_PERSON, {}])
+    assert failures(directory) == [("frame_1.json", *NO_KEYPOINTS)]
+    assert failures(directory / "frame_1.json") == [("frame_1.json", *NO_KEYPOINTS)]
 
 
 def test_structure_error_of_an_earlier_person_comes_before_a_numeric_error(tmp_path):
-    second = flat_person(0.0, 0.9)
-    second[4] = float("nan")
     path = tmp_path / "frame_0.json"
-    path.write_text(json.dumps({"people": [{}, {"pose_keypoints_2d": second}]}))
-    assert failures(path) == [
-        ("frame_0.json", MalformedDocument, "person object missing 'pose_keypoints_2d'")]
+    path.write_text(json.dumps({"people": [{}, NAN_PERSON]}))
+    assert failures(path) == [("frame_0.json", *NO_KEYPOINTS)]
 
 
 def test_a_broken_frame_is_named_once(tmp_path):
@@ -446,16 +448,12 @@ def test_a_broken_frame_is_named_once(tmp_path):
 
 def test_best_person_is_selected_when_it_comes_second(tmp_path):
     weak, strong = flat_person(0.0, 0.3), flat_person(180.0, 0.8)
-    selected = selected_person(tmp_path, [{"pose_keypoints_2d": weak},
-                                          {"pose_keypoints_2d": strong}])
-    assert np.array_equal(selected, np.reshape(strong, (25, 3)))
+    assert_selected(tmp_path, [weak, strong], strong)
 
 
 def test_exact_tie_keeps_the_first_person(tmp_path):
     first, second = flat_person(0.0, 0.6), flat_person(100.0, 0.6)
-    selected = selected_person(tmp_path, [{"pose_keypoints_2d": first},
-                                          {"pose_keypoints_2d": second}])
-    assert np.array_equal(selected, np.reshape(first, (25, 3)))
+    assert_selected(tmp_path, [first, second], first)
 
 
 def test_frames_with_several_people_share_one_numeric_check(tmp_path, monkeypatch):
@@ -466,8 +464,7 @@ def test_frames_with_several_people_share_one_numeric_check(tmp_path, monkeypatc
         if i in (1, 4, 6):  # a second person, before or after the first
             people.insert(i % 2, {"pose_keypoints_2d": flat_person(200.0, 0.3 + 0.1 * i)})
         (directory / f"frame_{i}.json").write_text(json.dumps({"people": people}))
-    check, calls = pi._keypoint_array, []
-    monkeypatch.setattr(pi, "_keypoint_array", lambda rows: calls.append(rows) or check(rows))
+    calls = counting_calls(monkeypatch, pi, "_keypoint_array")
     loaded = outcome(lambda: package_load(directory, pi.POLICY_BEST))
     assert len(calls) == 1
     assert loaded == outcome(lambda: reference_load(directory, pi.POLICY_BEST))

@@ -30,6 +30,11 @@ def flat_pose(x0: float = 10.0, confidence: float = 0.9) -> list[float]:
     return out
 
 
+def write_frames(directory, *names: str) -> None:
+    for name in names:
+        (directory / name).write_bytes(person_doc(flat_pose()))
+
+
 # -- frame parsing ---------------------------------------------------------
 
 
@@ -88,8 +93,7 @@ def test_parse_empty_people_is_undetected(tmp_path):
 def test_parse_two_people_best_policy_picks_higher_confidence(tmp_path):
     low = flat_pose(x0=10.0, confidence=0.5)
     high = flat_pose(x0=500.0, confidence=0.9)
-    kp = load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)
-    assert kp[0, 0] == 500.0
+    assert load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)[0, 0] == 500.0
 
 
 def test_best_policy_means_over_detected_keypoints_only(tmp_path):
@@ -99,8 +103,7 @@ def test_best_policy_means_over_detected_keypoints_only(tmp_path):
     partial = flat_pose(x0=500.0, confidence=0.9)
     for i in range(10, 25):
         partial[3 * i:3 * i + 3] = [0.0, 0.0, 0.0]
-    kp = load_frame(tmp_path, person_doc(full, partial))
-    assert kp[0, 0] == 500.0
+    assert load_frame(tmp_path, person_doc(full, partial))[0, 0] == 500.0
 
 
 def test_parse_two_people_strict_policy_raises(tmp_path):
@@ -141,9 +144,8 @@ def test_load_series_directory_ordered_by_filename_suffix(tmp_path):
 
 
 def test_duplicate_frame_files_are_malformed(tmp_path):
-    (tmp_path / "frame_000000000002_keypoints.json").write_bytes(person_doc(flat_pose()))
-    (tmp_path / "frame_000000000003_keypoints.json").write_bytes(person_doc(flat_pose()))
-    (tmp_path / "take2_frame_3.json").write_bytes(person_doc(flat_pose()))
+    write_frames(tmp_path, "frame_000000000002_keypoints.json",
+                 "frame_000000000003_keypoints.json", "take2_frame_3.json")
     with pytest.raises(MalformedDocument) as exc_info:
         pi.load_series(tmp_path)
     message = str(exc_info.value)
@@ -152,40 +154,38 @@ def test_duplicate_frame_files_are_malformed(tmp_path):
 
 
 def test_duplicate_frames_name_the_current_directory(tmp_path, monkeypatch):
-    (tmp_path / "frame_3.json").write_bytes(person_doc(flat_pose()))
-    (tmp_path / "take_3.json").write_bytes(person_doc(flat_pose()))
+    write_frames(tmp_path, "frame_3.json", "take_3.json")
     monkeypatch.chdir(tmp_path)
     with pytest.raises(MalformedDocument) as exc_info:
         pi.load_series(".")
     assert str(exc_info.value) == ".: frame 3 appears twice (frame_3.json and take_3.json)"
 
 
+def rewritten_csv(path, rewrite):
+    """A CSV of frames 4, 5 and 6 (neck x 1, 2 and 3) whose lines are ``rewrite(lines)``."""
+    pi.write_series_csv(make_series([upright_sagittal_points(x) for x in (1.0, 2.0, 3.0)],
+                                    frame_index=[4, 5, 6]), path)
+    path.write_text("\n".join(rewrite(path.read_text().splitlines())) + "\n")
+    return path
+
+
 def test_duplicate_frame_rows_are_malformed(tmp_path):
-    path = tmp_path / "s.csv"
-    pi.write_series_csv(make_series([upright_sagittal_points()] * 3,
-                                frame_index=[4, 5, 6]), path)
-    lines = path.read_text().splitlines()
-    lines[3] = "4" + lines[3][1:]  # line 4 repeats the frame of line 2
-    path.write_text("\n".join(lines) + "\n")
+    # line 4 repeats the frame of line 2
+    path = rewritten_csv(tmp_path / "s.csv", lambda lines: [*lines[:3], "4" + lines[3][1:]])
     with pytest.raises(MalformedDocument, match=r"frame 4 appears twice \(line 2 and line 4\)"):
         pi.read_series_csv(path)
 
 
 def test_csv_rows_in_any_order_are_sorted(tmp_path):
-    path = tmp_path / "s.csv"
-    pi.write_series_csv(make_series([upright_sagittal_points(x) for x in (1.0, 2.0, 3.0)],
-                                frame_index=[4, 5, 6]), path)
-    header, *rows = path.read_text().splitlines()
-    path.write_text("\n".join([header, rows[2], rows[0], rows[1]]) + "\n")
+    path = rewritten_csv(tmp_path / "s.csv", lambda lines: [lines[0], lines[3], *lines[1:3]])
     series = pi.read_series_csv(path)
     assert series.frame_index.tolist() == [4, 5, 6]
     assert series.keypoints[:, pi.NECK, 0].tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_series_reports_offending_frame(tmp_path):
-    (tmp_path / "f_000.json").write_bytes(person_doc(flat_pose()))
+    write_frames(tmp_path, "f_000.json", "f_002.json")
     (tmp_path / "f_001.json").write_bytes(b"broken{")
-    (tmp_path / "f_002.json").write_bytes(person_doc(flat_pose()))
     with pytest.raises(SeriesParseError) as exc_info:
         pi.load_series(tmp_path)
     assert "f_001.json" in str(exc_info.value)
@@ -214,15 +214,12 @@ def test_csv_roundtrip_is_exact(tmp_path):
     series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(4))
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    back = pi.read_series_csv(path)
-    assert series_equal(series, back)
+    assert series_equal(series, pi.read_series_csv(path))
 
 
 def test_csv_two_rows(tmp_path):
-    series = make_series([upright_sagittal_points()] * 2)
-    path = tmp_path / "s.csv"
-    pi.write_series_csv(series, path)
-    assert len(pi.read_series_csv(path)) == 2
+    pi.write_series_csv(make_series([upright_sagittal_points()] * 2), tmp_path / "s.csv")
+    assert len(pi.read_series_csv(tmp_path / "s.csv")) == 2
 
 
 def test_csv_bad_header(tmp_path):
@@ -251,8 +248,7 @@ def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
 def test_openpose_emission_roundtrip(tmp_path):
     series = make_series([upright_sagittal_points()] * 3)
     pi.write_series_openpose(series, tmp_path)
-    back = pi.load_series(tmp_path)
-    assert series_equal(series, back)
+    assert series_equal(series, pi.load_series(tmp_path))
 
 
 def test_openpose_emission_refuses_a_negative_frame(tmp_path):
@@ -290,10 +286,15 @@ def test_interior_gap_filled_with_linear_midpoint():
     assert not pi.undetected(out.keypoints[1, pi.R_KNEE])
 
 
-def test_low_confidence_treated_as_missing_then_interpolated():
+def knee_confidence_gated(confidence: float):
+    """preprocess_report at threshold 0.4 of a series whose frame-2 knee has ``confidence``."""
     series = sagittal_gap_series([])
-    series.keypoints[2, pi.R_KNEE, 2] = 0.3
-    out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.4)
+    series.keypoints[2, pi.R_KNEE, 2] = confidence
+    return pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.4)
+
+
+def test_low_confidence_treated_as_missing_then_interpolated():
+    out, stats = knee_confidence_gated(0.3)
     assert stats.values_gated == 1
     assert stats.values_interpolated == 1
     knee = out.keypoints[2, pi.R_KNEE]
@@ -301,10 +302,7 @@ def test_low_confidence_treated_as_missing_then_interpolated():
 
 
 def test_confidence_equal_to_threshold_is_kept():
-    series = sagittal_gap_series([])
-    series.keypoints[2, pi.R_KNEE, 2] = 0.4
-    out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.4)
-    assert stats.values_gated == 0
+    assert knee_confidence_gated(0.4)[1].values_gated == 0
 
 
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from aclrisk import motion_synth
+from aclrisk import assessment, motion_synth
 from aclrisk import kinematics as kin
+from aclrisk import pose_ingest as pi
 from aclrisk import scoring
+from aclrisk.config import RunConfig
 from aclrisk.errors import InvalidGrade, OutOfRange
 
 SQRT3_2 = math.sqrt(3) / 2
@@ -59,10 +61,9 @@ def test_grade_distance_boundaries(d, expected):
 
 @pytest.mark.parametrize("bad", [-1.0001, 1.0001, float("nan"), 2.0])
 def test_cosine_graders_reject_out_of_range(bad):
-    with pytest.raises(OutOfRange):
-        scoring.grade_cosine_sagittal(bad)
-    with pytest.raises(OutOfRange):
-        scoring.grade_cosine_frontal(bad)
+    for grade in (scoring.grade_cosine_sagittal, scoring.grade_cosine_frontal):
+        with pytest.raises(OutOfRange):
+            grade(bad)
 
 
 def test_grade_distance_rejects_negative():
@@ -123,10 +124,8 @@ def features_for(p1, p2, s4, d1, d2, shoulder=110.0):
 
 
 def test_grade_all_best_and_worst_cases():
-    best = scoring.grade_all(*features_for(0.0, 0.0, -1.0, 0.0, 0.0))
-    assert tuple(best) == (9, 9, 9, 9, 9)
-    worst = scoring.grade_all(*features_for(-1.0, -1.0, 1.0, 60.0, 60.0))
-    assert tuple(worst) == (1, 1, 1, 1, 1)
+    assert tuple(scoring.grade_all(*features_for(0.0, 0.0, -1.0, 0.0, 0.0))) == (9, 9, 9, 9, 9)
+    assert tuple(scoring.grade_all(*features_for(-1.0, -1.0, 1.0, 60.0, 60.0))) == (1, 1, 1, 1, 1)
 
 
 def test_grade_all_mixed_synthetic_trial():
@@ -142,13 +141,21 @@ def test_grade_all_mixed_synthetic_trial():
     assert tuple(grades) == (5, 5, 9, 5, 9)
 
 
-def test_grade_all_shoulder_normalization():
+def test_grade_all_shoulder_normalization(tmp_path, csv_trials):
     sag, fro = features_for(0.0, 0.0, -1.0, d1=55.0, d2=11.0, shoulder=110.0)
     cfg = scoring.ThresholdConfig(distance_lo=0.25, distance_hi=0.75,
                                   normalize_by_shoulder=True)
     grades = scoring.grade_all(sag, fro, cfg)
     # d1/shoulder = 0.5 -> good, d2/shoulder = 0.1 -> excellent
     assert grades.x4 == 5 and grades.x5 == 9
+    # shoulders on one point: a zero mean width cannot normalize, and the trial fails at grade
+    sag, fro = csv_trials[300]
+    frontal = pi.read_series_csv(fro)
+    frontal.keypoints[:, pi.R_SHOULDER] = frontal.keypoints[:, pi.L_SHOULDER]
+    pi.write_series_csv(frontal, tmp_path / "f.csv")
+    with pytest.raises(OutOfRange, match="mean shoulder width is zero") as exc_info:
+        assessment.assess_trial(sag, tmp_path / "f.csv", RunConfig(thresholds=cfg))
+    assert exc_info.value.stage == "grade"
 
 
 @pytest.mark.parametrize("grade, label", [(9, "excellent"), (5, "good"), (1, "poor")])
@@ -163,9 +170,9 @@ def test_grade_label_rejects_other_values(bad):
 
 
 def test_threshold_config_validation():
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(cosine_lo=-0.2, cosine_hi=-0.5)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(distance_lo=50.0, distance_hi=30.0)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(distance_lo=0.0)
+    for bad in ({"cosine_lo": -0.2, "cosine_hi": -0.5}, {"cosine_lo": -0.5, "cosine_hi": -0.5},
+                {"distance_lo": 50.0, "distance_hi": 30.0},
+                {"distance_lo": 30.0, "distance_hi": 30.0}, {"distance_lo": 0.0}):
+        with pytest.raises(ValueError):
+            scoring.ThresholdConfig(**bad)
+    scoring.ThresholdConfig(cosine_lo=-1.0, cosine_hi=1.0)  # both ends of [-1, 1] are allowed
