@@ -35,18 +35,22 @@ def test_default_matrices_validate():
 
 
 def test_reciprocity_violation_located(monkeypatch):
-    [violation] = ahp.validate(np.array([[1.0, 2.0], [1.0, 1.0]]))
-    assert "(0,1)" in violation
+    mat = np.array([[1.0, 2.0], [1.0, 1.0]])
+    violations = ahp.validate(mat)
+    assert len(violations) == 1
+    assert "(0,1)" in violations[0]
     monkeypatch.setattr(ahp, "RECIPROCITY_TOL", 0.5)  # a product exactly at the tolerance passes
     assert ahp.validate([[1, 1.5], [1, 1]]) == []
 
 
 def test_diagonal_violation():
-    assert any("diagonal" in v for v in ahp.validate(np.array([[2.0, 1.0], [1.0, 1.0]])))
+    mat = np.array([[2.0, 1.0], [1.0, 1.0]])
+    assert any("diagonal" in v for v in ahp.validate(mat))
 
 
 def test_nonpositive_entry_violation():
-    assert any("positive" in v for v in ahp.validate(np.array([[1.0, -2.0], [-0.5, 1.0]])))
+    mat = np.array([[1.0, -2.0], [-0.5, 1.0]])
+    assert any("positive" in v for v in ahp.validate(mat))
     # a zero entry is one violation, and its pair is not also a reciprocity violation
     assert ahp.validate([[1, 0], [1, 1]]) == ["entry (0,1) must be positive, got 0"]
     assert ahp.validate([[1, 1], [0, 1]]) == ["entry (1,0) must be positive, got 0"]
@@ -75,9 +79,12 @@ def test_weights_refuse_invalid_matrix():
 def test_parse_matrix_accepts_fraction_literals():
     mat = ahp.parse_matrix([["1", "1/3"], ["3", "1"]])
     assert mat[0, 1] == pytest.approx(1 / 3, abs=1e-15)
-    for bad in ([[1, 2, 3], [4, 5, 6]], [["1", "x/y"], ["1", "1"]], [[1, 10**400], [1, 1]]):
-        with pytest.raises(InvalidMatrix):
-            ahp.parse_matrix(bad)
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix([["1", "x/y"], ["1", "1"]])
+    with pytest.raises(InvalidMatrix):
+        ahp.parse_matrix([[1, 10**400], [1, 1]])
 
 
 @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400", "1e10000000", "1/0"])
@@ -178,7 +185,8 @@ def test_consistency_of_five_index_matrix(monkeypatch):
 
 
 def test_consistency_of_two_level_matrix():
-    report = ahp.consistency(TWO_LEVEL_MATRIX, ahp.weights_sum_method(TWO_LEVEL_MATRIX))
+    weights = ahp.weights_sum_method(TWO_LEVEL_MATRIX)
+    report = ahp.consistency(TWO_LEVEL_MATRIX, weights)
     assert report.lambda_max == pytest.approx(2.0, abs=1e-9)
     assert report.ci == 0.0
     assert report.cr == 0.0
@@ -186,7 +194,8 @@ def test_consistency_of_two_level_matrix():
 
 
 def test_consistency_of_uniform_matrix():
-    report = ahp.consistency(np.ones((3, 3)), np.full(3, 1 / 3))
+    mat = np.ones((3, 3))
+    report = ahp.consistency(mat, np.full(3, 1 / 3))
     assert report.lambda_max == pytest.approx(3.0, abs=1e-12)
     assert report.ci == pytest.approx(0.0, abs=1e-12)
     assert report.cr == pytest.approx(0.0, abs=1e-12)
@@ -195,9 +204,10 @@ def test_consistency_of_uniform_matrix():
 
 
 def test_consistency_order_mismatch():
-    for matrix, weights in ((FIVE_INDEX_MATRIX, np.ones(3) / 3), (TWO_LEVEL_MATRIX, [1.0, 0.0])):
-        with pytest.raises(OrderMismatch):
-            ahp.consistency(matrix, weights)
+    with pytest.raises(OrderMismatch):
+        ahp.consistency(FIVE_INDEX_MATRIX, np.ones(3) / 3)
+    with pytest.raises(OrderMismatch):
+        ahp.consistency(TWO_LEVEL_MATRIX, np.array([1.0, 0.0]))
 
 
 # -- aggregation -----------------------------------------------------------------
@@ -312,7 +322,10 @@ def test_hierarchical_weights_combine_levels():
 
 
 def test_hierarchical_weights_bad_groups():
-    for criterion_w, groups in (([0.5, 0.5], [[0, 1], [1, 2, 3, 4]]),
-                                ([0.5, 0.5], [[0, 1], [2, 3]]), ([1.0], [[0, 1], [2, 3, 4]])):
-        with pytest.raises(OrderMismatch):
-            ahp.hierarchical_weights(criterion_w, groups, np.ones(5) / 5)
+    index_w = np.ones(5) / 5
+    with pytest.raises(OrderMismatch):
+        ahp.hierarchical_weights([0.5, 0.5], [[0, 1], [1, 2, 3, 4]], index_w)
+    with pytest.raises(OrderMismatch):
+        ahp.hierarchical_weights([0.5, 0.5], [[0, 1], [2, 3]], index_w)
+    with pytest.raises(OrderMismatch):
+        ahp.hierarchical_weights([1.0], [[0, 1], [2, 3, 4]], index_w)

@@ -48,7 +48,8 @@ def assert_fails(args, capsys, start: str = "error: MalformedDocument:") -> str:
     rc = cli.main(args)
     captured = capsys.readouterr()
     assert (rc, captured.out) == (1, "")
-    assert captured.err.startswith(start) and captured.err.count("\n") == 1
+    assert captured.err.startswith(start)
+    assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
     return captured.err
 
@@ -80,9 +81,8 @@ def test_assess_inconsistent_matrix_fails_without_force(tmp_path, trial, capsys)
     cr = ((lam - n) / (n - 1)) / 1.12
     assert cr >= 0.1
 
-    args = assess(trial, "--config", write_json(tmp_path / "cfg.json",
-                                                {"judgment_matrix": INCONSISTENT_MATRIX}),
-                  "--report", str(tmp_path / "r.json"))
+    config = write_json(tmp_path / "cfg.json", {"judgment_matrix": INCONSISTENT_MATRIX})
+    args = assess(trial, "--config", config, "--report", str(tmp_path / "r.json"))
     assert_fails(args, capsys, "error: ConsistencyFailure:")
     assert cli.main([*args, "--force"]) == 0
 
@@ -114,8 +114,9 @@ def test_assess_corrupt_openpose_frame_exits_one_without_traceback(tmp_path, tri
                                                                    content):
     frame = sorted(Path(trial[0]).iterdir())[5]
     frame.write_bytes(content)
-    assert frame.name in assert_fails(assess(trial, "--report", str(tmp_path / "r.json")),
-                                      capsys, "error: SeriesParseError: [ingest]")
+    err = assert_fails(assess(trial, "--report", str(tmp_path / "r.json")), capsys,
+                       "error: SeriesParseError: [ingest]")
+    assert frame.name in err
 
 
 def test_assess_an_empty_first_openpose_frame_exits_zero(tmp_path, trial, capsys):
@@ -195,7 +196,8 @@ def test_a_refused_config_fails_assess_and_batch_once_before_any_input_is_read(
         args += ["--sagittal", missing, "--frontal", missing]
     else:
         args += ["--trials", trials_file(tmp_path, [(n, (missing, missing)) for n in (1, 2)])]
-    assert "ingest" not in assert_fails([command, *args], capsys, f"error: {error}: ")
+    err = assert_fails([command, *args], capsys, f"error: {error}: ")
+    assert "ingest" not in err
 
 
 def test_assess_reruns_are_byte_identical(tmp_path, trial):
@@ -327,16 +329,19 @@ def test_synth_output_assesses_to_ground_truth_grades(tmp_path, capsys):
     assert cli.main(assess((str(out / "sagittal"), str(out / "frontal")),
                            "--report", str(report_path))) == 0
     grades = json.loads(report_path.read_text())["grades"]
-    assert tuple(grades[f"x{i}"] for i in range(1, 6)) == expected
+    assert (grades["x1"], grades["x2"], grades["x3"], grades["x4"], grades["x5"]) == expected
 
 
 # -- batch ------------------------------------------------------------------------
 
 
 def test_batch_summary_and_reports(tmp_path, trial):
-    out, summary = tmp_path / "reports", tmp_path / "summary.csv"
-    assert cli.main(["batch", "--trials", trials_file(tmp_path, [(1, trial), (2, trial)]),
-                     "--out", str(out), "--summary", str(summary)]) == 0
+    trials = trials_file(tmp_path, [(1, trial), (2, trial)])
+    out = tmp_path / "reports"
+    summary = tmp_path / "summary.csv"
+    rc = cli.main(["batch", "--trials", trials, "--out", str(out),
+                   "--summary", str(summary)])
+    assert rc == 0
     lines = summary.read_text().splitlines()
     assert lines[0] == "number,x1,x2,x3,x4,x5,total"
     assert len(lines) == 3
@@ -354,8 +359,8 @@ def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path, trial, capsys):
 def test_batch_refuses_a_repeated_trial_number(tmp_path, trial, capsys):
     trials = trials_file(tmp_path, [(n, trial) for n in (1, 2, 1)])
     out = tmp_path / "reports"
-    assert assert_fails(["batch", "--trials", trials, "--out", str(out)], capsys) == (
-        "error: MalformedDocument: trials entries 0 and 2 both have number 1\n")
+    err = assert_fails(["batch", "--trials", trials, "--out", str(out)], capsys)
+    assert err == "error: MalformedDocument: trials entries 0 and 2 both have number 1\n"
     assert not out.exists()
 
 
@@ -446,7 +451,8 @@ def test_bad_trials_entry_exits_one_without_traceback(tmp_path, trial, capsys, e
     if isinstance(entries, list):  # a good trial first: the whole file is refused
         entries = [{"number": 1, "sagittal": trial[0], "frontal": trial[1]}, *entries]
     trials = write_json(tmp_path / "trials.json", entries)
-    assert len(assert_fails(["batch", "--trials", trials], capsys)) < 300
+    err = assert_fails(["batch", "--trials", trials], capsys)
+    assert len(err) < 300
 
 
 @pytest.mark.parametrize("script", [
@@ -488,7 +494,8 @@ LONG_INPUTS = {  # the arguments of a command whose input holds one 5000-charact
 
 @pytest.mark.parametrize("make_args", LONG_INPUTS.values(), ids=LONG_INPUTS.keys())
 def test_an_error_line_cuts_a_long_input_value(tmp_path, trial, capsys, make_args):
-    assert len(assert_fails(make_args(tmp_path, *trial), capsys, "error: ")) < 300
+    err = assert_fails(make_args(tmp_path, *trial), capsys, "error: ")
+    assert len(err) < 300
 
 
 def test_an_error_line_names_five_failing_lines_and_counts_the_rest(tmp_path, capsys):

@@ -31,15 +31,18 @@ def cosine_between(u, v) -> float:
     ((1, 0), (0, 1), 0.0),
     ((3, 4), (6, 8), 1.0),
     ((1, 0), (-1, 0), -1.0),
+    ((1e-9, 0), (1, 0), 1.0),  # a vector exactly DEGENERACY_EPSILON long is kept
+    ((1, 0), (1e-9, 0), 1.0),
 ])
 def test_cosine_between_basic(u, v, expected):
     assert cosine_between(u, v) == pytest.approx(expected, abs=1e-12)
 
 
 def test_cosine_between_degenerate_vector():
-    for u, v in (((0, 0), (1, 1)), ((1, 1), (1e-12, 0))):
-        with pytest.raises(DegenerateVector):
-            cosine_between(u, v)
+    with pytest.raises(DegenerateVector):
+        cosine_between((0, 0), (1, 1))
+    with pytest.raises(DegenerateVector):
+        cosine_between((1, 1), (1e-12, 0))
 
 
 def test_cosine_between_stays_clamped():
@@ -56,7 +59,8 @@ def test_cosine_between_stays_clamped():
 
 
 def test_straight_leg_gives_minus_one():
-    feats = kin.extract_sagittal(make_series([upright_sagittal_points()] * 4))
+    series = make_series([upright_sagittal_points()] * 4)
+    feats = kin.extract_sagittal(series)
     assert feats.p1 == pytest.approx(-1.0, abs=1e-12)
     assert feats.p2 == pytest.approx(-1.0, abs=1e-12)
 
@@ -99,13 +103,15 @@ def test_mirrored_left_side_extraction():
         pi.L_KNEE: (300.0, 450.0),
         pi.L_ANKLE: (300.0, 600.0),
     }
-    feats = kin.extract_sagittal(make_series([points]), side="left")
+    series = make_series([points])
+    feats = kin.extract_sagittal(series, side="left")
     assert feats.p1 == pytest.approx(-1.0)
 
 
 def test_an_unknown_side_is_refused():
+    series = make_series([upright_sagittal_points()])
     with pytest.raises(KeyError):
-        kin.extract_sagittal(make_series([upright_sagittal_points()]), side="up")
+        kin.extract_sagittal(series, side="up")
 
 
 # -- frontal extraction -----------------------------------------------------
@@ -114,7 +120,8 @@ def test_an_unknown_side_is_refused():
 def test_frontal_width_differences_on_constant_frame():
     points = upright_frontal_points(ankle_width=110.0, knee_width=100.0,
                                     shoulder_width=110.0)
-    feats = kin.extract_frontal(make_series([points] * 3))
+    series = make_series([points] * 3)
+    feats = kin.extract_frontal(series)
     assert feats.d1 == pytest.approx(10.0, abs=1e-9)
     assert feats.d2 == pytest.approx(0.0, abs=1e-9)
 
@@ -260,5 +267,6 @@ def test_ascending_trajectory_has_no_touchdown():
 
 
 def test_empty_window_slice_raises():
+    series = make_series([upright_sagittal_points()])
     with pytest.raises(WindowEmpty):
-        kin.extract_sagittal(make_series([upright_sagittal_points()]), window=(3, 2))
+        kin.extract_sagittal(series, window=(3, 2))

@@ -93,7 +93,8 @@ def test_parse_empty_people_is_undetected(tmp_path):
 def test_parse_two_people_best_policy_picks_higher_confidence(tmp_path):
     low = flat_pose(x0=10.0, confidence=0.5)
     high = flat_pose(x0=500.0, confidence=0.9)
-    assert load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)[0, 0] == 500.0
+    kp = load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)
+    assert kp[0, 0] == 500.0
 
 
 def test_best_policy_means_over_detected_keypoints_only(tmp_path):
@@ -103,7 +104,8 @@ def test_best_policy_means_over_detected_keypoints_only(tmp_path):
     partial = flat_pose(x0=500.0, confidence=0.9)
     for i in range(10, 25):
         partial[3 * i:3 * i + 3] = [0.0, 0.0, 0.0]
-    assert load_frame(tmp_path, person_doc(full, partial))[0, 0] == 500.0
+    kp = load_frame(tmp_path, person_doc(full, partial))
+    assert kp[0, 0] == 500.0
 
 
 def test_parse_two_people_strict_policy_raises(tmp_path):
@@ -214,12 +216,15 @@ def test_csv_roundtrip_is_exact(tmp_path):
     series = pi.KeypointSeries(keypoints=kp, frame_index=np.arange(4))
     path = tmp_path / "series.csv"
     pi.write_series_csv(series, path)
-    assert series_equal(series, pi.read_series_csv(path))
+    back = pi.read_series_csv(path)
+    assert series_equal(series, back)
 
 
 def test_csv_two_rows(tmp_path):
-    pi.write_series_csv(make_series([upright_sagittal_points()] * 2), tmp_path / "s.csv")
-    assert len(pi.read_series_csv(tmp_path / "s.csv")) == 2
+    series = make_series([upright_sagittal_points()] * 2)
+    path = tmp_path / "s.csv"
+    pi.write_series_csv(series, path)
+    assert len(pi.read_series_csv(path)) == 2
 
 
 def test_csv_bad_header(tmp_path):
@@ -248,7 +253,8 @@ def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
 def test_openpose_emission_roundtrip(tmp_path):
     series = make_series([upright_sagittal_points()] * 3)
     pi.write_series_openpose(series, tmp_path)
-    assert series_equal(series, pi.load_series(tmp_path))
+    back = pi.load_series(tmp_path)
+    assert series_equal(series, back)
 
 
 def test_openpose_emission_refuses_a_negative_frame(tmp_path):
@@ -302,7 +308,8 @@ def test_low_confidence_treated_as_missing_then_interpolated():
 
 
 def test_confidence_equal_to_threshold_is_kept():
-    assert knee_confidence_gated(0.4)[1].values_gated == 0
+    out, stats = knee_confidence_gated(0.4)
+    assert stats.values_gated == 0
 
 
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():

@@ -61,9 +61,10 @@ def test_grade_distance_boundaries(d, expected):
 
 @pytest.mark.parametrize("bad", [-1.0001, 1.0001, float("nan"), 2.0])
 def test_cosine_graders_reject_out_of_range(bad):
-    for grade in (scoring.grade_cosine_sagittal, scoring.grade_cosine_frontal):
-        with pytest.raises(OutOfRange):
-            grade(bad)
+    with pytest.raises(OutOfRange):
+        scoring.grade_cosine_sagittal(bad)
+    with pytest.raises(OutOfRange):
+        scoring.grade_cosine_frontal(bad)
 
 
 def test_grade_distance_rejects_negative():
@@ -124,8 +125,10 @@ def features_for(p1, p2, s4, d1, d2, shoulder=110.0):
 
 
 def test_grade_all_best_and_worst_cases():
-    assert tuple(scoring.grade_all(*features_for(0.0, 0.0, -1.0, 0.0, 0.0))) == (9, 9, 9, 9, 9)
-    assert tuple(scoring.grade_all(*features_for(-1.0, -1.0, 1.0, 60.0, 60.0))) == (1, 1, 1, 1, 1)
+    best = scoring.grade_all(*features_for(0.0, 0.0, -1.0, 0.0, 0.0))
+    assert tuple(best) == (9, 9, 9, 9, 9)
+    worst = scoring.grade_all(*features_for(-1.0, -1.0, 1.0, 60.0, 60.0))
+    assert tuple(worst) == (1, 1, 1, 1, 1)
 
 
 def test_grade_all_mixed_synthetic_trial():
@@ -170,9 +173,14 @@ def test_grade_label_rejects_other_values(bad):
 
 
 def test_threshold_config_validation():
-    for bad in ({"cosine_lo": -0.2, "cosine_hi": -0.5}, {"cosine_lo": -0.5, "cosine_hi": -0.5},
-                {"distance_lo": 50.0, "distance_hi": 30.0},
-                {"distance_lo": 30.0, "distance_hi": 30.0}, {"distance_lo": 0.0}):
-        with pytest.raises(ValueError):
-            scoring.ThresholdConfig(**bad)
+    with pytest.raises(ValueError):
+        scoring.ThresholdConfig(cosine_lo=-0.2, cosine_hi=-0.5)
+    with pytest.raises(ValueError):
+        scoring.ThresholdConfig(cosine_lo=-0.5, cosine_hi=-0.5)
+    with pytest.raises(ValueError):
+        scoring.ThresholdConfig(distance_lo=50.0, distance_hi=30.0)
+    with pytest.raises(ValueError):
+        scoring.ThresholdConfig(distance_lo=30.0, distance_hi=30.0)
+    with pytest.raises(ValueError):
+        scoring.ThresholdConfig(distance_lo=0.0)
     scoring.ThresholdConfig(cosine_lo=-1.0, cosine_hi=1.0)  # both ends of [-1, 1] are allowed

@@ -43,8 +43,6 @@ OPERATORS = {
 # Mutants that no input can tell from the code, by module:line:column:old→new
 EQUIVALENT = {
     "kinematics.py:65:34:-→+": "a full window ends at len + 1; every slice clips at the end",
-    "kinematics.py:77:15:<→<=": "differs only at a vector length of exactly 1e-9 px",
-    "kinematics.py:77:43:<→<=": "differs only at a vector length of exactly 1e-9 px",
     "kinematics.py:173:17:-→+": "a landing window ends past the last row; every slice clips",
 }
 
@@ -117,25 +115,15 @@ def run_suite(mutant: Mutant | None, extra: list[str], timeout: float) -> tuple[
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="*", help="module file names (default: all nine)")
-    parser.add_argument("--list", action="store_true", help="print the mutants, run none")
-    parser.add_argument("--timeout", type=float,
-                        help="seconds per run (default: 3 x the unmutated suite's time)")
-    argv = list(sys.argv[1:] if argv is None else argv)
-    split = argv.index("--") if "--" in argv else len(argv)
-    args, extra = parser.parse_args(argv[:split]), argv[split + 1:]
-    names = args.modules or sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-    if missing := [n for n in names if not (PACKAGE / n).is_file()]:
-        parser.error(f"no such module: {', '.join(missing)}")
+    parser.add_argument("pytest_args", nargs="*", help="arguments for every pytest run, after --")
+    extra = parser.parse_args(argv).pytest_args
+    names = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     mutants = [m for n in names for m in enumerate_mutants(PACKAGE / n)]
-    if args.list:
-        print("\n".join(m.key + ("  (equivalent)" if m.key in EQUIVALENT else "") for m in mutants))
-        return 0
 
     outcome, seconds = run_suite(None, extra, timeout=3600.0)
     if outcome != "survived":
         sys.exit("the unmutated suite fails: mend it or the pytest arguments first")
-    timeout = args.timeout or 3.0 * seconds
+    timeout = 3.0 * seconds
     print(f"unmutated suite: {seconds:.1f} s; timeout {timeout:.0f} s", file=sys.stderr)
     todo = [m for m in mutants if m.key not in EQUIVALENT]
     results: dict[str, str] = {}
