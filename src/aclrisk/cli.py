@@ -74,12 +74,7 @@ def cmd_assess(args: argparse.Namespace) -> int:
 
 
 def cmd_ahp(args: argparse.Namespace) -> int:
-    matrix = ahp.parse_matrix(_read_json(args.matrix))
-    violations = ahp.validate(matrix)
-    if violations:
-        for v in violations:
-            sys.stderr.write(f"invalid matrix: {v}\n")
-        return 1
+    matrix = ahp.check_matrix(ahp.parse_matrix(_read_json(args.matrix)))
     weights, report = ahp.derive_weights(matrix, geometric=args.method == "geometric")
     print("weights:", " ".join(f"{w:.6f}" for w in weights))
     print(f"lambda_max: {report.lambda_max:.6f}")

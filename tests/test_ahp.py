@@ -16,9 +16,6 @@ from conftest import CRITERION_MATRIX as TWO_LEVEL_MATRIX
 
 FIVE_INDEX_MATRIX = ahp.DEFAULT_INDEX_MATRIX
 
-# Weight vector the five-index matrix is documented to produce (sum method).
-EXPECTED_WEIGHTS = (0.4267, 0.2574, 0.1602, 0.0886, 0.0671)
-
 
 def consistent_matrix(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
@@ -129,12 +126,6 @@ def test_parse_matrix_string_cell_is_its_exact_value_rounded(text):
 # -- weight derivations --------------------------------------------------------
 
 
-def test_sum_method_reproduces_documented_weights():
-    weights = ahp.weights_sum_method(FIVE_INDEX_MATRIX)
-    for got, want in zip(weights, EXPECTED_WEIGHTS):
-        assert got == pytest.approx(want, abs=5e-4)
-
-
 def test_sum_method_two_level_weight_multiset():
     weights = ahp.weights_sum_method(TWO_LEVEL_MATRIX)
     assert sorted(weights) == pytest.approx([0.25, 0.75], abs=1e-9)
@@ -182,15 +173,6 @@ def test_consistency_of_five_index_matrix(monkeypatch):
     assert report.passed
     monkeypatch.setattr(ahp, "CONSISTENCY_THRESHOLD", report.cr)  # the paper's rule is CR < 0.1
     assert not ahp.consistency(FIVE_INDEX_MATRIX, weights).passed
-
-
-def test_consistency_of_two_level_matrix():
-    weights = ahp.weights_sum_method(TWO_LEVEL_MATRIX)
-    report = ahp.consistency(TWO_LEVEL_MATRIX, weights)
-    assert report.lambda_max == pytest.approx(2.0, abs=1e-9)
-    assert report.ci == 0.0
-    assert report.cr == 0.0
-    assert report.passed
 
 
 def test_consistency_of_uniform_matrix():

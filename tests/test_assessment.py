@@ -249,13 +249,22 @@ def test_thresholds_changed_after_they_were_made_are_checked_again():
 
 
 def test_json_numbers_take_the_type_of_their_field():
-    cfg = config_from_dict({"confidence_threshold": 0, "max_gap": 5.0,
-                            "weights": [1, 1, 1, 1, 1], **HIERARCHY,
+    # the largest int a float holds exactly becomes that float
+    cfg = config_from_dict({"confidence_threshold": 0, "max_gap": 0.0,
+                            "weights": [int(sys.float_info.max), 1, 1, 1, 1], **HIERARCHY,
                             "criterion_groups": [[0.0, 1], [2, 3, 4.0]]})
     assert type(cfg.confidence_threshold) is float and type(cfg.max_gap) is int
     assert all(type(w) is float for w in cfg.weights)
     assert cfg.criterion_groups == [[0, 1], [2, 3, 4]]
     assert all(type(i) is int for group in cfg.criterion_groups for i in group)
+
+
+@pytest.mark.parametrize("data", [
+    {"confidence_threshold": 1},
+    {"weight_source": "explicit", "weights": [0, 1, 1, 1, 1]},
+])
+def test_values_at_their_bounds_are_accepted(data):
+    config_from_dict(data)
 
 
 @pytest.mark.parametrize("make, match", [
@@ -331,14 +340,6 @@ def test_report_total_recomputes_from_own_fields(tmp_path):
     recomputed = ahp.aggregate(list(report.grade_vector()),
                                report.weights["values"])
     assert abs(report.total - recomputed) < 1e-9
-
-
-def test_reports_are_byte_identical_across_runs(tmp_path):
-    sag, fro, _ = write_trial(tmp_path, excellent_script())
-    cfg = compat_config()
-    a = assessment.emit_report(assessment.assess_trial(sag, fro, cfg), "json")
-    b = assessment.emit_report(assessment.assess_trial(sag, fro, cfg), "json")
-    assert a == b
 
 
 def test_config_snapshot_reproduces_run(tmp_path):
@@ -750,8 +751,10 @@ def recording_pids(monkeypatch, directory: Path) -> None:
     monkeypatch.setattr(assessment, "assess_trial", recorded)
 
 
-# a map forks: of two items, one goes to a child
-forks = pytest.mark.skipif(assessment._worker_count(2) < 2,
+# a map forks: of two items, one goes to a child. The marker reads the platform, never the
+# code under test, so a fault that stops every fork fails these tests instead of skipping them.
+CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+forks = pytest.mark.skipif(not hasattr(os, "fork") or sys.platform == "darwin" or CPUS < 2,
                            reason="needs fork and 2 usable CPUs")
 
 

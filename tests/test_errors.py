@@ -43,6 +43,10 @@ def test_a_stage_set_after_raising_survives_pickling():
     assert (str(copy), copy.violations) == ("[weights] not square", ["not square"])
 
 
+def test_a_message_of_160_characters_is_not_cut():
+    assert errors.cut(ValueError("x" * 160)) == "x" * 160
+
+
 def test_a_series_parse_error_names_five_failures_and_keeps_them_all():
     failures = [(f"frame_{i}.json", errors.MalformedDocument("bad")) for i in range(7)]
     whole = "; ".join(f"frame_{i}.json: bad" for i in range(5))

@@ -91,7 +91,9 @@ def test_generate_is_deterministic():
 
 def test_perturb_sigma_zero_is_identity():
     sagittal, _, _ = motion_synth.generate(motion_synth.MotionScript())
-    assert series_equal(motion_synth.perturb(sagittal, 0.0, seed=1), sagittal)
+    sagittal.keypoints[0, pi.NECK, 0] = -0.0  # adding a zero draw would give +0.0
+    copy = motion_synth.perturb(sagittal, 0.0, seed=1)
+    assert copy.keypoints.tobytes() == sagittal.keypoints.tobytes()
 
 
 def test_perturb_same_seed_twice():
@@ -132,7 +134,7 @@ def test_noisy_sixty_degree_knee_stays_near_half():
     {"peak_knee_flexion_deg": 171.0},
     {"peak_lateral_lean_deg": -5.0},
     {"thigh_length_px": 0.0},
-    {"stance_ankle_width_px": -10.0},
+    {"stance_ankle_width_px": 0.0},
     {"knee_offset_px": 200.0},
     {"n_frames": 1},
     {"fps": 0.0},
@@ -144,10 +146,21 @@ def test_noisy_sixty_degree_knee_stays_near_half():
     {"drop_height_px": 1e300},
     {"noise_sigma_px": motion_synth.MAX_PX * 1.01},
     {"knee_offset_px": -motion_synth.MAX_PX * 1.01},
+    {"shoulder_width_px": 0.0},
 ])
 def test_invalid_scripts_rejected(kwargs):
     with pytest.raises(InvalidScript):
         motion_synth.MotionScript(**kwargs).validate()
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"peak_knee_flexion_deg": 0.0, "peak_hip_flexion_deg": motion_synth.MAX_ANGLE_DEG},
+    {"knee_offset_px": 110.0},  # the stance width
+    {"n_frames": 2, "touchdown_frame": 1, "ramp_frames": 1},
+    {"n_frames": motion_synth.MAX_FRAMES},
+])
+def test_values_at_their_bounds_are_accepted(kwargs):
+    motion_synth.MotionScript(**kwargs).validate()
 
 
 def test_from_dict_rejects_unknown_fields():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -60,10 +61,10 @@ def frame_error(tmp_path, raw: bytes, policy: str = pi.POLICY_BEST) -> Exception
 def test_parse_single_person_roundtrip(tmp_path):
     flat = flat_pose()
     assert np.array_equal(load_frame(tmp_path, person_doc(flat)).ravel(), np.array(flat))
-    path = tmp_path / "frame_000000000007_keypoints.json"
+    path = tmp_path / "frame_9223372036854775807_keypoints.json"  # the largest int64
     path.write_bytes(person_doc(flat))
     series = pi.load_series(path)
-    assert series.frame_index.tolist() == [7]
+    assert series.frame_index.tolist() == [2**63 - 1]
     assert series.keypoints.shape == (1, 25, 3)
     assert not pi.undetected(series.keypoints).any()
     assert np.array_equal(series.keypoints.ravel(), np.array(flat))
@@ -90,24 +91,6 @@ def test_parse_empty_people_is_undetected(tmp_path):
         assert pi.undetected(load_frame(tmp_path, person_doc(), policy)).all()
 
 
-def test_parse_two_people_best_policy_picks_higher_confidence(tmp_path):
-    low = flat_pose(x0=10.0, confidence=0.5)
-    high = flat_pose(x0=500.0, confidence=0.9)
-    kp = load_frame(tmp_path, person_doc(low, high), policy=pi.POLICY_BEST)
-    assert kp[0, 0] == 500.0
-
-
-def test_best_policy_means_over_detected_keypoints_only(tmp_path):
-    # A: all 25 keypoints at 0.6; B: 10 detected at 0.9, rest missing.
-    # B's mean over detected keypoints wins even though its total is lower.
-    full = flat_pose(x0=10.0, confidence=0.6)
-    partial = flat_pose(x0=500.0, confidence=0.9)
-    for i in range(10, 25):
-        partial[3 * i:3 * i + 3] = [0.0, 0.0, 0.0]
-    kp = load_frame(tmp_path, person_doc(full, partial))
-    assert kp[0, 0] == 500.0
-
-
 def test_parse_two_people_strict_policy_raises(tmp_path):
     error = frame_error(tmp_path, person_doc(flat_pose(), flat_pose()), policy=pi.POLICY_STRICT)
     assert isinstance(error, AmbiguousPerson)
@@ -122,14 +105,6 @@ def test_parse_two_people_strict_policy_raises(tmp_path):
 ])
 def test_parse_malformed_documents(tmp_path, raw):
     assert isinstance(frame_error(tmp_path, raw), MalformedDocument)
-
-
-def test_parse_rejects_confidence_outside_unit_interval(tmp_path):
-    flat = flat_pose()
-    flat[2] = 1.5
-    error = frame_error(tmp_path, person_doc(flat))
-    assert isinstance(error, MalformedDocument)
-    assert str(error) == "confidence values must lie in [0, 1]"
 
 
 # -- series loading --------------------------------------------------------
@@ -227,13 +202,6 @@ def test_csv_two_rows(tmp_path):
     assert len(pi.read_series_csv(path)) == 2
 
 
-def test_csv_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("frame,x,y\n1,2,3\n")
-    with pytest.raises(MalformedDocument):
-        pi.read_series_csv(path)
-
-
 @pytest.mark.parametrize("body", [
     b"\xff\xfe not text\n",
     ",".join(pi._CSV_HEADER).encode() + b"\r\n0," + b"1" * 200_000 + b"\r\n",
@@ -248,6 +216,11 @@ def test_csv_undecodable_or_oversized_is_malformed(tmp_path, body):
     else:
         with pytest.raises(MalformedDocument):
             pi.read_series_csv(path)
+
+
+def test_a_series_refuses_a_repeated_frame():
+    with pytest.raises(ValueError, match="^frame_index must be strictly increasing"):
+        pi.KeypointSeries(np.zeros((2, 25, 3)), np.array([3, 3]))
 
 
 def test_openpose_emission_roundtrip(tmp_path):
@@ -283,15 +256,6 @@ def sagittal_gap_series(gap_frames: list[int], n: int = 7) -> pi.KeypointSeries:
     return series
 
 
-def test_interior_gap_filled_with_linear_midpoint():
-    series = sagittal_gap_series([1])
-    out = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
-    knee = out.keypoints[1, pi.R_KNEE]
-    assert knee[0] == pytest.approx(101.0, abs=1e-12)
-    assert knee[1] == pytest.approx(202.0, abs=1e-12)
-    assert not pi.undetected(out.keypoints[1, pi.R_KNEE])
-
-
 def knee_confidence_gated(confidence: float):
     """preprocess_report at threshold 0.4 of a series whose frame-2 knee has ``confidence``."""
     series = sagittal_gap_series([])
@@ -310,6 +274,13 @@ def test_low_confidence_treated_as_missing_then_interpolated():
 def test_confidence_equal_to_threshold_is_kept():
     out, stats = knee_confidence_gated(0.4)
     assert stats.values_gated == 0
+
+
+def test_a_tie_of_neighbour_confidences_repairs_to_the_left_one():
+    series = sagittal_gap_series([3])
+    series.keypoints[2, pi.R_KNEE, 2], series.keypoints[4, pi.R_KNEE, 2] = 0.0, -0.0
+    out = pi.preprocess_report(series, SAGITTAL_REQUIRED, confidence_threshold=0.0)[0]
+    assert math.copysign(1.0, out.keypoints[3, pi.R_KNEE, 2]) == 1.0
 
 
 def test_gap_at_max_gap_is_filled_but_one_longer_raises():
@@ -353,20 +324,6 @@ def random_series(rng: np.random.Generator) -> pi.KeypointSeries:
             kp[:, 2] = 1.0
         frames.append(kp)
     return pi.KeypointSeries(keypoints=np.stack(frames), frame_index=np.arange(n))
-
-
-def test_preprocess_idempotent_on_random_series():
-    rng = np.random.default_rng(42)
-    done = 0
-    while done < 25:
-        series = random_series(rng)
-        try:
-            once = pi.preprocess_report(series, SAGITTAL_REQUIRED)[0]
-        except GapTooLong:
-            continue
-        twice = pi.preprocess_report(once, SAGITTAL_REQUIRED)[0]
-        assert series_equal(once, twice)
-        done += 1
 
 
 def test_interpolated_coordinates_lie_between_neighbours():

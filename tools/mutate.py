@@ -44,6 +44,8 @@ OPERATORS = {
 EQUIVALENT = {
     "kinematics.py:65:34:-→+": "a full window ends at len + 1; every slice clips at the end",
     "kinematics.py:173:17:-→+": "a landing window ends past the last row; every slice clips",
+    "motion_synth.py:235:30:>→>=": "perturb at sigma 0 returns its series' values unchanged",
+    "pose_ingest.py:246:23:<=→<": "a frame number is a digit group or a position: never negative",
 }
 
 
