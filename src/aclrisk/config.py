@@ -58,10 +58,11 @@ class RunConfig:
         ConfigError, a matrix or grouping the AHP check refuses its InvalidMatrix or
         OrderMismatch."""
         _check_types(self, "")
-        try:  # the range rule of ThresholdConfig, also for a field set after it was made
-            self.thresholds.__post_init__()
-        except ValueError as exc:
-            raise ConfigError(f"bad thresholds section: {exc}") from exc
+        t = self.thresholds
+        if not -1.0 <= t.cosine_lo < t.cosine_hi <= 1.0:
+            raise ConfigError("bad thresholds section: need -1 <= cosine_lo < cosine_hi <= 1")
+        if not 0 < t.distance_lo < t.distance_hi:
+            raise ConfigError("bad thresholds section: need 0 < distance_lo < distance_hi")
         if self.weight_source not in WEIGHT_SOURCES:
             raise ConfigError(f"weight_source must be one of {WEIGHT_SOURCES}")
         if self.person_policy not in ("best", "strict"):
@@ -192,12 +193,8 @@ def _from_dict(cls, data, where: str, error: type[AclRiskError] = ConfigError):
     unknown = set(data) - {f.name for f in fields(cls)}
     if unknown:
         raise error(f"unknown {where} keys: {reprlib.repr(sorted(unknown))}")
-    values = {f.name: _typed(f.type.removesuffix(" | None"), data[f.name])
-              for f in fields(cls) if f.name in data}
-    try:
-        return cls(**values)
-    except (TypeError, ValueError) as exc:  # ThresholdConfig's range check; a string fails it too
-        raise error(f"bad {where} section: {exc}") from exc
+    return cls(**{f.name: _typed(f.type.removesuffix(" | None"), data[f.name])
+                  for f in fields(cls) if f.name in data})
 
 
 def config_from_dict(data: dict) -> RunConfig:

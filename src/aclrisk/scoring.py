@@ -43,12 +43,6 @@ class ThresholdConfig:
     distance_hi: float = 50.0
     normalize_by_shoulder: bool = False
 
-    def __post_init__(self):
-        if not -1.0 <= self.cosine_lo < self.cosine_hi <= 1.0:
-            raise ValueError("need -1 <= cosine_lo < cosine_hi <= 1")
-        if not 0 < self.distance_lo < self.distance_hi:
-            raise ValueError("need 0 < distance_lo < distance_hi")
-
 
 class GradeVector(NamedTuple):
     """Grades for (knee flexion, hip flexion, lateral alignment, knee-ankle

@@ -172,20 +172,15 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
 
 @pytest.mark.parametrize("data", [
     {"weight_source": "explicit", "weights": ["a", 1, 1, 1, 1]},
-    {"weight_source": "explicit", "weights": 5},
     {"criterion_groups": [["x"]]},
-    {"criterion_groups": [[math.inf]]},
     {"max_gap": math.inf},
-    {"window_duration_s": "nan", "window_mode": "landing"},
+    {"window_duration_s": math.nan, "window_mode": "landing"},
     {"window_duration_s": 0},
-    {"window_duration_s": "inf"},
     {"default_fps": "-1"},
-    {"default_fps": "nan"},
     {**HIERARCHY, "weight_source": "table5-compat"},
     {**HIERARCHY, "weight_source": "explicit", "weights": [0.2] * 5},
     {"thresholds": {"distance_hi": math.inf}},
     {"thresholds": {"cosine_lo": math.nan}},
-    {"thresholds": {"distance_lo": "-inf"}},
     {"thresholds": {"distance_lo": 10**400}},
     {"thresholds": {"distance_lo": None}},
     {"thresholds": {"distance_lo": 60.0}},  # not below distance_hi
@@ -206,13 +201,11 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"confidence_threshold": True},
     {"weight_source": "explicit", "weights": [True, 0, 0, 0, 0]},
     {"thresholds": {"distance_lo": True}},
-    {**HIERARCHY, "criterion_groups": [[0.9, 1], [2, 3, 4]]},
     # the landing window's frame count is window_duration_s * default_fps
     {"window_mode": "landing", "window_duration_s": 1e308, "default_fps": 30},
     # a value is the JSON type of its field: no string spells a boolean or a number
     {"thresholds": {"normalize_by_shoulder": "false"}},
     {"thresholds": {"normalize_by_shoulder": "on"}},
-    {"thresholds": {"distance_lo": "10", "distance_hi": 20}},
     {"max_gap": "5"},
     {"hierarchical": "off"},
     {"weight_source": "explicit", "weights": [0.25] * 4},  # one weight per index
@@ -271,7 +264,8 @@ def test_values_at_their_bounds_are_accepted(data):
     (lambda path: None, "^config file not found: "),
     (lambda path: path.write_text("[1, 2]"), "^config must be an object$"),
     (Path.mkdir, "^config file cannot be read: .*config.json: "),
-], ids=["missing", "not-an-object", "directory"])
+    (lambda path: path.write_bytes(b"\xff\xfe\x00{"), "^config file is not valid JSON: "),
+], ids=["missing", "not-an-object", "directory", "bad-encoding"])
 def test_a_config_file_that_is_missing_or_not_an_object_is_a_config_error(tmp_path, make,
                                                                           match):
     path = tmp_path / "config.json"
@@ -627,13 +621,6 @@ def test_batch_with_weighting_of_the_wrong_shape_fails_once_at_config(tmp_path, 
     assert_refused_once(tmp_path, fields, OrderMismatch, "config")
 
 
-def test_batch_fails_once_on_an_inconsistent_matrix(tmp_path):
-    trials = assert_refused_once(tmp_path, INCONSISTENT, ConsistencyFailure, "weights")
-    result = assessment.assess_batch(trials, RunConfig(**INCONSISTENT, force=True))
-    assert [r.number for r in result.reports] == [1, 2, 3]
-    assert result.failures == []
-
-
 def test_a_batch_derives_its_weighting_once(tmp_path, monkeypatch):
     calls = counting_calls(monkeypatch, ahp, "consistency")
     result = assessment.assess_batch(excellent_batch(tmp_path, [1]), RunConfig())
@@ -666,13 +653,6 @@ INCONSISTENT_HIERARCHY = {
     "criterion_matrix": ahp.parse_matrix([[1, 9, "1/9"], ["1/9", 1, 9], [9, "1/9", 1]]),
     "criterion_groups": [[0, 1], [2], [3, 4]],
 }
-
-
-def test_an_inconsistent_criterion_matrix_fails_a_trial_at_weights(tmp_path):
-    missing = str(tmp_path / "missing")
-    with pytest.raises(ConsistencyFailure, match=r"criterion matrix CR = 6\.1303") as exc_info:
-        assessment.assess_trial(missing, missing, RunConfig(**INCONSISTENT_HIERARCHY))
-    assert exc_info.value.stage == "weights"
 
 
 def test_a_batch_fails_once_on_an_inconsistent_criterion_matrix(tmp_path):

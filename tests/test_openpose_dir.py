@@ -345,8 +345,9 @@ def test_every_mutation_class_is_rejected_alike(tmp_path):
         assert outcome(lambda: package_load(directory, pi.POLICY_BEST)) == expected, label
         accepted = label in ACCEPTED
         assert expected[0] == ("accepted" if accepted else "rejected"), label
-        if not accepted:
+        if not accepted:  # one line that names the frame, as the CLI's error line
             assert [fid for fid, _, _ in expected[3]] == ["frame_1.json"], label
+            assert "\n" not in expected[2] and "frame_1.json" in expected[2], label
 
 
 def test_files_that_are_not_frame_documents_are_ignored(tmp_path):

@@ -10,7 +10,7 @@ from aclrisk import assessment, motion_synth
 from aclrisk import kinematics as kin
 from aclrisk import pose_ingest as pi
 from aclrisk import scoring
-from aclrisk.config import RunConfig
+from aclrisk.config import ConfigError, RunConfig, config_from_dict
 from aclrisk.errors import InvalidGrade, OutOfRange
 
 SQRT3_2 = math.sqrt(3) / 2
@@ -173,14 +173,14 @@ def test_grade_label_rejects_other_values(bad):
 
 
 def test_threshold_config_validation():
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(cosine_lo=-0.2, cosine_hi=-0.5)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(cosine_lo=-0.5, cosine_hi=-0.5)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(distance_lo=50.0, distance_hi=30.0)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(distance_lo=30.0, distance_hi=30.0)
-    with pytest.raises(ValueError):
-        scoring.ThresholdConfig(distance_lo=0.0)
-    scoring.ThresholdConfig(cosine_lo=-1.0, cosine_hi=1.0)  # both ends of [-1, 1] are allowed
+    for bad in ({"cosine_lo": -0.2, "cosine_hi": -0.5}, {"cosine_lo": -0.5, "cosine_hi": -0.5},
+                {"distance_lo": 50.0, "distance_hi": 30.0},
+                {"distance_lo": 30.0, "distance_hi": 30.0}, {"distance_lo": 0.0}):
+        with pytest.raises(ConfigError, match="^bad thresholds section: need "):
+            RunConfig(thresholds=scoring.ThresholdConfig(**bad)).validate()
+    # both ends of [-1, 1] are allowed
+    RunConfig(thresholds=scoring.ThresholdConfig(cosine_lo=-1.0, cosine_hi=1.0)).validate()
+    # a value is checked as a number before the range rule compares it
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict({"thresholds": {"distance_lo": "10", "distance_hi": 20}})
+    assert str(exc_info.value) == "thresholds.distance_lo must be a finite number, got '10'"

@@ -3,10 +3,13 @@
 Each mutant is one operator change in one module of ``src/aclrisk``, written
 into a temporary copy of ``src/``, ``tests/`` and ``pyproject.toml``; the
 checkout is never written. The tier-1 suite runs there with ``-x -p
-no:cacheprovider --hypothesis-seed 0`` plus the arguments after ``--``. A run
-past the time limit is ended with its whole process group and counts as
-killed, by timeout. One JSON summary goes to stdout; its ``killed`` counts
-include the timeouts.
+no:cacheprovider --hypothesis-seed 0 --ignore=tests/test_mutate.py`` plus the
+arguments after ``--``. A run survives only when pytest exits 0 and its
+``--junitxml`` report exists and records no failure or error: a mutant can
+make the pytest process exit 0 from a forked child while the real run never
+finishes. A run past the time limit is ended with its whole process group and
+counts as killed, by timeout. One JSON summary goes to stdout; its ``killed``
+counts include the timeouts.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import xml.etree.ElementTree as ET
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from itertools import accumulate
@@ -30,7 +34,9 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "aclrisk"
-PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0"]
+# a mutant rewrites the operators that EQUIVALENT names: the test of that list is left out
+PYTEST = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--hypothesis-seed", "0",
+          "--ignore=tests/test_mutate.py"]
 
 # operator: (its symbol, then what it becomes: the neighbour before the negation)
 OPERATORS = {
@@ -45,7 +51,11 @@ EQUIVALENT = {
     "kinematics.py:65:34:-→+": "a full window ends at len + 1; every slice clips at the end",
     "kinematics.py:173:17:-→+": "a landing window ends past the last row; every slice clips",
     "motion_synth.py:235:30:>→>=": "perturb at sigma 0 returns its series' values unchanged",
+    "pose_ingest.py:149:56:-→+": "a start past the text fails raw_decode; json.loads gives the value",
+    "pose_ingest.py:236:34:<→<=": "only a trailing dot leaves the stem; a dot holds no digit",
+    "pose_ingest.py:236:46:-→+": "only a trailing dot leaves the stem; a dot holds no digit",
     "pose_ingest.py:246:23:<=→<": "a frame number is a digit group or a position: never negative",
+    "pose_ingest.py:365:25:>→>=": "one person through the several-person path keeps that person",
 }
 
 
@@ -82,6 +92,15 @@ def enumerate_mutants(path: Path) -> list[Mutant]:
     return sorted(mutants, key=lambda m: (m.offset, m.new))
 
 
+def passed_report(junit: Path) -> bool:
+    """Whether pytest's junit report exists and records no failure or error."""
+    try:
+        suites = ET.parse(junit).getroot().iter("testsuite")
+    except (OSError, ET.ParseError):
+        return False
+    return all(int(s.get("failures", 0)) + int(s.get("errors", 0)) == 0 for s in suites)
+
+
 def run_suite(mutant: Mutant | None, extra: list[str], timeout: float) -> tuple[str, float]:
     """('survived' | 'killed' | 'timeout', seconds) of one tier-1 run in a fresh copy."""
     with tempfile.TemporaryDirectory(prefix="aclrisk-mutant-") as tmp:
@@ -97,8 +116,10 @@ def run_suite(mutant: Mutant | None, extra: list[str], timeout: float) -> tuple[
             (work / "src" / "aclrisk" / mutant.module).write_bytes(
                 source[:mutant.offset] + mutant.new.encode() + source[end:])
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")
+        junit = work / "junit.xml"
         start = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *PYTEST, *extra], cwd=work, env=env,
+        proc = subprocess.Popen([sys.executable, *PYTEST, f"--junitxml={junit}", *extra],
+                                cwd=work, env=env,
                                 stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
                                 start_new_session=True)
         try:
@@ -111,7 +132,8 @@ def run_suite(mutant: Mutant | None, extra: list[str], timeout: float) -> tuple[
             except ProcessLookupError:
                 pass
             proc.wait()
-    outcome = "timeout" if code is None else "survived" if code == 0 else "killed"
+        passed = code == 0 and passed_report(junit)
+    outcome = "timeout" if code is None else "survived" if passed else "killed"
     return outcome, time.perf_counter() - start
 
 
