@@ -119,11 +119,6 @@ class GroundTruth:
         self.s4_peak = float(self.s4_trace.max())
 
 
-def _rot(angle_rad: float) -> np.ndarray:
-    c, s = math.cos(angle_rad), math.sin(angle_rad)
-    return np.array([[c, -s], [s, c]])
-
-
 def _ramp(script: MotionScript, peak_deg: float) -> np.ndarray:
     """Half-cosine ramp from 0 at touchdown to peak_deg, then held at peak."""
     t = np.arange(script.n_frames, dtype=float)
@@ -148,9 +143,19 @@ def _drop_offsets(script: MotionScript) -> np.ndarray:
     return h
 
 
-def _put(frame: np.ndarray, index: int, point: np.ndarray) -> None:
-    """Place one detected keypoint (confidence 1) into a (25, 3) frame."""
-    frame[index] = (point[0], point[1], 1.0)
+def _up(angle_rad: np.ndarray) -> np.ndarray:
+    """(n, 2) unit directions: straight up (image y grows down) turned by each angle."""
+    return np.column_stack([np.sin(angle_rad), -np.cos(angle_rad)])
+
+
+def _series(points: dict[int, np.ndarray]) -> pi.KeypointSeries:
+    """Each keypoint's (n, 2) track at confidence 1; every other keypoint stays
+    (0, 0, 0): undetected."""
+    tracks = np.stack(list(points.values()), axis=1)
+    keypoints = np.zeros((len(tracks), pi.N_KEYPOINTS, 3))
+    keypoints[:, list(points), :2] = tracks
+    keypoints[:, list(points), 2] = 1.0
+    return pi.KeypointSeries(keypoints, np.arange(len(tracks)))
 
 
 def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries, GroundTruth]:
@@ -159,69 +164,39 @@ def generate(script: MotionScript) -> tuple[pi.KeypointSeries, pi.KeypointSeries
     knee = _ramp(script, script.peak_knee_flexion_deg)
     hip = _ramp(script, script.peak_hip_flexion_deg)
     lean = _ramp(script, script.peak_lateral_lean_deg)
-    drop = _drop_offsets(script)
-    up = np.array([0.0, -1.0])
-
-    n = script.n_frames
-    sag_kp = np.zeros((n, pi.N_KEYPOINTS, 3))
-    fro_kp = np.zeros((n, pi.N_KEYPOINTS, 3))
-    for t in range(n):
-        knee_rad = math.radians(knee[t])
-        hip_rad = math.radians(hip[t])
-        lean_rad = math.radians(lean[t])
-
-        # sagittal chain: ankle fixed, shank splits the knee angle
-        frame = sag_kp[t]
-        ankle = np.array([BASE_X, GROUND_Y - drop[t]])
-        shank_dir = _rot(knee_rad / 2.0) @ up
-        knee_pt = ankle + script.shank_length_px * shank_dir
-        thigh_dir = _rot(-knee_rad) @ shank_dir
-        hip_pt = knee_pt + script.thigh_length_px * thigh_dir
-        trunk_dir = _rot(hip_rad) @ thigh_dir
-        neck = hip_pt + script.trunk_length_px * trunk_dir
-        nose = neck + 0.25 * script.trunk_length_px * trunk_dir
-        _put(frame, 0, nose)
-        _put(frame, pi.NECK, neck)
-        _put(frame, pi.MID_HIP, hip_pt)
-        for leg in pi.LEGS.values():
-            for i, point in zip(leg, (hip_pt, knee_pt, ankle)):
-                _put(frame, i, point)
-
-        # frontal chain: vertical legs, trunk tilted by the lean angle
-        frame = fro_kp[t]
-        gy = GROUND_Y - drop[t]
-        half_ankle = script.stance_ankle_width_px / 2.0
-        half_knee = (script.stance_ankle_width_px - script.knee_offset_px) / 2.0
-        ankle_r = np.array([BASE_X - half_ankle, gy])
-        ankle_l = np.array([BASE_X + half_ankle, gy])
-        knee_r = np.array([BASE_X - half_knee, gy - script.shank_length_px])
-        knee_l = np.array([BASE_X + half_knee, gy - script.shank_length_px])
-        hip_r = knee_r + script.thigh_length_px * up
-        hip_l = knee_l + script.thigh_length_px * up
-        mid_hip = (hip_r + hip_l) / 2.0
-        trunk_dir = _rot(lean_rad) @ up
-        neck = mid_hip + script.trunk_length_px * trunk_dir
-        perp = _rot(lean_rad) @ np.array([1.0, 0.0])
-        shoulder_r = neck - (script.shoulder_width_px / 2.0) * perp
-        shoulder_l = neck + (script.shoulder_width_px / 2.0) * perp
-        nose = neck + 0.25 * script.trunk_length_px * trunk_dir
-        _put(frame, 0, nose)
-        _put(frame, pi.NECK, neck)
-        _put(frame, pi.R_SHOULDER, shoulder_r)
-        _put(frame, pi.L_SHOULDER, shoulder_l)
-        _put(frame, pi.MID_HIP, mid_hip)
-        for side, points in (("right", (hip_r, knee_r, ankle_r)),
-                             ("left", (hip_l, knee_l, ankle_l))):
-            for i, point in zip(pi.LEGS[side], points):
-                _put(frame, i, point)
-
-    # every keypoint not placed above stays (0, 0, 0): undetected
-    sagittal = pi.KeypointSeries(sag_kp, np.arange(n))
-    frontal = pi.KeypointSeries(fro_kp, np.arange(n))
-
     knee_rad = np.radians(knee)
     hip_rad = np.radians(hip)
     lean_rad = np.radians(lean)
+    # where the ankles stand in each frame: falling until touchdown, then on the ground
+    ground = np.column_stack([np.full(script.n_frames, BASE_X), GROUND_Y - _drop_offsets(script)])
+
+    # sagittal chain: from the ankle, the shank and thigh lean half the knee angle each
+    # way, and the trunk turns the hip angle from the thigh
+    trunk = _up(hip_rad - knee_rad / 2.0)
+    knee_pt = ground + script.shank_length_px * _up(knee_rad / 2.0)
+    hip_pt = knee_pt + script.thigh_length_px * _up(-knee_rad / 2.0)
+    neck = hip_pt + script.trunk_length_px * trunk
+    legs = dict(zip(pi.LEGS["right"] + pi.LEGS["left"], (hip_pt, knee_pt, ground) * 2))
+    sagittal = _series({0: neck + 0.25 * script.trunk_length_px * trunk, pi.NECK: neck,
+                        pi.MID_HIP: hip_pt, **legs})
+
+    # frontal chain: vertical legs either side of the ground track, trunk tilted by the lean
+    half_ankle = script.stance_ankle_width_px / 2.0
+    half_knee = (script.stance_ankle_width_px - script.knee_offset_px) / 2.0
+    legs = {}
+    for side, sign in (("right", -1.0), ("left", 1.0)):
+        knee_pt = ground + (sign * half_knee, -script.shank_length_px)
+        hip_pt = knee_pt + (0.0, -script.thigh_length_px)
+        legs.update(zip(pi.LEGS[side], (hip_pt, knee_pt, ground + (sign * half_ankle, 0.0))))
+    mid_hip = (legs[pi.R_HIP] + legs[pi.L_HIP]) / 2.0
+    trunk = _up(lean_rad)
+    neck = mid_hip + script.trunk_length_px * trunk
+    # the shoulder line: the trunk direction turned a quarter turn, (cos, sin) of the lean
+    across = (script.shoulder_width_px / 2.0) * np.column_stack([-trunk[:, 1], trunk[:, 0]])
+    frontal = _series({0: neck + 0.25 * script.trunk_length_px * trunk, pi.NECK: neck,
+                       pi.R_SHOULDER: neck - across, pi.L_SHOULDER: neck + across,
+                       pi.MID_HIP: mid_hip, **legs})
+
     truth = GroundTruth(
         touchdown_frame=script.touchdown_frame,
         knee_deg=knee, hip_deg=hip, lean_deg=lean,

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import warnings
 from dataclasses import asdict
@@ -69,6 +70,48 @@ def test_valgus_offset_grades_poor():
     assert truth.d1 == 60.0
     assert ff.d1 == pytest.approx(60.0, abs=1e-9)
     assert scoring.grade_distance(ff.d1) == 1
+
+
+def test_the_ramp_at_the_end_of_the_series():
+    # touchdown on the last frame leaves nothing to ramp over: all zero, with no 0/0
+    late = motion_synth.MotionScript(n_frames=20, touchdown_frame=19, ramp_frames=5)
+    assert not motion_synth.generate(late)[2].knee_deg.any()
+    # a ramp longer than the frames after touchdown is cut to reach its peak on the last frame
+    cut = motion_synth.MotionScript(n_frames=20, touchdown_frame=10, ramp_frames=30)
+    assert motion_synth.generate(cut)[2].knee_deg[-1] == cut.peak_knee_flexion_deg
+
+
+@pytest.mark.parametrize("view", ["sagittal", "frontal"])
+def test_the_skeleton_keeps_its_lengths_on_the_ground_track(view):
+    # no feature reads a length, the ground track or the nose: only the keypoints show them
+    script = motion_synth.MotionScript(
+        n_frames=40, touchdown_frame=20, ramp_frames=10, peak_knee_flexion_deg=70.0,
+        peak_hip_flexion_deg=50.0, peak_lateral_lean_deg=25.0, thigh_length_px=140.0,
+        shank_length_px=160.0, trunk_length_px=200.0, shoulder_width_px=90.0)
+    sagittal, frontal, truth = motion_synth.generate(script)
+    kp = (sagittal if view == "sagittal" else frontal).keypoints[:, :, :2]
+    close = functools.partial(np.testing.assert_allclose, atol=1e-9)
+    fall = np.clip(1.0 - (np.arange(40) / 20.0) ** 2, 0.0, None)
+    mid_hip, neck, nose = kp[:, pi.MID_HIP], kp[:, pi.NECK], kp[:, 0]
+    legs = [kp[:, leg].swapaxes(0, 1) for leg in pi.LEGS.values()]
+    for hip, knee, ankle in legs:
+        close(ankle[:, 1], motion_synth.GROUND_Y - script.drop_height_px * fall)
+        if view == "sagittal":
+            close(ankle[:, 0], motion_synth.BASE_X)
+            close(np.linalg.norm(knee - ankle, axis=1), 160.0)
+            close(np.linalg.norm(hip - knee, axis=1), 140.0)
+        else:  # the legs stand upright: the knee offset turns the shank, not the thigh
+            close((ankle - knee)[:, 1], 160.0)
+            close(knee - hip, np.broadcast_to([0.0, 140.0], knee.shape))
+    if view == "frontal":
+        (hip_r, _, ankle_r), (hip_l, _, ankle_l) = legs
+        close(ankle_l[:, 0] - ankle_r[:, 0], script.stance_ankle_width_px)
+        close(mid_hip, (hip_r + hip_l) / 2.0)
+        lean = np.radians(truth.lean_deg)
+        close(kp[:, pi.L_SHOULDER] - kp[:, pi.R_SHOULDER],
+              90.0 * np.column_stack([np.cos(lean), np.sin(lean)]))
+    close(np.linalg.norm(neck - mid_hip, axis=1), 200.0)
+    close(nose - neck, 0.25 * (neck - mid_hip))
 
 
 def test_confidences_are_one_for_generated_keypoints():

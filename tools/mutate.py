@@ -50,7 +50,8 @@ OPERATORS = {
 EQUIVALENT = {
     "kinematics.py:65:34:-→+": "a full window ends at len + 1; every slice clips at the end",
     "kinematics.py:173:17:-→+": "a landing window ends past the last row; every slice clips",
-    "motion_synth.py:235:30:>→>=": "perturb at sigma 0 returns its series' values unchanged",
+    "motion_synth.py:140:11:>→>=": "a touchdown at frame 0 leaves no frame to fall: h[:0] is empty",
+    "motion_synth.py:210:30:>→>=": "perturb at sigma 0 returns its series' values unchanged",
     "pose_ingest.py:149:56:-→+": "a start past the text fails raw_decode; json.loads gives the value",
     "pose_ingest.py:236:34:<→<=": "only a trailing dot leaves the stem; a dot holds no digit",
     "pose_ingest.py:236:46:-→+": "only a trailing dot leaves the stem; a dot holds no digit",
@@ -154,7 +155,8 @@ def main(argv: list[str] | None = None) -> int:
 
     def run(m: Mutant) -> None:
         results[m.key] = run_suite(m, extra, timeout)[0]
-        print(f"[{len(results)}/{len(todo)}] {m.key} {results[m.key]}", file=sys.stderr)
+        # one write per line: the two threads' lines cannot interleave
+        sys.stderr.write(f"[{len(results)}/{len(todo)}] {m.key} {results[m.key]}\n")
 
     with ThreadPoolExecutor(len(os.sched_getaffinity(0))) as pool:  # one mutant per CPU
         list(pool.map(run, todo))
