@@ -106,12 +106,12 @@ class KeypointSeries:
 
 @dataclass
 class PreprocessStats:
-    frames_in: int = 0
-    frames_out: int = 0
-    frames_dropped_leading: int = 0
-    frames_dropped_trailing: int = 0
-    values_gated: int = 0
-    values_interpolated: int = 0
+    frames_in: int
+    frames_out: int
+    frames_dropped_leading: int
+    frames_dropped_trailing: int
+    values_gated: int
+    values_interpolated: int
 
 
 # -- frame parsing --------------------------------------------------------
@@ -233,17 +233,17 @@ _LAST_DIGITS = re.compile(r"(\d+)\D*\Z")
 def frame_index_from_name(name: str, fallback: int) -> int:
     """Frame index from the last digit group in a filename stem."""
     dot = name.rfind(".")
-    stem = name[:dot] if 0 < dot < len(name) - 1 else name
+    stem = name[:dot] if dot > 0 else name
     digits = _LAST_DIGITS.search(stem)
     return int(digits[1]) if digits else fallback
 
 
-_INT64_MIN = int(np.iinfo(np.int64).min)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _checked_frame_index(index: int) -> int:
-    if not _INT64_MIN <= index <= _INT64_MAX:
+    """The frame number, refused past int64; a digit group or a position is never negative."""
+    if index > _INT64_MAX:
         raise MalformedDocument(f"frame index {index} out of range")
     return index
 
@@ -477,55 +477,47 @@ def preprocess_report(
     AllFramesInvalid when nothing survives. Non-required keypoints are
     gated but never repaired. The operation is idempotent.
     """
-    stats = PreprocessStats(frames_in=len(series))
     if not len(series):
         raise AllFramesInvalid("input series is empty")
-    req = sorted(set(required))
+    req = np.array(sorted(set(required)), dtype=np.intp)
 
     keypoints = series.keypoints.copy()
     missing = undetected(keypoints)
     gate = (keypoints[:, :, 2] < confidence_threshold) & ~missing
-    stats.values_gated = int(gate.sum())
     keypoints[gate] = 0.0
-    missing |= gate
+    missing = (missing | gate)[:, req]  # frames × required keypoints
 
-    all_ok = ~missing[:, req].any(axis=1)
-    if not all_ok.any():
+    kept = np.flatnonzero(~missing.any(axis=1))
+    if not kept.size:
         raise AllFramesInvalid("no frame has all required keypoints present")
-    first = int(np.argmax(all_ok))
-    last = int(len(all_ok) - 1 - np.argmax(all_ok[::-1]))
-    stats.frames_dropped_leading = first
-    stats.frames_dropped_trailing = len(all_ok) - 1 - last
-    keypoints = keypoints[first:last + 1]
-    missing = missing[first:last + 1]
-    frame_index = series.frame_index[first:last + 1]
+    first, stop = int(kept[0]), int(kept[-1]) + 1
+    keypoints, frame_index = keypoints[first:stop], series.frame_index[first:stop]
 
-    for kp in req:
-        gaps = missing[:, kp]
-        if not gaps.any():
-            continue
-        # first/last frames are fully valid, so every gap is interior
-        edges = np.diff(gaps.astype(np.int8))
-        starts = np.flatnonzero(edges == 1) + 1
-        ends = np.flatnonzero(edges == -1) + 1  # exclusive
-        lengths = ends - starts
-        too_long = np.flatnonzero(lengths > max_gap)
-        if too_long.size:
-            g = too_long[0]
-            raise GapTooLong(
-                f"keypoint {kp} missing for {lengths[g]} consecutive frames "
-                f"(frames {frame_index[starts[g]]}..{frame_index[ends[g] - 1]}), "
-                f"max_gap={max_gap}"
-            )
-        rows = np.flatnonzero(gaps)
-        before = np.repeat(starts - 1, lengths)  # last valid frame before each row's gap
-        left, right = keypoints[before, kp], keypoints[np.repeat(ends, lengths), kp]
-        r = (rows - before) / np.repeat(lengths + 1, lengths)
-        keypoints[rows, kp, 0] = left[:, 0] + (right[:, 0] - left[:, 0]) * r
-        keypoints[rows, kp, 1] = left[:, 1] + (right[:, 1] - left[:, 1]) * r
-        # min of the neighbours' confidences, the left one on a tie (as min())
-        keypoints[rows, kp, 2] = np.where(right[:, 2] < left[:, 2], right[:, 2], left[:, 2])
-        stats.values_interpolated += len(rows)
+    # one row per required keypoint; the first and last frames are fully valid,
+    # so every gap is interior, and row-major order puts the lowest keypoint's
+    # earliest gap first
+    gaps = missing[first:stop].T
+    edges = np.diff(gaps.astype(np.int8), axis=1)
+    gap_rows, starts = np.nonzero(edges == 1)
+    starts, ends = starts + 1, np.nonzero(edges == -1)[1] + 1  # ends exclusive
+    lengths = ends - starts
+    if (too_long := np.flatnonzero(lengths > max_gap)).size:
+        g = too_long[0]
+        raise GapTooLong(
+            f"keypoint {req[gap_rows[g]]} missing for {lengths[g]} consecutive frames "
+            f"(frames {frame_index[starts[g]]}..{frame_index[ends[g] - 1]}), "
+            f"max_gap={max_gap}"
+        )
+    rows, frames = np.nonzero(gaps)  # every gap cell, gap by gap
+    kp = req[rows]
+    before = np.repeat(starts - 1, lengths)  # the last valid frame before each cell's gap
+    left, right = keypoints[before, kp], keypoints[np.repeat(ends, lengths), kp]
+    r = (frames - before) / np.repeat(lengths + 1, lengths)
+    keypoints[frames, kp, :2] = left[:, :2] + (right[:, :2] - left[:, :2]) * r[:, None]
+    # min of the neighbours' confidences, the left one on a tie (as min())
+    keypoints[frames, kp, 2] = np.where(right[:, 2] < left[:, 2], right[:, 2], left[:, 2])
 
-    stats.frames_out = len(frame_index)
-    return KeypointSeries(keypoints, frame_index), stats
+    return KeypointSeries(keypoints, frame_index), PreprocessStats(
+        frames_in=len(series), frames_out=len(frame_index),
+        frames_dropped_leading=first, frames_dropped_trailing=len(series) - stop,
+        values_gated=int(np.count_nonzero(gate)), values_interpolated=len(frames))

@@ -31,6 +31,11 @@ def test_default_matrices_validate():
     assert ahp.validate(np.ones((9, 9))) == []  # the largest order
 
 
+@pytest.mark.parametrize("order", [1, 10])
+def test_an_order_outside_two_to_nine_is_a_violation(order):
+    assert ahp.validate(np.ones((order, order))) == [f"order must be between 2 and 9, got {order}"]
+
+
 def test_reciprocity_violation_located(monkeypatch):
     mat = np.array([[1.0, 2.0], [1.0, 1.0]])
     violations = ahp.validate(mat)

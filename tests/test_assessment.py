@@ -210,6 +210,8 @@ HIERARCHY = {"hierarchical": True, "criterion_matrix": [[1, 2], ["1/2", 1]],
     {"hierarchical": "off"},
     {"weight_source": "explicit", "weights": [0.25] * 4},  # one weight per index
     {"weight_source": "explicit", "weights": [0.5, 0.5, 0.5, -0.5, 0.0]},
+    {"weight_source": "made-up"},
+    {"hierarchical": True},  # with no criterion_matrix or criterion_groups
 ])
 def test_bad_config_values_are_config_errors(data):
     with pytest.raises(ConfigError):
@@ -402,6 +404,8 @@ def test_csv_summary_works_without_trace_data(tmp_path):
     parsed = assessment.AssessmentReport(**json.loads(assessment.emit_report(report, "json")))
     assert parsed.trace_data is None
     assert assessment.emit_report(parsed, "csv")  # still emits a row
+    with pytest.raises(ValueError, match="^unknown report format: 'xml'$"):
+        assessment.emit_report(parsed, "xml")
     with pytest.raises(IoFailure):
         assessment.emit_traces(parsed, tmp_path / "t")
 

@@ -318,7 +318,8 @@ def test_output_has_no_missing_required_keypoints():
         assert not pi.undetected(out.keypoints[:, required]).any()
 
 
-def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_gap: int = 5):
+def reference_preprocess(series: pi.KeypointSeries, required: frozenset[int],
+                         threshold: float = 0.4, max_gap: int = 5):
     """Frame-by-frame gating and gap repair: the reference for preprocess_report."""
     kp, missing = series.keypoints.copy(), np.all(series.keypoints == 0.0, axis=2)
     gated = 0
@@ -327,7 +328,7 @@ def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_
         gated += int(gate.sum())
         kp[t][gate] = 0.0
         missing[t] |= gate
-    req = sorted(SAGITTAL_REQUIRED)
+    req = sorted(required)
     ok = [not any(missing[t, k] for k in req) for t in range(len(kp))]
     first, last = ok.index(True), len(ok) - 1 - ok[::-1].index(True)
     kp, missing = kp[first:last + 1], missing[first:last + 1]
@@ -355,19 +356,24 @@ def reference_preprocess(series: pi.KeypointSeries, threshold: float = 0.4, max_
     return kp, missing, series.frame_index[first:last + 1], gated, filled
 
 
-def test_preprocess_matches_frame_by_frame_reference():
+# the frontal set has 10 keypoints: several often have a gap too long, and the
+# lowest keypoint's earliest one is named
+@pytest.mark.parametrize("required", [
+    SAGITTAL_REQUIRED, pi.required_keypoints(pi.SAGITTAL, "left"),
+    pi.required_keypoints(pi.FRONTAL)], ids=["sagittal-right", "sagittal-left", "frontal"])
+def test_preprocess_matches_frame_by_frame_reference(required):
     rng = np.random.default_rng(2024)
     repaired = rejected = 0
     for _ in range(300):
         series = random_series(rng)
         try:
-            kp, missing, frame_index, gated, filled = reference_preprocess(series)
+            kp, missing, frame_index, gated, filled = reference_preprocess(series, required)
         except GapTooLong as exc:
             rejected += 1
             with pytest.raises(GapTooLong, match=str(exc)):
-                pi.preprocess_report(series, SAGITTAL_REQUIRED)
+                pi.preprocess_report(series, required)
             continue
-        out, stats = pi.preprocess_report(series, SAGITTAL_REQUIRED)
+        out, stats = pi.preprocess_report(series, required)
         assert out.keypoints.tobytes() == kp.tobytes()
         assert np.array_equal(pi.undetected(out.keypoints), missing)
         assert np.array_equal(out.frame_index, frame_index)

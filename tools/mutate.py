@@ -53,9 +53,6 @@ EQUIVALENT = {
     "motion_synth.py:140:11:>→>=": "a touchdown at frame 0 leaves no frame to fall: h[:0] is empty",
     "motion_synth.py:210:30:>→>=": "perturb at sigma 0 returns its series' values unchanged",
     "pose_ingest.py:149:56:-→+": "a start past the text fails raw_decode; json.loads gives the value",
-    "pose_ingest.py:236:34:<→<=": "only a trailing dot leaves the stem; a dot holds no digit",
-    "pose_ingest.py:236:46:-→+": "only a trailing dot leaves the stem; a dot holds no digit",
-    "pose_ingest.py:246:23:<=→<": "a frame number is a digit group or a position: never negative",
     "pose_ingest.py:365:25:>→>=": "one person through the several-person path keeps that person",
 }
 
